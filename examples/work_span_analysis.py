@@ -14,10 +14,11 @@ import sys
 from repro.api import Session, WorkloadSpec
 from repro.inncabs.presets import preset_params
 from repro.inncabs.suite import available_benchmarks, get_benchmark
+from repro.profiler.events import TraceRecorder
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
-from repro.trace import TraceRecorder, work_span
+from repro.trace.dag import work_span
 
 
 def main() -> None:

@@ -8,7 +8,9 @@ an action to another locality and returns a future the caller can
 
 Remote counter access (`query_counter`) evaluates any counter on any
 locality in-band (a query task on the target, results returned by
-parcel) — the capability Section IV highlights.
+parcel) — the capability Section IV highlights.  Serving a query (or an
+AGAS ``bind``/``resolve``) costs the serving locality its platform's
+``counter_query_cost_ns``.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from repro.runtime.config import HpxParams
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine, MachineSpec
-
-QUERY_COST_NS = 800  # in-band evaluation cost on the target locality
 
 
 class Locality:
@@ -187,7 +187,7 @@ class DistributedSystem:
             return fut
 
         def bind_action(ctx: Any, name=name, source=source, payload=payload):
-            yield ctx.compute(QUERY_COST_NS)
+            yield ctx.compute(ctx.platform.counter_query_cost_ns)
             return self.agas.bind(name, source, payload)
 
         return self.async_remote(source, 0, bind_action)
@@ -210,7 +210,7 @@ class DistributedSystem:
             return fut
 
         def resolve_action(ctx: Any, name=name):
-            yield ctx.compute(QUERY_COST_NS)
+            yield ctx.compute(ctx.platform.counter_query_cost_ns)
             return self.agas.resolve(name)
 
         fut = self.async_remote(source, 0, resolve_action)
@@ -228,7 +228,7 @@ class DistributedSystem:
         """
 
         def query_action(ctx: Any, spec=counter_spec, dest=dest):
-            yield ctx.compute(QUERY_COST_NS)
+            yield ctx.compute(ctx.platform.counter_query_cost_ns)
             counter = self.localities[dest].registry.create_counter(spec)
             return counter.get_counter_value().value
 

@@ -9,9 +9,10 @@ is runtime-independent about executing them:
 - :mod:`repro.exec.interp` — the single effect-interpretation loop
   (coroutine resume, ``SimFuture`` payload/exception propagation, task
   completion), dispatching each yielded effect to the backend;
-- :mod:`repro.exec.backend` — the :class:`SchedulerBackend` protocol a
-  runtime implements (spawn-policy decision, block/wake, dispatch cost,
-  memory commit);
+- :mod:`repro.exec.backend` — the :class:`SchedulerBackend` base class
+  both runtimes subclass: the scheduler mechanics written once (waits,
+  mutexes, retirement, the probe bus), with the policy (spawn
+  placement, block/wake, dispatch cost, memory commit) left to hooks;
 - :mod:`repro.exec.probes` — the instrumentation probe bus: typed stat
   views feeding the counter framework, the trace hook, and the
   per-activation instrumentation charge, shared by every backend;
@@ -24,7 +25,7 @@ is runtime-independent about executing them:
   the resource model, materializing exact probe deltas at cohort
   boundaries (see ``docs/cohort.md``).
 
-Adding a third runtime means implementing :class:`SchedulerBackend`
+Adding a third runtime means subclassing :class:`SchedulerBackend`
 (see ``docs/backends.md``); the interpreter, the counters, tracing and
 the experiment harness come along for free.
 """

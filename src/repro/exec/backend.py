@@ -1,187 +1,301 @@
-"""The scheduler-backend protocol the effect interpreter drives.
+"""The scheduler base class both runtimes subclass.
 
-A backend owns the *policy* side of execution: where a spawned task
-goes, what a dispatch costs, how blocking and waking work, whether
-memory is committed per task.  The *mechanics* — resuming the coroutine,
-routing ``SimFuture`` payloads and exceptions, completing tasks — live
-in :class:`repro.exec.interp.EffectInterpreter` and are shared.
+A backend splits into *mechanics* and *policy*.  The effect interpreter
+(:class:`repro.exec.interp.EffectInterpreter`) resumes task coroutines;
+:class:`SchedulerBackend` owns every scheduler mechanic the runtimes
+share — the probe bus, the live-task table, driving a run, the ready
+fast paths of the waits, the ``AwaitAll`` countdown, the mutex, and one
+retirement path — so a subclass keeps only its policy: where a task
+goes, what each action costs, how blocking and waking work, and how it
+books its totals.
 
 ``repro.runtime.scheduler.HpxRuntime`` and
-``repro.kernel.scheduler.StdRuntime`` are the two implementations; see
-``docs/backends.md`` for how to add a third.
+``repro.kernel.scheduler.StdRuntime`` are the two subclasses; see
+``docs/backends.md`` for what a third one implements.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Sequence
 
-from repro.exec.probes import ProbeBus
-from repro.model.effects import (
-    Await,
-    AwaitAll,
-    Compute,
-    Lock,
-    Spawn,
-    Unlock,
-    YieldNow,
-)
+from repro.exec.errors import DeadlockError, ResourceExhausted, format_stall
+from repro.exec.interp import EffectInterpreter, WorkRewriter
+from repro.exec.probes import ProbeBus, SchedulerProbe
+from repro.model.effects import Await, AwaitAll, Lock, Unlock
+from repro.model.future import SimFuture, resume_payload, resume_payload_all
 from repro.model.population import TaskCohort
+from repro.model.sync import Mutex
 from repro.model.work import Work
 
 
-@runtime_checkable
-class SchedulerBackend(Protocol):
-    """What a runtime must provide to execute effect coroutines.
+class SchedulerBackend:
+    """Shared scheduler mechanics; a subclass supplies the policy hooks.
 
-    The *worker* argument the interpreter threads through is opaque to
-    it: the HPX backend passes its worker object, the kernel backend
-    its core.  ``task`` is equally backend-owned (``Task`` or
-    ``OSThread``); the interpreter only touches the small task surface
-    it documents (``gen``, ``bind``, ``pending_send``, ``future``).
+    *worker* and *task* are the subclass's own objects (the HPX backend
+    passes its worker and ``Task``, the kernel backend its core and
+    ``OSThread``).  The base reads a small surface of them: a worker's
+    ``index`` and ``stats`` (a :class:`~repro.exec.probes.WorkerProbe`);
+    a task's ``tid``, ``state``, ``future`` and ``pending_send``.  The
+    subclass also implements the effect handlers the base leaves to
+    policy (``do_compute``, ``do_spawn``, ``do_yield``) and the counter
+    sources ``queue_length()`` and ``worker_queue_length(index)``.
     """
 
     #: Short runtime name ("hpx", "std", ...), shown in results.
-    name: str
-    #: The discrete-event engine driving the simulation.
-    engine: Any
-    #: The published measurement surface (stats, trace, instrumentation).
-    probes: ProbeBus
+    name = ""
+    #: What stall diagnostics call a task ("task", "thread").
+    noun = "task"
+    #: The subclass's task states: not yet run (executes inline at its
+    #: first wait) and blocked on a future or mutex.
+    DEFERRED: Any = None
+    SUSPENDED: Any = None
     #: True once the simulated process died (resource exhaustion).
-    aborted: bool
+    aborted = False
     #: Human-readable reason when ``aborted``.
-    abort_reason: str | None
+    abort_reason: str | None = None
+
+    def __init__(
+        self, engine: Any, machine: Any, params: Any, workers: list[Any], total: SchedulerProbe
+    ) -> None:
+        self.engine = engine
+        self.machine = machine
+        self.params = params
+        #: Per-worker views in worker-index order; each has ``stats``,
+        #: ``core_index`` and ``socket`` (how counters address workers).
+        self.workers = workers
+        self.probes = ProbeBus(total, [w.stats for w in workers])
+        self.stats = total
+        self._interp = EffectInterpreter(self)
+        self._step = self._interp.step
+        self._live: dict[int, Any] = {}  # tid -> task, until retirement
+        self._next_tid = 0
+        self._next_mid = 0
+        # Worker whose task is settling its future: the waker of every
+        # waiter that settlement wakes (None outside retirement).
+        self._fulfil_worker: Any = None
 
     @property
     def num_workers(self) -> int:
-        """Number of workers/cores the backend executes on."""
-        ...
+        return len(self.workers)
+
+    # -- instrumentation ---------------------------------------------------
+
+    def add_instrumentation(self, delta_ns: int) -> None:
+        """Register (positive) or remove (negative) per-activation
+        instrumentation cost; called by counter ``start``/``stop``."""
+        self.probes.add_instrumentation(delta_ns)
 
     @property
-    def workers(self) -> Any:
-        """Per-worker views in worker-index order.
+    def instrument_ns(self) -> int:
+        """Per-activation instrumentation charge (lives on the probe bus)."""
+        return self.probes.instrument_ns
 
-        Each element exposes at least ``stats`` (a
-        :class:`~repro.exec.probes.WorkerProbe`), ``core_index`` and
-        ``socket`` — what the counter framework and the cohort engine
-        address workers by."""
-        ...
+    def set_compute_rewriter(self, rewriter: WorkRewriter | None) -> None:
+        """Install (or remove) a what-if work rewriter on the effect loop
+        (see :meth:`repro.exec.interp.EffectInterpreter.set_compute_rewriter`)."""
+        self._interp.set_compute_rewriter(rewriter)
 
-    # -- driving ----------------------------------------------------------
+    # -- driving -----------------------------------------------------------
 
-    def submit(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Stage a root task; returns its ``SimFuture``."""
-        ...
+    def submit(self, fn: Callable[..., Any], *args: Any) -> SimFuture:
+        """Policy: stage a root task; returns its future."""
+        raise NotImplementedError
 
     def run_to_completion(self, fn: Callable[..., Any], *args: Any) -> Any:
         """Submit *fn*, run the engine until quiescence, return its value."""
-        ...
-
-    def create_mutex(self) -> Any:
-        """A mutex usable with the ``Lock``/``Unlock`` effects."""
-        ...
+        future = self.submit(fn, *args)
+        self.engine.run()
+        if self.aborted:
+            raise ResourceExhausted(self.abort_reason or "out of memory")
+        if not future.is_ready:
+            raise DeadlockError(self.describe_stall())
+        return future.value()
 
     def describe_stall(self) -> str:
         """Diagnostic naming the unfinished tasks (deadlock reports)."""
-        ...
+        return format_stall(list(self._live.values()), now_ns=self.engine.now, noun=self.noun)
 
-    # -- interpreter hooks -------------------------------------------------
+    def create_mutex(self) -> Mutex:
+        """A mutex usable with the ``Lock``/``Unlock`` effects."""
+        mutex = Mutex(self._next_mid)
+        self._next_mid += 1
+        return mutex
+
+    # -- counter sources ---------------------------------------------------
+
+    def idle_rate(self, worker_index: int | None = None) -> float:
+        """Fraction of wall time not spent busy, in [0, 1]."""
+        wall: int = self.engine.now
+        if wall <= 0:
+            return 0.0
+        if worker_index is None:
+            return max(0.0, 1.0 - self.probes.busy_ns() / (wall * len(self.workers)))
+        return max(0.0, 1.0 - self.probes.busy_ns(worker_index) / wall)
+
+    def steals_total(self) -> int:
+        """Tasks stolen across all workers (0 without work stealing)."""
+        return sum(p.steals_ok for p in self.probes.workers)
+
+    # -- interpreter hooks and the shared effect handlers ------------------
 
     def begin_step(self, worker: Any, task: Any) -> bool:
-        """Gate one interpreter step; False drops it (aborted process)."""
-        ...
+        """Gate one interpreter step: nothing runs once the process aborted."""
+        return not self.aborted
+
+    def do_await(self, worker: Any, task: Any, effect: Await) -> None:
+        future = effect.future
+        if future.is_ready:
+            cost = self.params.future_get_ready_ns
+            self._charge_exec(worker, task, cost)
+            self.probes.emit_dependencies(self.engine.now, task, (future,))
+            self.engine.call_later(cost, self._step, worker, task, resume_payload(future))
+            return
+        producer = future.producer_task
+        if producer is not None and producer.state is self.DEFERRED:
+            self._run_deferred(worker, task, producer, None)
+            return
+        self._block(worker, task)
+        future.on_ready(lambda fut: self._joined(task, (fut,), resume_payload(fut)))
+
+    def do_await_all(self, worker: Any, task: Any, effect: AwaitAll) -> None:
+        futures = effect.futures
+        pending = [f for f in futures if not f.is_ready]
+        for fut in pending:
+            producer = fut.producer_task
+            if producer is not None and producer.state is self.DEFERRED:
+                # One deferred producer at a time; the wait is re-issued
+                # once it has run.
+                self._run_deferred(worker, task, producer, futures)
+                return
+        if not pending:
+            cost = self.params.future_get_ready_ns
+            self._charge_exec(worker, task, cost)
+            self.probes.emit_dependencies(self.engine.now, task, futures)
+            self.engine.call_later(cost, self._step, worker, task, resume_payload_all(futures))
+            return
+        self._block(worker, task)
+        remaining = len(pending)
+
+        def one_ready(_fut: SimFuture) -> None:
+            nonlocal remaining
+            remaining -= 1
+            if remaining == 0:
+                self._joined(task, futures, resume_payload_all(futures))
+
+        for fut in pending:
+            fut.on_ready(one_ready)
+
+    def _joined(self, task: Any, futures: Sequence[Any], payload: Any) -> None:
+        """Every future a blocked *task* waits on is ready: wake it."""
+        self.probes.emit_dependencies(self.engine.now, task, futures)
+        self._wake(self._fulfil_worker, task, payload)
+
+    def do_lock(self, worker: Any, task: Any, effect: Lock) -> None:
+        mutex = effect.mutex
+        if mutex.try_acquire(task):
+            cost = self.params.mutex_ns
+            self._charge_exec(worker, task, cost)
+            self.engine.call_later(cost, self._step, worker, task, None)
+            return
+        self._block(worker, task)
+        mutex.enqueue_waiter(task)
+
+    def do_unlock(self, worker: Any, task: Any, effect: Unlock) -> None:
+        next_owner = effect.mutex.release(task)
+        cost = self.params.mutex_ns
+        self._charge_exec(worker, task, cost)
+        if next_owner is not None:
+            self._wake(worker, next_owner, None)  # it already owns the mutex
+        self.engine.call_later(cost, self._step, worker, task, None)
 
     def complete(self, worker: Any, task: Any, value: Any) -> None:
         """The task body returned *value*: retire it, fulfil its future."""
-        ...
+        self._retire(worker, task, task.future.set_value, value)
 
     def fail(self, worker: Any, task: Any, exc: BaseException) -> None:
         """The task body raised: retire it, propagate through its future."""
-        ...
+        self._retire(worker, task, task.future.set_exception, exc)
 
-    # -- effect handlers ---------------------------------------------------
+    def _retire(self, worker: Any, task: Any, settle: Callable[[Any], None], outcome: Any) -> None:
+        cost = self._cleanup(worker, task)
+        del self._live[task.tid]
+        worker.stats.tasks_executed += 1
+        self.stats.tasks_executed += 1
+        self.probes.emit(self.engine.now, "terminate", task, worker.index)
+        prev = self._fulfil_worker
+        self._fulfil_worker = worker
+        try:
+            settle(outcome)
+        finally:
+            self._fulfil_worker = prev
+        self._release(worker, task, cost)
 
-    def do_compute(self, worker: Any, task: Any, effect: Compute) -> None:
-        """Occupy the worker for the effect's simulated work."""
-        ...
+    def _suspend(self, worker: Any, task: Any) -> None:
+        """Mark *task* blocked on *worker*; ``suspend`` closes its busy interval."""
+        task.state = self.SUSPENDED
+        self.stats.suspended_tasks += 1
+        self.probes.emit(self.engine.now, "suspend", task, worker.index)
 
-    def do_spawn(self, worker: Any, task: Any, effect: Spawn) -> None:
-        """Create a child task per the effect's launch policy."""
-        ...
+    # -- policy hooks ------------------------------------------------------
 
-    def do_await(self, worker: Any, task: Any, effect: Await) -> None:
-        """Wait on one future (block, or resume immediately if ready)."""
-        ...
+    def _charge_exec(self, worker: Any, task: Any, ns: int) -> None:
+        """Book *ns* of task execution time to *task* on *worker*."""
+        raise NotImplementedError
 
-    def do_await_all(self, worker: Any, task: Any, effect: AwaitAll) -> None:
-        """Wait on a set of futures."""
-        ...
+    def _block(self, worker: Any, task: Any) -> None:
+        """*task* blocks on a future or mutex: charge the block,
+        :meth:`_suspend` it and free *worker* for other work."""
+        raise NotImplementedError
 
-    def do_lock(self, worker: Any, task: Any, effect: Lock) -> None:
-        """Acquire the effect's mutex (block under contention)."""
-        ...
+    def _wake(self, worker: Any, task: Any, send_value: Any) -> None:
+        """Make the blocked *task* runnable, resuming with *send_value*.
 
-    def do_unlock(self, worker: Any, task: Any, effect: Unlock) -> None:
-        """Release the effect's mutex, waking the next waiter."""
-        ...
+        *worker* woke it: the one settling the awaited future (None
+        outside retirement) or the one handing it a mutex."""
+        raise NotImplementedError
 
-    def do_yield(self, worker: Any, task: Any, effect: YieldNow) -> None:
-        """Cooperatively reschedule the task behind its peers."""
-        ...
+    def _run_deferred(
+        self, worker: Any, task: Any, producer: Any, futures: Sequence[Any] | None
+    ) -> None:
+        """*task* waits on a deferred *producer*: run it inline on *worker*.
+
+        *futures* is the ``AwaitAll`` to re-issue afterwards, or None
+        for an ``Await`` (resume with the producer's result)."""
+        raise NotImplementedError
+
+    def _cleanup(self, worker: Any, task: Any) -> int:
+        """Retire *task*'s state and resources, charge its cleanup;
+        returns the cleanup time."""
+        raise NotImplementedError
+
+    def _release(self, worker: Any, task: Any, cost: int) -> None:
+        """After retiring *task*, free *worker* once *cost* elapsed."""
+        raise NotImplementedError
 
     # -- population hooks (cohort execution) -------------------------------
     #
     # The cohort engine (:mod:`repro.exec.cohort`) never drives the
-    # effect handlers above; it charges whole populations through these
-    # four hooks instead.  They expose the backend's *cost model* and
-    # *resource policy* at population granularity: what one member
-    # task's scheduler interactions cost, and what admitting the live
-    # population commits (the ``std::async`` backend commits a thread
-    # stack per live member and can abort, exactly as per-task runs do).
+    # effect handlers; it charges whole populations through these four
+    # hooks: the backend's cost model and resource policy at population
+    # granularity.
 
     def population_work(self, work: Work) -> Work:
         """Apply backend-wide work scaling (e.g. locality traffic)."""
-        ...
+        raise NotImplementedError
 
-    def population_task_costs(self, cohort: TaskCohort) -> "tuple[float, float]":
-        """Mean per-member ``(exec_ns, overhead_ns)`` beyond the compute.
-
-        Covers the member's scheduler interactions — activations,
-        spawns, awaits, retirement — priced with the backend's own cost
-        model.  Floats: rounding happens once per cohort, not per task.
-        """
-        ...
+    def population_task_costs(self, cohort: TaskCohort) -> tuple[float, float]:
+        """Mean per-member ``(exec_ns, overhead_ns)`` beyond the compute,
+        priced with the backend's own cost model (floats: rounding
+        happens once per cohort, not per task)."""
+        raise NotImplementedError
 
     def population_begin(self, cohort: TaskCohort) -> int:
         """Admit the cohort's live population; returns members admitted.
 
-        Updates live/peak probes and commits per-task resources.  A
-        backend with a resource budget may abort mid-admission (setting
-        ``aborted``/``abort_reason``); the return value is then the
-        number admitted before death, mirroring the exact engine's
-        partially-built population.
-        """
-        ...
+        A backend with a resource budget may abort mid-admission; the
+        return value is then the number admitted before death."""
+        raise NotImplementedError
 
     def population_end(self, cohort: TaskCohort) -> None:
-        """Retire the cohort's live population admitted by
-        ``population_begin`` and book boundary-only kernel stats."""
-        ...
-
-    # -- counter sources ---------------------------------------------------
-
-    def queue_length(self) -> int:
-        """Instantaneous number of staged (runnable, unpicked) tasks."""
-        ...
-
-    def worker_queue_length(self, index: int) -> int:
-        """Staged tasks attributable to one worker (0 where queues are
-        global)."""
-        ...
-
-    def idle_rate(self, worker_index: int | None = None) -> float:
-        """Fraction of wall time not spent busy, in [0, 1]."""
-        ...
-
-    def steals_total(self) -> int:
-        """Tasks stolen across all workers (0 without work stealing)."""
-        ...
+        """Retire the population ``population_begin`` admitted."""
+        raise NotImplementedError

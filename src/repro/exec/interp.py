@@ -16,7 +16,7 @@ the per-step gate come from the :class:`~repro.exec.backend.SchedulerBackend`.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Generator
 
 from repro.model.context import TaskContext
 from repro.model.effects import (
@@ -44,7 +44,8 @@ class EffectInterpreter:
     (or throw the pending exception) into the generator, then hand the
     yielded effect to the backend handler that implements it.  Backends
     schedule ``interp.step`` on the event engine wherever they used to
-    schedule their private step function.
+    schedule their private step function.  The first step calls the
+    task's body, ``task.fn(ctx, *task.args)``, to create ``task.gen``.
     """
 
     __slots__ = ("backend", "_handlers", "compute_rewriter")
@@ -94,7 +95,10 @@ class EffectInterpreter:
             return
         gen = task.gen
         if gen is None:  # first activation: bind the body to its context
-            gen = task.bind(TaskContext(backend, task))
+            gen = task.fn(TaskContext(backend, task), *task.args)
+            if not isinstance(gen, Generator):
+                raise TypeError(f"task body {task.description!r} must be a generator function")
+            task.gen = gen
         task.pending_send = None
         try:
             if send_value.__class__ is ThrowValue:

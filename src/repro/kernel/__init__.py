@@ -10,8 +10,9 @@ accounted; exceeding the budget aborts the program — exactly how the
 paper's Fib/Health/NQueens/UTS runs die with 80–97 k live pthreads.
 """
 
+from repro.exec.errors import ResourceExhausted
 from repro.kernel.config import StdParams
-from repro.kernel.scheduler import ResourceExhausted, StdRuntime
+from repro.kernel.scheduler import StdRuntime
 from repro.kernel.thread import OSThread, ThreadState
 
 __all__ = [

@@ -8,23 +8,23 @@ futex block/wake pair.  Committed memory is tracked per live thread and
 the process aborts when the budget is exhausted — the paper's observed
 failure mode for Fib, Health, NQueens and UTS.
 
-Effect interpretation is shared with the HPX model: this module is a
-:class:`repro.exec.backend.SchedulerBackend` implementation driven by
-:class:`repro.exec.interp.EffectInterpreter`, publishing its accounting
-on a :class:`repro.exec.probes.ProbeBus` so the same counters, trace
-recorder and metrics work on both runtimes.
+The mechanics shared with the HPX model (effect interpretation, the
+probe bus, the waits' fast paths, retirement) come from
+:class:`repro.exec.backend.SchedulerBackend`, so the same counters,
+trace recorder and metrics work on both runtimes; this module holds the
+kernel policy.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
-from repro.exec.errors import DeadlockError, ResourceExhausted, describe_tasks, format_stall
-from repro.exec.interp import EffectInterpreter
-from repro.exec.probes import KernelProbe, ProbeBus, WorkerProbe
-from repro.model.effects import Await, AwaitAll, Compute, Lock, Spawn, Unlock, YieldNow
-from repro.model.future import SimFuture, resume_payload, resume_payload_all
+from repro.exec.backend import SchedulerBackend
+from repro.exec.errors import ResourceExhausted, describe_tasks
+from repro.exec.probes import KernelProbe, WorkerProbe
+from repro.model.effects import AwaitAll, Compute, Spawn, YieldNow
+from repro.model.future import SimFuture, resume_payload
 from repro.model.population import TaskCohort
 from repro.model.work import Work
 from repro.kernel.config import StdParams
@@ -34,45 +34,7 @@ from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
 from repro.simcore.topology import BindMode, Topology
 
-# Legacy spelling: the kernel stats struct is the shared probe type now.
-StdStats = KernelProbe
-
-__all__ = ["KMutex", "ResourceExhausted", "StdRuntime", "StdStats"]
-
-
-class KMutex:
-    """``std::mutex``: futex-based, FIFO hand-off under contention."""
-
-    __slots__ = ("mid", "owner", "waiters", "acquisitions", "contentions")
-
-    def __init__(self, mid: int) -> None:
-        self.mid = mid
-        self.owner: OSThread | None = None
-        self.waiters: deque[OSThread] = deque()
-        self.acquisitions = 0
-        self.contentions = 0
-
-    def try_acquire(self, thread: OSThread) -> bool:
-        if self.owner is None:
-            self.owner = thread
-            self.acquisitions += 1
-            return True
-        return False
-
-    def enqueue_waiter(self, thread: OSThread) -> None:
-        self.contentions += 1
-        self.waiters.append(thread)
-
-    def release(self, thread: OSThread) -> OSThread | None:
-        if self.owner is not thread:
-            raise RuntimeError(f"thread {thread.tid} releasing mutex {self.mid} it does not own")
-        if self.waiters:
-            nxt = self.waiters.popleft()
-            self.owner = nxt
-            self.acquisitions += 1
-            return nxt
-        self.owner = None
-        return None
+__all__ = ["StdRuntime"]
 
 
 class _KCore:
@@ -86,10 +48,18 @@ class _KCore:
         self.stats = WorkerProbe()
 
 
-class StdRuntime:
-    """Facade mirroring :class:`repro.runtime.scheduler.HpxRuntime`."""
+class StdRuntime(SchedulerBackend):
+    """Facade mirroring :class:`repro.runtime.scheduler.HpxRuntime`.
+
+    Costs are read from ``self.params`` on every use: a subclass may
+    replace the params after construction (see ``repro.tools.base``).
+    """
 
     name = "std"
+    noun = "thread"
+    DEFERRED = ThreadState.DEFERRED
+    SUSPENDED = ThreadState.BLOCKED
+    stats: KernelProbe
 
     def __init__(
         self,
@@ -100,27 +70,14 @@ class StdRuntime:
         params: StdParams | None = None,
         bind_mode: BindMode = BindMode.COMPACT,
     ) -> None:
-        self.engine = engine
-        self.machine = machine
-        self.params = params or StdParams()
         self.topology = Topology(machine.platform)
         cores = self.topology.binding(num_workers, bind_mode)
-        self.cores = [
+        workers = [
             _KCore(i, core, machine.platform.socket_of(core)) for i, core in enumerate(cores)
         ]
+        super().__init__(engine, machine, params or StdParams(), workers, KernelProbe())
         self.run_queue: deque[OSThread] = deque()
-        # The shared effect interpreter and the published probe bus.
-        self._interp = EffectInterpreter(self)
-        self._step = self._interp.step
-        self.probes = ProbeBus(KernelProbe(), [c.stats for c in self.cores])
-        self.stats = self.probes.total
-        self._next_tid = 0
-        self._next_mid = 0
-        self.aborted = False
-        self.abort_reason: str | None = None
-        self._fulfil_core: _KCore | None = None
         self._root_future: SimFuture | None = None
-        self._live_threads: dict[int, OSThread] = {}
         # Simulated global scheduler lock: the time until which it is held.
         self._lock_free_at = 0
 
@@ -128,68 +85,15 @@ class StdRuntime:
     # public API
     # ------------------------------------------------------------------
 
-    @property
-    def num_workers(self) -> int:
-        return len(self.cores)
-
-    @property
-    def workers(self) -> list[_KCore]:
-        """The bound cores (the backend's per-worker view)."""
-        return self.cores
-
-    def add_instrumentation(self, delta_ns: int) -> None:
-        """Register (positive) or remove (negative) per-dispatch
-        instrumentation cost; called by counter ``start``/``stop``."""
-        self.probes.add_instrumentation(delta_ns)
-
-    @property
-    def instrument_ns(self) -> int:
-        """Per-dispatch instrumentation charge (lives on the probe bus)."""
-        return self.probes.instrument_ns
-
-    @property
-    def trace(self) -> Callable[[int, str, OSThread, int | None], None] | None:
-        """The thread life-cycle trace hook (lives on the probe bus)."""
-        return self.probes.trace
-
-    @trace.setter
-    def trace(self, hook: Callable[[int, str, OSThread, int | None], None] | None) -> None:
-        self.probes.trace = hook
-
-    def set_compute_rewriter(self, rewriter: Callable[[OSThread, Any], Any] | None) -> None:
-        """Install (or remove) a what-if work rewriter on the effect loop
-        (see :meth:`repro.exec.interp.EffectInterpreter.set_compute_rewriter`)."""
-        self._interp.set_compute_rewriter(rewriter)
-
-    def create_mutex(self) -> KMutex:
-        m = KMutex(self._next_mid)
-        self._next_mid += 1
-        return m
-
     def submit(self, fn: Callable[..., Any], *args: Any) -> SimFuture:
         """Start the main thread running *fn*."""
-        main = self._make_thread(fn, args, home_socket=self.cores[0].socket, is_main=True)
+        main = self._make_thread(fn, args, home_socket=self.workers[0].socket, is_main=True)
         if self._root_future is None:  # later submits (e.g. query tasks) don't displace the root
             self._root_future = main.future
         main.staged_at = self.engine.now
         self.run_queue.append(main)
         self._dispatch()
         return main.future
-
-    def run_to_completion(self, fn: Callable[..., Any], *args: Any) -> Any:
-        future = self.submit(fn, *args)
-        self.engine.run()
-        if self.aborted:
-            raise ResourceExhausted(self.abort_reason or "out of memory")
-        if not future.is_ready:
-            raise DeadlockError(self.describe_stall())
-        return future.value()
-
-    def describe_stall(self) -> str:
-        stuck = [
-            t for t in self._live_threads.values() if t.state is not ThreadState.TERMINATED
-        ]
-        return format_stall(stuck, now_ns=self.engine.now, noun="thread")
 
     # -- counter sources --------------------------------------------------
 
@@ -199,20 +103,6 @@ class StdRuntime:
 
     def worker_queue_length(self, index: int) -> int:
         """Cores have no local queues; all staging is global."""
-        return 0
-
-    def idle_rate(self, worker_index: int | None = None) -> float:
-        """Fraction of wall time not spent busy, in [0, 1]."""
-        wall = self.engine.now
-        if wall <= 0:
-            return 0.0
-        if worker_index is None:
-            busy = sum(c.stats.busy_ns for c in self.cores)
-            return max(0.0, 1.0 - busy / (wall * len(self.cores)))
-        return max(0.0, 1.0 - self.cores[worker_index].stats.busy_ns / wall)
-
-    def steals_total(self) -> int:
-        """The kernel scheduler does not steal (single global queue)."""
         return 0
 
     # ------------------------------------------------------------------
@@ -316,7 +206,7 @@ class StdRuntime:
         )
         self._next_tid += 1
         self.stats.tasks_created += 1
-        self._live_threads[thread.tid] = thread
+        self._live[thread.tid] = thread
         self.probes.emit(self.engine.now, "create", thread, None)
         if not deferred:
             self._commit_memory(thread)
@@ -339,7 +229,7 @@ class StdRuntime:
     def _abort(self, reason: str) -> None:
         self.aborted = True
         # Over-budget diagnostics: name the threads holding the memory.
-        live = [t for t in self._live_threads.values() if t.committed]
+        live = [t for t in self._live.values() if t.committed]
         detail = describe_tasks(live, noun="thread", limit=5)
         self.abort_reason = "\n".join([reason, *detail]) if detail else reason
         if self._root_future is not None and not self._root_future.is_ready:
@@ -366,7 +256,7 @@ class StdRuntime:
         if self.aborted:
             return
         stats = self.stats
-        for core in self.cores:
+        for core in self.workers:
             if not self.run_queue:
                 return
             if core.current is not None:
@@ -403,17 +293,6 @@ class StdRuntime:
             return
         self._step(core, thread, thread.pending_send)
 
-    # -- blocking helpers --------------------------------------------------
-
-    def _block(self, thread: OSThread) -> None:
-        """Mark *thread* blocked (futex wait on a future or mutex)."""
-        thread.state = ThreadState.BLOCKED
-        self.stats.suspended_tasks += 1
-
-    def _unblock(self, thread: OSThread) -> None:
-        if thread.state is ThreadState.BLOCKED:
-            self.stats.suspended_tasks -= 1
-
     # -- accounting: charge *ns* to a thread's exec or overhead time -------
 
     def _charge_exec(self, core: _KCore, thread: OSThread, ns: int) -> None:
@@ -429,12 +308,8 @@ class StdRuntime:
         core.stats.busy_ns += ns
 
     # ------------------------------------------------------------------
-    # SchedulerBackend: effect handlers (the interpreter dispatches here)
+    # SchedulerBackend: effect handlers and policy hooks
     # ------------------------------------------------------------------
-
-    def begin_step(self, core: _KCore, thread: OSThread) -> bool:
-        """Interpreter gate: nothing runs once the process aborted."""
-        return not self.aborted
 
     # -- compute with preemption ------------------------------------------
 
@@ -498,11 +373,17 @@ class StdRuntime:
             self._charge_exec(core, thread, cost)
             self.engine.call_later(cost, self._step, core, thread, child.future)
             return
-        # SYNC: run inline on this thread, borrowing the core.
+        # SYNC: run inline on this thread, borrowing the core; the parent
+        # resumes with the child's (then ready) future.
         child = self._make_thread(
             effect.fn, effect.args, home_socket=core.socket, parent=thread, deferred=True
         )
-        self._run_inline(core, thread, child, send_future=True)
+
+        def resume(fut: SimFuture) -> None:
+            self._reenter(core, thread)
+            self._step(core, thread, fut)
+
+        self._run_inline(core, thread, child, resume)
 
     def _created(self, core: _KCore, thread: OSThread, child: OSThread) -> None:
         """An async spawn finished creating its thread: dispatch it and
@@ -511,109 +392,50 @@ class StdRuntime:
         self._step(core, thread, child.future)
 
     def _run_inline(
-        self, core: _KCore, thread: OSThread, child: OSThread, *, send_future: bool
+        self, core: _KCore, thread: OSThread, child: OSThread, resume: Callable[[SimFuture], None]
     ) -> None:
-        """Execute a deferred child synchronously on the calling thread."""
-        self._block(thread)
-        self.probes.emit(self.engine.now, "suspend", thread, core.index)
-
-        def done(fut: SimFuture) -> None:
-            self._unblock(thread)
-            thread.state = ThreadState.RUNNING
-            core.current = thread
-            self.probes.emit(self.engine.now, "resume", thread, core.index)
-            value = fut if send_future else resume_payload(fut)
-            self._step(core, thread, value)
-
-        child.future.on_ready(done)
+        """Execute a deferred or sync *child* on *thread*'s core right now;
+        ``resume(future)`` continues *thread* once the child is done."""
+        self._suspend(core, thread)
+        child.future.on_ready(resume)
         child.state = ThreadState.RUNNING
         core.current = child
         self.probes.emit(self.engine.now, "activate", child, core.index)
         self._step(core, child, None)
 
-    # -- waiting ---------------------------------------------------------------
+    def _reenter(self, core: _KCore, thread: OSThread) -> None:
+        """*thread* takes *core* back from its finished inline child."""
+        if thread.state is ThreadState.BLOCKED:
+            self.stats.suspended_tasks -= 1
+        thread.state = ThreadState.RUNNING
+        core.current = thread
+        self.probes.emit(self.engine.now, "resume", thread, core.index)
 
-    def do_await(self, core: _KCore, thread: OSThread, effect: Await) -> None:
-        future = effect.future
-        if future.is_ready:
-            cost = self.params.future_get_ready_ns
-            self._charge_exec(core, thread, cost)
-            self.probes.emit_dependencies(self.engine.now, thread, (future,))
-            payload = resume_payload(future)
-            self.engine.call_later(cost, self._step, core, thread, payload)
-            return
-        producer = future.producer_task
-        if isinstance(producer, OSThread) and producer.state is ThreadState.DEFERRED:
-            self._run_inline(core, thread, producer, send_future=False)
-            return
+    def _run_deferred(
+        self, core: _KCore, thread: OSThread, producer: OSThread, futures: Sequence[Any] | None
+    ) -> None:
+        def resume(fut: SimFuture) -> None:
+            if futures is None:
+                self._reenter(core, thread)
+                self._step(core, thread, resume_payload(fut))
+            else:  # re-issue the wait on the core that ran the child
+                fulfil = self._fulfil_worker or self.workers[0]
+                self._reenter(fulfil, thread)
+                self.do_await_all(fulfil, thread, AwaitAll(futures=futures))
+
+        self._run_inline(core, thread, producer, resume)
+
+    # -- blocking and waking ---------------------------------------------------
+
+    def _block(self, core: _KCore, thread: OSThread) -> None:
+        """Futex wait: the thread leaves its core until woken."""
         cost = self.params.block_ns
         self._charge_overhead(core, thread, cost)
         self.stats.blocks += 1
-        self._block(thread)
-        self.probes.emit(self.engine.now, "suspend", thread, core.index)
-
-        def ready(fut: SimFuture) -> None:
-            self.probes.emit_dependencies(self.engine.now, thread, (fut,))
-            self._wake(thread, resume_payload(fut))
-
-        future.on_ready(ready)
+        self._suspend(core, thread)
         self.engine.call_later(cost, self._free_core, core)
 
-    def do_await_all(self, core: _KCore, thread: OSThread, effect: AwaitAll) -> None:
-        futures = effect.futures
-        for fut in futures:
-            producer = fut.producer_task
-            if isinstance(producer, OSThread) and producer.state is ThreadState.DEFERRED:
-                # Run the deferred child now, then re-issue the wait.
-                def resume_wait(_f: SimFuture, t=thread, fs=futures) -> None:
-                    c = self._core_of(t)
-                    self._unblock(t)
-                    t.state = ThreadState.RUNNING
-                    c.current = t
-                    self.probes.emit(self.engine.now, "resume", t, c.index)
-                    self.do_await_all(c, t, AwaitAll(futures=fs))
-
-                self._block(thread)
-                self.probes.emit(self.engine.now, "suspend", thread, core.index)
-                producer.future.on_ready(resume_wait)
-                producer.state = ThreadState.RUNNING
-                core.current = producer
-                self.probes.emit(self.engine.now, "activate", producer, core.index)
-                self._step(core, producer, None)
-                return
-        pending = [f for f in futures if not f.is_ready]
-        if not pending:
-            cost = self.params.future_get_ready_ns
-            self._charge_exec(core, thread, cost)
-            self.probes.emit_dependencies(self.engine.now, thread, futures)
-            payload = resume_payload_all(futures)
-            self.engine.call_later(cost, self._step, core, thread, payload)
-            return
-        cost = self.params.block_ns
-        self._charge_overhead(core, thread, cost)
-        self.stats.blocks += 1
-        self._block(thread)
-        self.probes.emit(self.engine.now, "suspend", thread, core.index)
-        remaining = {"count": len(pending)}
-
-        def one_ready(_fut: SimFuture) -> None:
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                self.probes.emit_dependencies(self.engine.now, thread, futures)
-                self._wake(thread, resume_payload_all(futures))
-
-        for fut in pending:
-            fut.on_ready(one_ready)
-        self.engine.call_later(cost, self._free_core, core)
-
-    def _core_of(self, thread: OSThread) -> _KCore:
-        for core in self.cores:
-            if core.current is thread:
-                return core
-        # Thread resumed via the run queue; report the fulfilling core.
-        return self._fulfil_core or self.cores[0]
-
-    def _wake(self, thread: OSThread, send_value: Any) -> None:
+    def _wake(self, core: _KCore | None, thread: OSThread, send_value: Any) -> None:
         """Future set / mutex granted: move *thread* to the run queue."""
         if self.aborted:
             return
@@ -622,37 +444,13 @@ class StdRuntime:
         self.stats.overhead_ns += cost
         thread.overhead_ns += cost
         thread.pending_send = send_value
-        self._unblock(thread)
+        if thread.state is ThreadState.BLOCKED:
+            self.stats.suspended_tasks -= 1
         thread.state = ThreadState.RUNNABLE
         thread.staged_at = self.engine.now
         self.run_queue.append(thread)
         self.probes.emit(self.engine.now, "resume", thread, None)
         self.engine.call_later(cost, self._dispatch)
-
-    # -- mutexes -----------------------------------------------------------------
-
-    def do_lock(self, core: _KCore, thread: OSThread, effect: Lock) -> None:
-        mutex = effect.mutex
-        if mutex.try_acquire(thread):
-            cost = self.params.mutex_ns
-            self._charge_exec(core, thread, cost)
-            self.engine.call_later(cost, self._step, core, thread, None)
-            return
-        cost = self.params.block_ns
-        self._charge_overhead(core, thread, cost)
-        self.stats.blocks += 1
-        self._block(thread)
-        self.probes.emit(self.engine.now, "suspend", thread, core.index)
-        mutex.enqueue_waiter(thread)
-        self.engine.call_later(cost, self._free_core, core)
-
-    def do_unlock(self, core: _KCore, thread: OSThread, effect: Unlock) -> None:
-        nxt = effect.mutex.release(thread)
-        cost = self.params.mutex_ns
-        self._charge_exec(core, thread, cost)
-        if nxt is not None:
-            self._wake(nxt, None)
-        self.engine.call_later(cost, self._step, core, thread, None)
 
     def do_yield(self, core: _KCore, thread: OSThread, effect: YieldNow) -> None:
         cost = self.params.context_switch_ns
@@ -661,35 +459,23 @@ class StdRuntime:
         thread.pending_send = None
         thread.staged_at = self.engine.now
         self.run_queue.append(thread)
+        self.probes.emit(self.engine.now, "suspend", thread, core.index)
         self.engine.call_later(cost, self._free_core, core)
 
-    # -- completion -----------------------------------------------------------------
+    # -- retirement -----------------------------------------------------------------
 
-    def complete(self, core: _KCore, thread: OSThread, value: Any) -> None:
-        self._retire(core, thread, lambda: thread.future.set_value(value))
-
-    def fail(self, core: _KCore, thread: OSThread, exc: BaseException) -> None:
-        self._retire(core, thread, lambda: thread.future.set_exception(exc))
-
-    def _retire(self, core: _KCore, thread: OSThread, fulfil: Callable[[], None]) -> None:
+    def _cleanup(self, core: _KCore, thread: OSThread) -> int:
         thread.state = ThreadState.TERMINATED
-        stats = self.stats
-        stats.tasks_executed += 1
-        core.stats.tasks_executed += 1
-        del self._live_threads[thread.tid]
+        cost = 0
         # Deferred/sync children never committed memory; real threads did.
         if thread.committed:
-            stats.live_tasks -= 1
-            stats.committed_bytes -= self.params.thread_commit_bytes
-        cost = self.params.thread_destroy_ns if thread.committed else 0
+            self.stats.live_tasks -= 1
+            self.stats.committed_bytes -= self.params.thread_commit_bytes
+            cost = self.params.thread_destroy_ns
         self._charge_overhead(core, thread, cost)
-        self.probes.emit(self.engine.now, "terminate", thread, core.index)
-        prev = self._fulfil_core
-        self._fulfil_core = core
-        try:
-            fulfil()
-        finally:
-            self._fulfil_core = prev
+        return cost
+
+    def _release(self, core: _KCore, thread: OSThread, cost: int) -> None:
         # An inline-resume callback may have reoccupied the core (a
         # deferred child waking its waiter); only free it if this thread
         # still holds it.

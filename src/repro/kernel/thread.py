@@ -82,13 +82,5 @@ class OSThread:
         # for this thread (deferred children never commit).
         self.committed = False
 
-    def bind(self, ctx: Any) -> Generator:
-        if self.gen is None:
-            gen = self.fn(ctx, *self.args)
-            if not isinstance(gen, Generator):
-                raise TypeError(f"thread body {self.description!r} must be a generator function")
-            self.gen = gen
-        return self.gen
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<OSThread {self.tid} {self.description} {self.state.value}>"

@@ -1,26 +1,26 @@
-"""Local synchronization primitives (``hpx::lcos::local::mutex``).
+"""The mutex both runtimes share (``hpx::lcos::local::mutex`` / ``std::mutex``).
 
-A contended lock suspends the acquiring task (it does not spin or block
-its worker); unlock hands the mutex directly to the first waiter and
-reschedules it.  The Intersim/Round/Floorplan/QAP benchmarks use these.
+A contended lock blocks the acquiring task — an HPX task suspends, a
+kernel thread futex-waits; that cost is the runtime's policy — and
+unlock hands the mutex directly to the first waiter (FIFO).  The
+Intersim/Round/Floorplan/QAP benchmarks use it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-
-from repro.runtime.task import Task
+from typing import Any
 
 
 class Mutex:
-    """FIFO-fair suspending mutex."""
+    """FIFO-fair blocking mutex; *owner* and waiters are runtime tasks."""
 
     __slots__ = ("mid", "owner", "waiters", "acquisitions", "contentions")
 
     def __init__(self, mid: int) -> None:
         self.mid = mid
-        self.owner: Task | None = None
-        self.waiters: deque[Task] = deque()
+        self.owner: Any = None
+        self.waiters: deque[Any] = deque()
         self.acquisitions = 0
         self.contentions = 0
 
@@ -28,7 +28,7 @@ class Mutex:
     def locked(self) -> bool:
         return self.owner is not None
 
-    def try_acquire(self, task: Task) -> bool:
+    def try_acquire(self, task: Any) -> bool:
         """Take the mutex if free; returns False (and queues nothing) if held."""
         if self.owner is None:
             self.owner = task
@@ -36,11 +36,11 @@ class Mutex:
             return True
         return False
 
-    def enqueue_waiter(self, task: Task) -> None:
+    def enqueue_waiter(self, task: Any) -> None:
         self.contentions += 1
         self.waiters.append(task)
 
-    def release(self, task: Task) -> Task | None:
+    def release(self, task: Any) -> Any:
         """Release; returns the waiter that now owns the mutex (if any)."""
         if self.owner is not task:
             raise RuntimeError(f"task {task.tid} releasing mutex {self.mid} it does not own")

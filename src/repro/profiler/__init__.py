@@ -23,8 +23,6 @@ Task Parallel Programs"):
 - :class:`RunProfile` is the post-run report attached to
   :attr:`repro.experiments.runner.RunResult.profile` and rendered by
   ``repro profile``.
-
-The old :mod:`repro.trace` modules remain as thin re-export shims.
 """
 
 from repro.profiler.analysis import CriticalStep, DagAnalysis, ParallelismPoint

@@ -88,22 +88,14 @@ class TraceRecorder:
         if self._attached:
             return
         self._attached = True
-        probes = getattr(self.runtime, "probes", None)
-        if probes is not None:
-            probes.subscribe_trace(self._record)
-        else:
-            self.runtime.trace = self._record
+        self.runtime.probes.subscribe_trace(self._record)
         self.runtime.add_instrumentation(TRACE_EVENT_NS)
 
     def detach(self) -> None:
         if not self._attached:
             return
         self._attached = False
-        probes = getattr(self.runtime, "probes", None)
-        if probes is not None:
-            probes.unsubscribe_trace(self._record)
-        else:
-            self.runtime.trace = None
+        self.runtime.probes.unsubscribe_trace(self._record)
         self.runtime.add_instrumentation(-TRACE_EVENT_NS)
 
     def __enter__(self) -> "TraceRecorder":

@@ -3,9 +3,8 @@
 :class:`_FlatAccumulator` is the *single* busy-interval engine of the
 profiler: the streaming :class:`~repro.profiler.builder.ProfileBuilder`
 feeds it live from the trace hook, and the post-mortem
-:func:`build_profile` (the legacy ``repro.trace.profile`` entry point)
-replays a recorded event list through the identical transitions — one
-aggregation path, two call sites.
+:func:`build_profile` replays a recorded event list through the
+identical transitions — one aggregation path, two call sites.
 
 :class:`RunProfile` is the immutable end product: flat profile,
 critical path, parallelism summary and any what-if experiments, as

@@ -13,12 +13,13 @@ scheduling overhead, cumulative counts, queue lengths, steal counts and
 per-worker idle time.
 """
 
+from repro.exec.errors import DeadlockError
+from repro.model.sync import Mutex
 from repro.runtime.config import HpxParams
 from repro.runtime.executors import AutoChunkSize, StaticChunkSize, for_each, transform_reduce
 from repro.runtime.lcos import Barrier, Event, Latch, dataflow, then
 from repro.runtime.policies import LaunchPolicy
-from repro.runtime.scheduler import DeadlockError, HpxRuntime, ThreadManagerStats, WorkerStats
-from repro.runtime.sync import Mutex
+from repro.runtime.scheduler import HpxRuntime
 from repro.runtime.task import Task, TaskState
 
 __all__ = [
@@ -34,8 +35,6 @@ __all__ = [
     "StaticChunkSize",
     "Task",
     "TaskState",
-    "ThreadManagerStats",
-    "WorkerStats",
     "dataflow",
     "for_each",
     "then",

@@ -7,38 +7,31 @@ victims are scanned same-socket-first — cross-socket steals cost more,
 producing the 10-core knee of Figures 11/12.  Every scheduling action
 is accounted to either *task execution time* or *task scheduling
 overhead*, the two quantities behind the paper's ``/threads/time/*``
-counters.  Effect interpretation is shared with the kernel model: this
-is a :class:`repro.exec.backend.SchedulerBackend` driven by
-:class:`repro.exec.interp.EffectInterpreter`, publishing accounting on
-a :class:`repro.exec.probes.ProbeBus`.
+counters.  The mechanics shared with the kernel model (effect
+interpretation, the probe bus, the waits' fast paths, retirement) come
+from :class:`repro.exec.backend.SchedulerBackend`; this module holds the
+HPX policy.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
-from repro.exec.errors import DeadlockError, format_stall
-from repro.exec.interp import EffectInterpreter
-from repro.exec.probes import ProbeBus, SchedulerProbe, WorkerProbe
-from repro.model.effects import Await, AwaitAll, Compute, Lock, Spawn, Unlock, YieldNow
-from repro.model.future import SimFuture, resume_payload, resume_payload_all
+from repro.exec.backend import SchedulerBackend
+from repro.exec.probes import SchedulerProbe, WorkerProbe
+from repro.model.effects import AwaitAll, Compute, Spawn, YieldNow
+from repro.model.future import SimFuture, resume_payload
 from repro.model.population import TaskCohort
 from repro.model.work import Work
 from repro.runtime.config import HpxParams
 from repro.runtime.policies import LaunchPolicy, _BY_NAME as _POLICY_BY_NAME
 from repro.runtime.queues import TaskQueue
-from repro.runtime.sync import Mutex
 from repro.runtime.task import Task, TaskState
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
 from repro.simcore.topology import BindMode, Topology
 
-# Legacy spellings: the accounting structs are the shared probe types
-# now (see repro.exec.probes); DeadlockError moved to repro.exec.errors.
-WorkerStats = WorkerProbe
-ThreadManagerStats = SchedulerProbe
-
-__all__ = ["DeadlockError", "HpxRuntime", "ThreadManagerStats", "WorkerStats"]
+__all__ = ["HpxRuntime"]
 
 # Hot-path aliases: `policy is _ASYNC` instead of enum-member loads.
 _ASYNC = LaunchPolicy.ASYNC
@@ -68,21 +61,23 @@ class _Worker:
         self.queue = TaskQueue(index)
         self.state = "idle"  # idle | waking | busy
         self.current: Task | None = None
-        self.stats = WorkerStats()
+        self.stats = WorkerProbe()
         self.victims: list[int] = []
         # APEX-style throttling: disabled workers stop picking up work
         # (their staged tasks remain stealable).
         self.enabled = True
 
 
-class HpxRuntime:
-    """Facade: spawn tasks, drive the engine, expose counter sources."""
+class HpxRuntime(SchedulerBackend):
+    """Facade: spawn tasks, drive the engine, expose counter sources.
+
+    User-level tasks never exhaust a kernel resource budget, so an HPX
+    run never sets ``aborted``.
+    """
 
     name = "hpx"
-    # User-level tasks never exhaust a kernel resource budget; the
-    # attributes exist so both backends share one result-handling path.
-    aborted = False
-    abort_reason: str | None = None
+    DEFERRED = TaskState.DEFERRED
+    SUSPENDED = TaskState.SUSPENDED
 
     def __init__(
         self,
@@ -95,66 +90,40 @@ class HpxRuntime:
         locality_traffic_factor: float = 1.0,
         smt: int = 1,
     ) -> None:
-        self.engine = engine
-        self.machine = machine
-        self.params = params or HpxParams()
-        if self.params.local_queue_discipline not in ("lifo", "fifo"):
-            raise ValueError(
-                f"unknown local_queue_discipline {self.params.local_queue_discipline!r}"
-            )
+        p = params or HpxParams()
+        if p.local_queue_discipline not in ("lifo", "fifo"):
+            raise ValueError(f"unknown local_queue_discipline {p.local_queue_discipline!r}")
+        self.topology = Topology(machine.platform)
+        cores = self.topology.binding_smt(num_workers, smt, bind_mode)
+        workers = [
+            _Worker(i, core, machine.platform.socket_of(core)) for i, core in enumerate(cores)
+        ]
+        super().__init__(engine, machine, p, workers, SchedulerProbe())
         # Params are frozen; cache the per-event costs as attributes so
         # the hot paths do one attribute load instead of two.
-        p = self.params
         self._notify_ns = p.notify_ns
         self._dequeue_ns = p.dequeue_ns
         self._context_switch_ns = p.context_switch_ns
         self._task_create_ns = p.task_create_ns
         self._enqueue_ns = p.enqueue_ns
         self._suspend_ns = p.suspend_ns
-        self._future_get_ready_ns = p.future_get_ready_ns
-        self._mutex_ns = p.mutex_ns
         self._cleanup_ns = p.cleanup_ns
         self._lifo = p.local_queue_discipline == "lifo"
         self._stack0_ns = p.stack_alloc_ns(0)  # default-stack allocation cost
-        # The shared effect interpreter drives every task body; its step
-        # function is what we schedule wherever a task resumes.
-        self._interp = EffectInterpreter(self)
-        self._step = self._interp.step
-        self.topology = Topology(machine.platform)
-        cores = self.topology.binding_smt(num_workers, smt, bind_mode)
-        self.workers = [
-            _Worker(i, core, machine.platform.socket_of(core))
-            for i, core in enumerate(cores)
-        ]
         # Hyper-threading: number of workers currently computing per
         # physical core (two sharing a core each run slower).
         self._core_compute_count: dict[int, int] = {}
         self._build_victim_orders()
-        # Publish the accounting probes on the bus; keep direct
-        # references for the hot-path increments.
-        self.probes = ProbeBus(SchedulerProbe(), [w.stats for w in self.workers])
-        self.stats = self.probes.total
         # Coherence-channel state (see HpxParams.qpi_*_hold_ns).
         self._spans_sockets = len({w.socket for w in self.workers}) > 1
         self._qpi_free_at = 0
         # Multiplier on task memory traffic modelling locality loss under
         # depth-first execution (per-benchmark; see HpxParams docstring).
         self.locality_traffic_factor = locality_traffic_factor
-        self._next_tid = 0
-        self._next_mid = 0
-        self._mutexes: list[Mutex] = []
-        # Worker currently fulfilling a future; resumed waiters are pushed
-        # to its queue (they were made runnable by that worker).
-        self._fulfil_worker: _Worker | None = None
-        self._live_tasks: dict[int, Task] = {}
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-
-    @property
-    def num_workers(self) -> int:
-        return len(self.workers)
 
     def set_active_workers(self, count: int) -> None:
         """Throttle the pool to its first *count* workers (APEX-style
@@ -174,36 +143,6 @@ class HpxRuntime:
     def active_workers(self) -> int:
         return sum(1 for w in self.workers if w.enabled)
 
-    def add_instrumentation(self, delta_ns: int) -> None:
-        """Register (positive) or remove (negative) per-activation
-        instrumentation cost; called by counter ``start``/``stop``."""
-        self.probes.add_instrumentation(delta_ns)
-
-    @property
-    def instrument_ns(self) -> int:
-        """Per-activation instrumentation charge (lives on the probe bus)."""
-        return self.probes.instrument_ns
-
-    @property
-    def trace(self) -> Callable[[int, str, Task, int | None], None] | None:
-        """The task life-cycle trace hook (lives on the probe bus)."""
-        return self.probes.trace
-
-    @trace.setter
-    def trace(self, hook: Callable[[int, str, Task, int | None], None] | None) -> None:
-        self.probes.trace = hook
-
-    def set_compute_rewriter(self, rewriter: Callable[[Task, Any], Any] | None) -> None:
-        """Install (or remove) a what-if work rewriter on the effect loop
-        (see :meth:`repro.exec.interp.EffectInterpreter.set_compute_rewriter`)."""
-        self._interp.set_compute_rewriter(rewriter)
-
-    def create_mutex(self) -> Mutex:
-        mutex = Mutex(self._next_mid)
-        self._next_mid += 1
-        self._mutexes.append(mutex)
-        return mutex
-
     def submit(self, fn: Callable[..., Any], *args: Any) -> SimFuture:
         """Stage a root task on worker 0; returns its future."""
         task = self._make_task(
@@ -214,18 +153,6 @@ class HpxRuntime:
         self._kick_for_work(self.workers[0])
         return task.future
 
-    def run_to_completion(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Submit *fn*, run the engine until quiescence, return its value."""
-        future = self.submit(fn, *args)
-        self.engine.run()
-        if not future.is_ready:
-            raise DeadlockError(self.describe_stall())
-        return future.value()
-
-    def describe_stall(self) -> str:
-        stuck = [t for t in self._live_tasks.values() if t.state is not TaskState.TERMINATED]
-        return format_stall(stuck, now_ns=self.engine.now)
-
     # -- counter sources --------------------------------------------------
 
     def queue_length(self) -> int:
@@ -235,19 +162,6 @@ class HpxRuntime:
     def worker_queue_length(self, index: int) -> int:
         """Staged tasks in one worker's own queue."""
         return len(self.workers[index].queue)
-
-    def idle_rate(self, worker_index: int | None = None) -> float:
-        """Fraction of wall time not spent busy, in [0, 1]."""
-        wall = self.engine.now
-        if wall <= 0:
-            return 0.0
-        if worker_index is None:
-            busy = sum(w.stats.busy_ns for w in self.workers)
-            return max(0.0, 1.0 - busy / (wall * len(self.workers)))
-        return max(0.0, 1.0 - self.workers[worker_index].stats.busy_ns / wall)
-
-    def steals_total(self) -> int:
-        return sum(w.stats.steals_ok for w in self.workers)
 
     # ------------------------------------------------------------------
     # SchedulerBackend: population hooks (cohort execution)
@@ -281,7 +195,7 @@ class HpxRuntime:
         )
         exec_ns = (
             cohort.spawns * (self._task_create_ns + self._enqueue_ns)
-            + cohort.ready_awaits * self._future_get_ready_ns
+            + cohort.ready_awaits * self.params.future_get_ready_ns
         )
         return exec_ns, overhead
 
@@ -341,9 +255,8 @@ class HpxRuntime:
         stats.live_tasks = live
         if live > stats.peak_live_tasks:
             stats.peak_live_tasks = live
-        self._live_tasks[task.tid] = task
-        if self.trace:
-            self.trace(self.engine.now, "create", task, None)
+        self._live[task.tid] = task
+        self.probes.emit(self.engine.now, "create", task, None)
         return task
 
     def _kick_for_work(self, preferred: _Worker) -> None:
@@ -366,11 +279,6 @@ class HpxRuntime:
     # ------------------------------------------------------------------
     # worker loop
     # ------------------------------------------------------------------
-
-    def _suspend(self, task: Task) -> None:
-        """Mark *task* suspended (waiting on a future or mutex)."""
-        task.state = TaskState.SUSPENDED
-        self.stats.suspended_tasks += 1
 
     # -- accounting: charge *ns* to a task's exec or overhead time ---------
 
@@ -471,8 +379,7 @@ class HpxRuntime:
         self.stats.phases += 1
         self._charge_overhead(w, task, overhead)
         w.current = task
-        if self.trace:
-            self.trace(self.engine.now, "activate", task, w.index)
+        self.probes.emit(self.engine.now, "activate", task, w.index)
         send = task.pending_send
         task.pending_send = None
         self.engine.call_later(overhead, self._step, w, task, send)
@@ -484,12 +391,8 @@ class HpxRuntime:
         self._worker_scan(w)
 
     # ------------------------------------------------------------------
-    # SchedulerBackend: effect handlers (the interpreter dispatches here)
+    # SchedulerBackend: effect handlers and policy hooks
     # ------------------------------------------------------------------
-
-    def begin_step(self, w: _Worker, task: Task) -> bool:
-        """Interpreter gate: user-level tasks always step."""
-        return True
 
     # -- compute -----------------------------------------------------------
 
@@ -546,89 +449,35 @@ class HpxRuntime:
                 w.queue.push_tail(child)
             self._kick_for_work(w)
         elif policy is _SYNC:
-            # Execute inline: chain the child now, resume parent on return.
+            # Execute inline: chain the child now, resume the parent with
+            # its (then ready) future, matching the other launch policies.
             self._charge_exec(w, task, cost)
-            self._run_inline(w, task, child)
+            self._run_inline(w, task, child, lambda fut: self._wake(self._fulfil_worker, task, fut))
             return
         # DEFERRED: not staged; runs at first wait on its future.
         self._charge_exec(w, task, cost)
         self.engine.call_later(cost, self._step, w, task, child.future)
 
-    def _run_inline(self, w: _Worker, parent: Task, child: Task) -> None:
-        """Run *child* immediately on this worker; resume parent on return.
-
-        The parent's ``yield ctx.async_(..., policy="sync")`` resumes with
-        the (now ready) future, matching the other launch policies.
-        """
-        self._suspend(parent)
-        child.future.on_ready(lambda fut: self._resume_task(parent, _SendRaw(fut)))
+    def _run_inline(
+        self, w: _Worker, parent: Task, child: Task, resume: Callable[[SimFuture], None]
+    ) -> None:
+        """Run *child* now on *w*; ``resume(future)`` continues *parent*."""
+        child.state = TaskState.PENDING
+        self._suspend(w, parent)
+        child.future.on_ready(resume)
         self._activate(w, child, 0)
 
-    # -- waiting -------------------------------------------------------------
+    def _run_deferred(
+        self, w: _Worker, task: Task, producer: Task, futures: Sequence[Any] | None
+    ) -> None:
+        if futures is None:
+            self._run_inline(
+                w, task, producer, lambda fut: self._joined(task, (fut,), resume_payload(fut))
+            )
+        else:
+            self._run_inline(w, task, producer, lambda _fut: self._reawait_all(task, futures))
 
-    def do_await(self, w: _Worker, task: Task, effect: Await) -> None:
-        future = effect.future
-        if future.is_ready:
-            cost = self._future_get_ready_ns
-            self._charge_exec(w, task, cost)
-            self.probes.emit_dependencies(self.engine.now, task, (future,))
-            payload = resume_payload(future)
-            self.engine.call_later(cost, self._step, w, task, payload)
-            return
-        producer = future.producer_task
-        if (
-            producer is not None
-            and isinstance(producer, Task)
-            and producer.state is TaskState.DEFERRED
-        ):
-            producer.state = TaskState.PENDING
-            self._suspend(task)
-            future.on_ready(lambda fut: self._resume_task(task, fut))
-            self._activate(w, producer, 0)
-            return
-        cost = self._suspend_ns
-        self._charge_overhead(w, task, cost)
-        self._suspend(task)
-        if self.trace:
-            self.trace(self.engine.now, "suspend", task, w.index)
-        future.on_ready(lambda fut: self._resume_task(task, fut))
-        self.engine.call_later(cost, self._after_task, w)
-
-    def do_await_all(self, w: _Worker, task: Task, effect: AwaitAll) -> None:
-        futures = effect.futures
-        pending = [f for f in futures if not f.is_ready]
-        # Run deferred producers inline, one by one, by rewriting the wait
-        # as a chain: wait on the first deferred child, then re-wait.
-        for fut in pending:
-            producer = fut.producer_task
-            if isinstance(producer, Task) and producer.state is TaskState.DEFERRED:
-                producer.state = TaskState.PENDING
-                self._suspend(task)
-                fut.on_ready(lambda _f, t=task, fs=futures: self._reawait_all(t, fs))
-                self._activate(w, producer, 0)
-                return
-        if not pending:
-            cost = self._future_get_ready_ns
-            self._charge_exec(w, task, cost)
-            self.probes.emit_dependencies(self.engine.now, task, futures)
-            payload = resume_payload_all(futures)
-            self.engine.call_later(cost, self._step, w, task, payload)
-            return
-        cost = self._suspend_ns
-        self._charge_overhead(w, task, cost)
-        self._suspend(task)
-        remaining = {"count": len(pending)}
-
-        def one_ready(_fut: SimFuture) -> None:
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                self._resume_task(task, _AwaitAllDone(futures))
-
-        for fut in pending:
-            fut.on_ready(one_ready)
-        self.engine.call_later(cost, self._after_task, w)
-
-    def _reawait_all(self, task: Task, futures: tuple) -> None:
+    def _reawait_all(self, task: Task, futures: Sequence[Any]) -> None:
         """Re-issue an AwaitAll after an inline deferred child completed."""
         task.pending_send = None
         worker = self._fulfil_worker or self.workers[0]
@@ -638,29 +487,27 @@ class HpxRuntime:
         # Dispatch directly: the task is still positioned at its AwaitAll.
         self.do_await_all(worker, task, AwaitAll(futures=futures))
 
-    # -- mutexes ---------------------------------------------------------------
+    # -- blocking and waking ---------------------------------------------------
 
-    def do_lock(self, w: _Worker, task: Task, effect: Lock) -> None:
-        mutex = effect.mutex
-        if mutex.try_acquire(task):
-            cost = self._mutex_ns
-            self._charge_exec(w, task, cost)
-            self.engine.call_later(cost, self._step, w, task, None)
-            return
+    def _block(self, w: _Worker, task: Task) -> None:
         cost = self._suspend_ns
         self._charge_overhead(w, task, cost)
-        self._suspend(task)
-        mutex.enqueue_waiter(task)
+        self._suspend(w, task)
         self.engine.call_later(cost, self._after_task, w)
 
-    def do_unlock(self, w: _Worker, task: Task, effect: Unlock) -> None:
-        next_owner = effect.mutex.release(task)
-        cost = self._mutex_ns
-        self._charge_exec(w, task, cost)
-        if next_owner is not None:
-            # The waiter now owns the mutex; make it runnable here.
-            self._push_resumed(w, next_owner, None)
-        self.engine.call_later(cost, self._step, w, task, None)
+    def _wake(self, w: _Worker | None, task: Task, send_value: Any) -> None:
+        """Stage *task* at the head of the waking worker's queue (worker 0
+        when a future is set outside any worker)."""
+        if w is None:
+            w = self.workers[0]
+        task.pending_send = send_value
+        if task.state is TaskState.SUSPENDED:
+            self.stats.suspended_tasks -= 1
+        task.state = TaskState.PENDING
+        task.staged_at = self.engine.now
+        w.queue.push_head(task)
+        self.probes.emit(self.engine.now, "resume", task, w.index)
+        self._kick_for_work(w)
 
     def do_yield(self, w: _Worker, task: Task, effect: YieldNow) -> None:
         cost = self._context_switch_ns
@@ -669,85 +516,21 @@ class HpxRuntime:
         task.pending_send = None
         task.staged_at = self.engine.now
         w.queue.push_tail(task)
+        self.probes.emit(self.engine.now, "suspend", task, w.index)
         self.engine.call_later(cost, self._after_task, w)
 
-    # -- completion and resumption ------------------------------------------------
+    # -- retirement --------------------------------------------------------------
 
-    def complete(self, w: _Worker, task: Task, value: Any) -> None:
+    def _cleanup(self, w: _Worker, task: Task) -> int:
         cost = self._cleanup_ns
         self._charge_overhead(w, task, cost)
         task.state = TaskState.TERMINATED
-        w.stats.tasks_executed += 1
-        self.stats.tasks_executed += 1
-        self.stats.exec_ns += task.exec_ns
-        self.stats.overhead_ns += task.overhead_ns
-        self.stats.live_tasks -= 1
-        del self._live_tasks[task.tid]
-        if self.trace:
-            self.trace(self.engine.now, "terminate", task, w.index)
-        prev = self._fulfil_worker
-        self._fulfil_worker = w
-        try:
-            task.future.set_value(value)
-        finally:
-            self._fulfil_worker = prev
+        # Totals are booked once per task, at retirement.
+        stats = self.stats
+        stats.exec_ns += task.exec_ns
+        stats.overhead_ns += task.overhead_ns
+        stats.live_tasks -= 1
+        return cost
+
+    def _release(self, w: _Worker, task: Task, cost: int) -> None:
         self.engine.call_later(cost, self._after_task, w)
-
-    def fail(self, w: _Worker, task: Task, exc: BaseException) -> None:
-        task.state = TaskState.TERMINATED
-        w.stats.tasks_executed += 1
-        self.stats.tasks_executed += 1
-        self.stats.exec_ns += task.exec_ns
-        self.stats.overhead_ns += task.overhead_ns
-        self.stats.live_tasks -= 1
-        del self._live_tasks[task.tid]
-        prev = self._fulfil_worker
-        self._fulfil_worker = w
-        try:
-            task.future.set_exception(exc)
-        finally:
-            self._fulfil_worker = prev
-        self.engine.call_later(self._cleanup_ns, self._after_task, w)
-
-    def _resume_task(self, task: Task, send_value: Any) -> None:
-        """A suspended task became runnable (future set / mutex granted)."""
-        cls = send_value.__class__
-        if cls is _SendRaw:
-            send_value = send_value.value
-        elif cls is SimFuture or isinstance(send_value, SimFuture):
-            self.probes.emit_dependencies(self.engine.now, task, (send_value,))
-            send_value = resume_payload(send_value)
-        elif cls is _AwaitAllDone:
-            self.probes.emit_dependencies(self.engine.now, task, send_value.futures)
-            send_value = resume_payload_all(send_value.futures)
-        task.pending_send = send_value
-        worker = self._fulfil_worker or self.workers[0]
-        self._push_resumed(worker, task, None)
-
-    def _push_resumed(self, worker: _Worker, task: Task, _unused: Any) -> None:
-        if task.state is TaskState.SUSPENDED:
-            self.stats.suspended_tasks -= 1
-        task.state = TaskState.PENDING
-        task.staged_at = self.engine.now
-        worker.queue.push_head(task)
-        if self.trace:
-            self.trace(self.engine.now, "resume", task, worker.index)
-        self._kick_for_work(worker)
-
-
-class _AwaitAllDone:
-    """Marker carrying the futures of a completed AwaitAll."""
-
-    __slots__ = ("futures",)
-
-    def __init__(self, futures: tuple) -> None:
-        self.futures = futures
-
-
-class _SendRaw:
-    """Marker: send the wrapped value into the generator as-is."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value

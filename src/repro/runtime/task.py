@@ -73,7 +73,7 @@ class Task:
         self.home_socket = home_socket
         self.stack_bytes = stack_bytes
         self.created_at = created_at
-        self.gen: Generator | None = None  # bound lazily at first activation
+        self.gen: Generator | None = None  # created at first activation
         # Accounting backing the /threads/time/* counters.
         self.exec_ns = 0
         self.overhead_ns = 0
@@ -85,15 +85,6 @@ class Task:
         # it never went through one, e.g. inline execution); backs the
         # /threads/wait-time/pending counter.
         self.staged_at: int | None = None
-
-    def bind(self, ctx: Any) -> Generator:
-        """Instantiate the generator with the runtime-provided context."""
-        if self.gen is None:
-            gen = self.fn(ctx, *self.args)
-            if not isinstance(gen, Generator):
-                raise TypeError(f"task body {self.description!r} must be a generator function")
-            self.gen = gen
-        return self.gen
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Task {self.tid} {self.description} {self.state.value}>"

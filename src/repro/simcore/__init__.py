@@ -10,7 +10,6 @@ runs are bit-for-bit deterministic.
 from repro.simcore.clock import MS, NS_PER_S, US, from_us, ms, ns_to_s, ns_to_us, s, us
 from repro.simcore.events import Engine, EventQueue, SimulationError, Timer
 from repro.simcore.machine import Core, Machine, MachineSpec
-from repro.simcore.memory import MemoryController, MemoryTrafficStats
 from repro.simcore.rng import derive_rng, derive_seed
 from repro.simcore.topology import BindMode, Topology
 
@@ -24,8 +23,6 @@ __all__ = [
     "EventQueue",
     "Machine",
     "MachineSpec",
-    "MemoryController",
-    "MemoryTrafficStats",
     "SimulationError",
     "Timer",
     "Topology",

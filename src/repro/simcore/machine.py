@@ -122,18 +122,6 @@ class Machine:
             Core(index=i, socket=self.platform.socket_of(i))
             for i in range(self.platform.total_cores)
         ]
-        # Compat alias: the controllers live on the resource model now.
-        self.controllers = self.resources.controllers
-
-    @property
-    def spec(self) -> PlatformSpec:
-        """The platform this machine simulates (legacy spelling)."""
-        return self.platform
-
-    @property
-    def _active_ws(self) -> list[int]:
-        """Per-socket active working sets (legacy test hook)."""
-        return self.resources.active_ws
 
     # -- queries ---------------------------------------------------------
 

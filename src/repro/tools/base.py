@@ -99,11 +99,11 @@ class InstrumentedStdRuntime(StdRuntime):
     def _make_thread(self, *args: Any, **kwargs: Any) -> OSThread:
         if (
             self.tool.max_threads is not None
-            and self.stats.threads_created >= self.tool.max_threads
+            and self.stats.tasks_created >= self.tool.max_threads
         ):
             reason = (
                 f"{self.tool.name}: thread table exhausted "
-                f"({self.stats.threads_created} >= {self.tool.max_threads})"
+                f"({self.stats.tasks_created} >= {self.tool.max_threads})"
             )
             self.abort_reason = reason
             self.aborted = True
@@ -152,9 +152,9 @@ def run_with_tool(
         engine.run(until=tool.timeout_ns)
     except ToolCrash as crash:
         result.outcome = crash.outcome
-        result.threads_created = rt.stats.threads_created
+        result.threads_created = rt.stats.tasks_created
         return result
-    result.threads_created = rt.stats.threads_created
+    result.threads_created = rt.stats.tasks_created
     if rt.aborted:
         # Tool-induced memory exhaustion reads as SegV (the tool's
         # buffers clobbered); plain thread explosion as Abort.

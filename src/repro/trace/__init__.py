@@ -11,26 +11,14 @@ approaches can be compared on equal footing (see
 counters report, but only after the run and at a much higher event
 cost).
 
-Most of this package now lives in :mod:`repro.profiler` — the trace
-layer grew into the causal profiling subsystem — and these modules are
-compatibility shims re-exporting the moved names.  Only the networkx
-work/span oracle (:mod:`repro.trace.dag`, cross-checked against the
-stdlib implementation in :mod:`repro.profiler.analysis`) and the
-Chrome-trace exporter remain here in full.
+The recorder and the gprof-style profile grew into the causal
+profiling subsystem and live in :mod:`repro.profiler`.  This package
+keeps the networkx work/span oracle (:mod:`repro.trace.dag`,
+cross-checked against the stdlib implementation in
+:mod:`repro.profiler.analysis`) and the Chrome-trace exporter.
 """
 
-from repro.profiler.events import TaskEvent, TraceRecorder
-from repro.profiler.report import FunctionProfile, build_profile
 from repro.trace.dag import WorkSpan, build_task_dag, work_span
 from repro.trace.export import to_chrome_trace
 
-__all__ = [
-    "FunctionProfile",
-    "TaskEvent",
-    "TraceRecorder",
-    "WorkSpan",
-    "build_profile",
-    "build_task_dag",
-    "to_chrome_trace",
-    "work_span",
-]
+__all__ = ["WorkSpan", "build_task_dag", "to_chrome_trace", "work_span"]

@@ -165,3 +165,14 @@ def test_remote_counter_perturbs_target_not_source(system):
     assert fut.is_ready
     assert system.localities[2].runtime.stats.tasks_executed >= 1
     assert system.localities[0].runtime.stats.tasks_executed == 0
+
+
+def test_remote_query_costs_the_serving_platform():
+    """The in-band evaluation charges the target its platform's query cost."""
+    system = DistributedSystem(Engine(), localities=2, cores_per_locality=2, platform="desktop-1x8")
+    fut = system.query_counter(0, 1, "/runtime{locality#0/total}/uptime")
+    system.run()
+    assert fut.is_ready
+    target = system.localities[1].runtime.stats
+    assert target.tasks_executed == 1
+    assert target.exec_ns == system.localities[1].machine.platform.counter_query_cost_ns == 404

@@ -2,8 +2,6 @@
 
 import pytest
 
-import repro.kernel.scheduler as kernel_sched
-import repro.runtime.scheduler as runtime_sched
 from repro.exec.errors import (
     DeadlockError,
     ExecutionError,
@@ -19,12 +17,6 @@ from repro.simcore.events import Engine
 from repro.simcore.machine import Machine, MachineSpec
 
 from tests.conftest import fib_body
-
-
-def test_legacy_names_are_aliases():
-    assert runtime_sched.DeadlockError is DeadlockError
-    assert kernel_sched.ResourceExhausted is ResourceExhausted
-    assert kernel_sched.DeadlockError is DeadlockError
 
 
 def test_one_hierarchy():

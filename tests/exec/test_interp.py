@@ -2,8 +2,6 @@
 
 from pathlib import Path
 
-import pytest
-
 from repro.exec.interp import EffectInterpreter
 from repro.kernel.scheduler import StdRuntime
 from repro.model.effects import Compute, Spawn
@@ -18,14 +16,12 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 class _FakeTask:
     def __init__(self, body):
-        self._body = body
+        self.fn = body
+        self.args = ()
+        self.description = body.__name__
         self.gen = None
         self.pending_send = "stale"
         self.future = None
-
-    def bind(self, ctx):
-        self.gen = self._body(ctx)
-        return self.gen
 
 
 class _FakeBackend:

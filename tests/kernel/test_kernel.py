@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel.config import StdParams
-from repro.kernel.scheduler import KMutex, ResourceExhausted, StdRuntime
+from repro.kernel.scheduler import ResourceExhausted, StdRuntime
+from repro.model.sync import Mutex
 from repro.model.work import Work
 from repro.simcore.clock import ms
 from repro.simcore.events import Engine
@@ -35,8 +36,8 @@ def test_fib_correct_multicore(cores):
 def test_thread_per_task():
     _, _, rt = run_fib(2, n=8)
     # One thread per async + the main thread.
-    assert rt.stats.threads_created == rt.stats.threads_completed
-    assert rt.stats.live_threads == 0
+    assert rt.stats.tasks_created == rt.stats.tasks_executed
+    assert rt.stats.live_tasks == 0
 
 
 def test_thread_creation_dominates_fine_grain():
@@ -46,7 +47,7 @@ def test_thread_creation_dominates_fine_grain():
     parents' bodies; the pure task compute is well under 1 us per task.
     """
     _, engine, rt = run_fib(1, n=10)
-    pure_compute_upper_bound = rt.stats.threads_created * 1_300
+    pure_compute_upper_bound = rt.stats.tasks_created * 1_300
     assert engine.now > 10 * pure_compute_upper_bound
 
 
@@ -54,7 +55,7 @@ def test_breadth_first_live_thread_explosion():
     """The run queue admits every spawned thread: the live count grows
     to a large fraction of the total — the paper's failure mechanism."""
     _, _, rt = run_fib(4, n=12)
-    assert rt.stats.peak_live_threads > rt.stats.threads_created * 0.3
+    assert rt.stats.peak_live_tasks > rt.stats.tasks_created * 0.3
 
 
 def test_memory_abort():
@@ -121,7 +122,7 @@ def test_deferred_policy_inline():
     rt = StdRuntime(engine, Machine(), num_workers=1)
     assert rt.run_to_completion(parent) == 5
     # Deferred children never become kernel threads.
-    assert rt.stats.peak_live_threads == 1  # just main
+    assert rt.stats.peak_live_tasks == 1  # just main
 
 
 def test_sync_policy_inline():
@@ -178,7 +179,8 @@ class _FakeThread:
 
 
 def test_kmutex_fifo():
-    m = KMutex(0)
+    """std::mutex semantics: the shared Mutex hands off FIFO between threads."""
+    m = Mutex(0)
     t1, t2 = _FakeThread(1), _FakeThread(2)
     assert m.try_acquire(t1)
     assert not m.try_acquire(t2)
@@ -233,7 +235,7 @@ def test_property_fib_correct_everywhere(cores, n):
     expected = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55][n]
     value, _, rt = run_fib(cores, n=n)
     assert value == expected
-    assert rt.stats.live_threads == 0
+    assert rt.stats.live_tasks == 0
 
 
 def test_kernel_scatter_binding():
@@ -242,5 +244,5 @@ def test_kernel_scatter_binding():
     engine = Engine()
     rt = StdRuntime(engine, Machine(), num_workers=4, bind_mode=BindMode.SCATTER)
     assert rt.run_to_completion(fib_body, 10) == 55
-    sockets = {c.socket for c in rt.cores}
+    sockets = {c.socket for c in rt.workers}
     assert sockets == {0, 1}

@@ -49,7 +49,6 @@ def test_resolve_platform_accepts_every_designator(tmp_path):
 def test_machine_accepts_platform_designators():
     machine = Machine("hybrid-4p8e")
     assert machine.platform.name == "hybrid-4p8e"
-    assert machine.spec is machine.platform  # legacy spelling
     assert len(machine.cores) == 12
     assert [c.socket for c in machine.cores] == [0] * 4 + [1] * 8
 

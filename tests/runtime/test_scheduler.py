@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exec.errors import DeadlockError
 from repro.runtime.config import HpxParams
-from repro.runtime.scheduler import DeadlockError, HpxRuntime
+from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
 

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.model.sync import Mutex
 from repro.runtime.policies import LaunchPolicy
-from repro.runtime.sync import Mutex
 from repro.runtime.task import Task
 
 

@@ -72,7 +72,7 @@ def test_l3_pressure_inflates_traffic(machine):
     big = 30 * 1024 * 1024  # exceeds the 25 MB L3 on its own
     factor = machine.l3_pressure_factor(0, big)
     assert factor > 1.0
-    assert factor <= machine.spec.l3_max_factor
+    assert factor <= machine.platform.l3_max_factor
 
 
 def test_l3_no_pressure_small_ws(machine):
@@ -85,7 +85,7 @@ def test_working_set_accounting_balanced(machine):
     t2 = machine.segment_begin(1, work)
     machine.segment_end(t1, work)
     machine.segment_end(t2, work)
-    assert machine._active_ws[0] == 0
+    assert machine.resources.active_ws[0] == 0
 
 
 def test_working_set_negative_detected(machine):

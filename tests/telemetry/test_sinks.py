@@ -124,8 +124,8 @@ def test_chrome_trace_sink_writes_dest_on_close(tmp_path):
 
 
 def test_chrome_trace_fold_combines_tasks_and_counters():
+    from repro.profiler.events import TaskEvent
     from repro.trace.export import to_chrome_trace
-    from repro.trace.recorder import TaskEvent
 
     events = [
         TaskEvent(time_ns=0, kind="activate", tid=1, worker=0, description="task"),

@@ -7,8 +7,9 @@ a task dying while holding a mutex deadlocks its waiters).
 
 import pytest
 
+from repro.exec.errors import DeadlockError
 from repro.kernel.scheduler import StdRuntime
-from repro.runtime.scheduler import DeadlockError, HpxRuntime
+from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine, SimulationError
 from repro.simcore.machine import Machine
 
@@ -127,7 +128,7 @@ def test_kernel_exception_in_child():
     rt = StdRuntime(Engine(), Machine(), num_workers=2)
     with pytest.raises(KeyError, match="kernel child"):
         rt.run_to_completion(parent)
-    assert rt.stats.live_threads == 0
+    assert rt.stats.live_tasks == 0
 
 
 def test_engine_budget_guards_runaway_simulations():

@@ -80,8 +80,8 @@ def test_property_runtimes_agree(spec, cores):
     std_value, std_rt, _ = _run(StdRuntime, spec, cores)
     assert hpx_value == std_value
     assert hpx_rt.stats.live_tasks == 0
-    assert std_rt.stats.live_threads == 0
-    assert hpx_rt.stats.tasks_created == std_rt.stats.threads_created
+    assert std_rt.stats.live_tasks == 0
+    assert hpx_rt.stats.tasks_created == std_rt.stats.tasks_created
 
 
 @settings(max_examples=15)

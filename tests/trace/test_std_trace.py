@@ -6,10 +6,10 @@ so post-mortem tools work on either runtime.
 """
 
 from repro.kernel.scheduler import StdRuntime
+from repro.profiler.events import TraceRecorder
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine, MachineSpec
 from repro.trace.dag import build_task_dag, work_span
-from repro.trace.recorder import TraceRecorder
 
 from tests.conftest import fib_body
 
