@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.api import Session
+from repro.api import Session, WorkloadSpec
 from repro.experiments.config import ExperimentConfig, default_std_params
 
 from conftest import run_once
@@ -29,7 +29,7 @@ def _failures(thread_budget: int) -> set[str]:
     session = Session(runtime="std", cores=20, config=config)
     failed = set()
     for name in PROBES:
-        result = session.run(name)
+        result = session.run(WorkloadSpec.parse(name))
         if result.aborted:
             failed.add(name)
     return failed

@@ -8,7 +8,7 @@ counters are queried this overhead can go up to 16%."
 
 from __future__ import annotations
 
-from repro.api import Session
+from repro.api import Session, WorkloadSpec
 from repro.experiments.config import PAPI_COUNTERS, SOFTWARE_COUNTERS
 
 from conftest import run_once
@@ -16,8 +16,9 @@ from conftest import run_once
 
 def _overhead(name: str, cores: int, specs) -> float:
     session = Session(runtime="hpx", cores=cores)
-    plain = session.run(name, collect_counters=False)
-    counted = session.run(name, counters=specs)
+    spec = WorkloadSpec.parse(name)
+    plain = session.run(spec, collect_counters=False)
+    counted = session.run(spec, counters=specs)
     return (counted.exec_time_ns - plain.exec_time_ns) / plain.exec_time_ns * 100
 
 

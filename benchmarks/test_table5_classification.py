@@ -12,7 +12,7 @@ Checks, for all fourteen benchmarks:
 
 from __future__ import annotations
 
-from repro.api import Session
+from repro.api import Session, WorkloadSpec
 from repro.experiments.tables import table5
 from repro.experiments.report import render_table5
 
@@ -55,7 +55,7 @@ def test_very_fine_task_overhead_band(benchmark):
         session = Session(runtime="hpx", cores=1)
         overheads = {}
         for name in ("fib", "health", "uts", "intersim", "qap"):
-            result = session.run(name)
+            result = session.run(WorkloadSpec.parse(name))
             overheads[name] = result.counter(_OVERHEAD)
         return overheads
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Work/span analysis of an Inncabs benchmark.
 
-Records the full task trace of one run, reconstructs the computation
-DAG (spawn + join edges) and computes work T1, span T-inf and average
-parallelism T1/T-inf — the speedup ceiling no scheduler can beat —
-then compares it against the speedups the runtime actually achieves.
+Profiles one run with the streaming causal profiler, which builds the
+computation DAG (spawn + join edges) as the run executes and computes
+work T1, span T-inf and average parallelism T1/T-inf — the speedup
+ceiling no scheduler can beat — then compares it against the speedups
+the runtime actually achieves.
 
 Run:  python examples/work_span_analysis.py [benchmark]
 """
@@ -14,11 +15,10 @@ import sys
 from repro.api import Session, WorkloadSpec
 from repro.inncabs.presets import preset_params
 from repro.inncabs.suite import available_benchmarks, get_benchmark
-from repro.profiler.events import TraceRecorder
+from repro.profiler import ProfileBuilder
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
-from repro.trace.dag import work_span
 
 
 def main() -> None:
@@ -31,11 +31,11 @@ def main() -> None:
 
     engine = Engine()
     runtime = HpxRuntime(engine, Machine(), num_workers=1)
-    recorder = TraceRecorder(runtime)
-    with recorder:
+    profiler = ProfileBuilder(runtime)
+    with profiler:
         runtime.run_to_completion(root_fn, *root_args)
 
-    ws = work_span(recorder)
+    ws = profiler.analysis()
     print(f"{name} (small preset): task DAG analysis")
     print(f"  tasks                {ws.tasks:10d}")
     print(f"  dependency edges     {ws.edges:10d}")

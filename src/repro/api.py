@@ -89,8 +89,9 @@ class Session:
     engine_factory:
         Zero-argument callable building the discrete-event engine for
         each run.  Defaults to :class:`repro.simcore.events.Engine`;
-        ``repro bench-core`` passes the legacy-heap engine here to run
-        both cores side by side.
+        the engine-identity tests pass the legacy heap engine (a test
+        oracle) here, and a :class:`repro.simcore.record.RecordingEngine`
+        captures a run's event stream this way.
     telemetry:
         Default :class:`~repro.telemetry.pipeline.TelemetryConfig` for
         every :meth:`run`: counter set, periodic sampling interval,

@@ -6,10 +6,10 @@ counters, such as the ability to list available counter types, or
 periodically query specific counters"):
 
 - ``repro list-benchmarks`` — the Inncabs suite;
-- ``repro list-counters [--pattern ...]`` — counter-type discovery;
-- ``repro counters list|query`` — the telemetry front door: list the
-  counter types, or run a benchmark and stream every sample (wildcards
-  expanded) as CSV or JSON lines;
+- ``repro counters list|query`` — counter-type discovery and the
+  telemetry front door: list the counter types (``--pattern ...``), or
+  run a benchmark and stream every sample (wildcards expanded) as CSV
+  or JSON lines;
 - ``repro run BENCH --runtime hpx --cores 8 --print-counter NAME ...``
   — one run with counters printed CSV-style;
 - ``repro workloads list|show`` — the unified workload registry
@@ -158,7 +158,7 @@ def cmd_list_benchmarks(_args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_list_counters(args: argparse.Namespace) -> int:
+def cmd_counters_list(args: argparse.Namespace) -> int:
     import fnmatch
 
     from repro.counters.providers import build_registry
@@ -166,7 +166,7 @@ def cmd_list_counters(args: argparse.Namespace) -> int:
     from repro.workloads import WorkloadSpec
 
     workload_name = None
-    if getattr(args, "workload", None):
+    if args.workload:
         try:
             workload = WorkloadSpec.parse(args.workload)
             workload.validate()
@@ -189,7 +189,7 @@ def cmd_list_counters(args: argparse.Namespace) -> int:
         engine=engine, runtime=runtime, machine=machine, papi=PapiSubstrate(machine)
     )
     registry = build_registry(env, workload=workload_name)
-    provider_filters = list(getattr(args, "providers", None) or [])
+    provider_filters = list(args.providers or [])
     matched = 0
     available_providers: set[str] = set()
     for entry in registry.counter_types(args.pattern):
@@ -613,41 +613,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_core(args: argparse.Namespace) -> int:
-    from repro.experiments.bench_core import compare_to_baseline, render, run_bench_core
-
-    result = run_bench_core(
-        args.mode,
-        names=args.runs or None,
-        repeat=args.repeat,
-        platform=args.platform,
-        progress=lambda line: print(f"running {line}", file=sys.stderr),
-    )
-    print(render(result))
-    if args.out:
-        result.save(args.out)
-        print(f"\nwrote {args.out}")
-    status = 0
-    if not result.deterministic:
-        print("\nFAIL: engines disagree on simulated results", file=sys.stderr)
-        status = 1
-    if args.baseline:
-        try:
-            baseline = json.loads(open(args.baseline).read())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-        failures = compare_to_baseline(result.to_dict(), baseline, threshold=args.threshold)
-        if failures:
-            print(f"\nFAIL: events/sec regression vs {args.baseline}:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            status = 1
-        else:
-            print(f"\ngate OK vs {args.baseline} (threshold {args.threshold:.0%})")
-    return status
-
-
 def cmd_bench_serve(args: argparse.Namespace) -> int:
     from repro.experiments.bench_serve import compare_to_baseline, render, run_bench_serve
 
@@ -682,34 +647,14 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
     return status
 
 
-def _compare_bench_core(args: argparse.Namespace) -> int:
-    """``repro compare`` on two BENCH_core.json artifacts."""
-    from repro.experiments.bench_core import compare_to_baseline
-
-    baseline = json.loads(open(args.baseline).read())
-    current = json.loads(open(args.current).read())
-    failures = compare_to_baseline(current, baseline, threshold=args.threshold)
-    if failures:
-        print("bench-core regression:")
-        for failure in failures:
-            print(f"  {failure}")
-        return 1
-    print(f"bench-core gate OK (threshold {args.threshold:.0%})")
-    return 0
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     from repro.campaign.artifact import CampaignArtifact
     from repro.campaign.compare import CompareThresholds, compare_artifacts, render_compare
-    from repro.experiments.bench_core import is_bench_core_payload
 
     try:
-        with open(args.baseline) as fh:
-            if is_bench_core_payload(json.load(fh)):
-                return _compare_bench_core(args)
         baseline = CampaignArtifact.load(args.baseline)
         current = CampaignArtifact.load(args.current)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load artifact: {exc}", file=sys.stderr)
         return 2
     thresholds = CompareThresholds(exec_time=args.threshold, counters=args.counter_threshold)
@@ -763,45 +708,39 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("list-benchmarks", help="list the Inncabs suite")
     p.set_defaults(fn=cmd_list_benchmarks)
 
-    def add_list_counters_options(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("--pattern", default=None, help="glob over type names")
-        parser.add_argument(
-            "--cores",
-            type=int,
-            default=None,
-            help="worker count the instance lists reflect "
-            "(default: 4, or the named --platform's full core count)",
-        )
-        parser.add_argument("--verbose", action="store_true", help="show help text and instances")
-        parser.add_argument(
-            "--workload",
-            default=None,
-            metavar="NAME[:key=val,...]",
-            help="also list the counter types this workload's own providers add",
-        )
-        parser.add_argument(
-            "--platform",
-            default=None,
-            metavar="NAME|FILE",
-            help="simulated node: preset name or platform file (default: ivybridge-2x10)",
-        )
-        parser.add_argument(
-            "--providers",
-            action="append",
-            default=None,
-            metavar="GLOB",
-            help="only show counter types from matching providers "
-            "(repeatable; e.g. --providers 'builtin.*' --providers fmm)",
-        )
-        parser.set_defaults(fn=cmd_list_counters)
-
-    p = sub.add_parser("list-counters", help="list available counter types")
-    add_list_counters_options(p)
-
     p = sub.add_parser("counters", help="telemetry front door: list counter types, stream samples")
     counters_sub = p.add_subparsers(dest="counters_command", required=True)
     pc = counters_sub.add_parser("list", help="list available counter types")
-    add_list_counters_options(pc)
+    pc.add_argument("--pattern", default=None, help="glob over type names")
+    pc.add_argument(
+        "--cores",
+        type=int,
+        default=None,
+        help="worker count the instance lists reflect "
+        "(default: 4, or the named --platform's full core count)",
+    )
+    pc.add_argument("--verbose", action="store_true", help="show help text and instances")
+    pc.add_argument(
+        "--workload",
+        default=None,
+        metavar="NAME[:key=val,...]",
+        help="also list the counter types this workload's own providers add",
+    )
+    pc.add_argument(
+        "--platform",
+        default=None,
+        metavar="NAME|FILE",
+        help="simulated node: preset name or platform file (default: ivybridge-2x10)",
+    )
+    pc.add_argument(
+        "--providers",
+        action="append",
+        default=None,
+        metavar="GLOB",
+        help="only show counter types from matching providers "
+        "(repeatable; e.g. --providers 'builtin.*' --providers fmm)",
+    )
+    pc.set_defaults(fn=cmd_counters_list)
     pc = counters_sub.add_parser(
         "query", help="run a benchmark and stream every counter sample (CSV or JSON lines)"
     )
@@ -1065,42 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true", help="per-cell progress on stderr")
     p.set_defaults(fn=cmd_campaign)
 
-    p = sub.add_parser("bench-core", help="event-core events/sec benchmark (vs legacy engine)")
-    p.add_argument(
-        "--mode",
-        choices=("quick", "reference"),
-        default="quick",
-        help="workload sizes: quick (CI perf smoke) or reference (fib(26) acceptance run)",
-    )
-    p.add_argument(
-        "--runs",
-        nargs="*",
-        default=None,
-        choices=("fib", "uts", "health"),
-        help="subset of reference workloads (default: all three)",
-    )
-    p.add_argument("--repeat", type=int, default=2, help="interleaved pairs per workload")
-    p.add_argument(
-        "--platform",
-        default=None,
-        metavar="NAME|FILE",
-        help="simulated node for the reference runs (default: ivybridge-2x10)",
-    )
-    p.add_argument("--out", default="BENCH_core.json", metavar="FILE", help="artifact path")
-    p.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="gate against this committed artifact (e.g. results/baseline_core.json)",
-    )
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=0.20,
-        help="allowed drop in the new/legacy events-per-sec ratio (default 0.20)",
-    )
-    p.set_defaults(fn=cmd_bench_core)
-
     p = sub.add_parser("bench-serve", help="load-test the run server (latency + cache gate)")
     p.add_argument(
         "--mode",
@@ -1132,9 +1035,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_bench_serve)
 
-    p = sub.add_parser(
-        "compare", help="diff two campaign artifacts or BENCH_core files (regression gate)"
-    )
+    p = sub.add_parser("compare", help="diff two campaign artifacts (regression gate)")
     p.add_argument("baseline", help="baseline artifact (JSON)")
     p.add_argument("current", help="current artifact (JSON)")
     p.add_argument(

@@ -49,7 +49,7 @@ class CounterEnvironment:
 
 @dataclass(frozen=True)
 class CounterInfo:
-    """Static metadata of a counter type (shown by ``list-counters``)."""
+    """Static metadata of a counter type (shown by ``repro counters list``)."""
 
     type_name: str  # e.g. "/threads/time/average"
     counter_type: CounterType

@@ -1,10 +1,11 @@
 """Work/span, critical-path and parallelism analysis of the task DAG.
 
-Pure-stdlib reimplementation of the classic fork/join analysis the
-legacy :mod:`repro.trace.dag` module performs with networkx (which is a
-test-only dependency): each task contributes an ``s`` (spawn-phase)
-node carrying its busy time and a zero-weight ``e`` (join-phase) node,
-spawn edges run parent-s → child-s, join edges producer-e → waiter-e.
+Pure-stdlib implementation of the classic fork/join analysis (networkx
+is a test-only dependency; its version is the oracle in
+``tests/trace/dag_oracle.py``): each task contributes an ``s``
+(spawn-phase) node carrying its busy time and a zero-weight ``e``
+(join-phase) node, spawn edges run parent-s → child-s, join edges
+producer-e → waiter-e.
 On that DAG:
 
 - **work** ``T1`` is the total task busy time;

@@ -5,7 +5,7 @@ number is the order of scheduling.  Ties in time are therefore resolved
 deterministically, which both runtimes rely on; the determinism
 contract (identical virtual timestamps and counter values for identical
 inputs) is load-bearing for the campaign result cache and for the
-``repro compare`` / ``repro bench-core`` regression gates.
+``repro compare`` regression gate.
 
 The queue is two-tier:
 

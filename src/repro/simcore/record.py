@@ -9,9 +9,10 @@ level iff their transcripts are equal.
 
 This is the oracle behind two gates:
 
-- ``repro bench-core`` replays transcripts with no-op callbacks to
-  measure the event core alone (see
-  :mod:`repro.experiments.bench_core`);
+- :func:`replay_stream` replays transcripts with no-op callbacks to
+  time the event core alone: the CI replay-ratio step compares the
+  current engine against the legacy heap oracle this way, and the
+  end-to-end benchmark reports it as ``simcore.events.replay_eps``;
 - the golden-stream tests (``tests/test_golden_streams.py``) compare
   fresh transcripts of reference runs against committed fixtures, so a
   scheduler/interpreter refactor cannot silently change semantics.

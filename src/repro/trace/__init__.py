@@ -12,13 +12,11 @@ counters report, but only after the run and at a much higher event
 cost).
 
 The recorder and the gprof-style profile grew into the causal
-profiling subsystem and live in :mod:`repro.profiler`.  This package
-keeps the networkx work/span oracle (:mod:`repro.trace.dag`,
-cross-checked against the stdlib implementation in
-:mod:`repro.profiler.analysis`) and the Chrome-trace exporter.
+profiling subsystem and live in :mod:`repro.profiler`, whose
+:mod:`repro.profiler.analysis` computes work/span and the critical
+path.  This package keeps the Chrome-trace exporter.
 """
 
-from repro.trace.dag import WorkSpan, build_task_dag, work_span
 from repro.trace.export import to_chrome_trace
 
-__all__ = ["WorkSpan", "build_task_dag", "to_chrome_trace", "work_span"]
+__all__ = ["to_chrome_trace"]

@@ -1,9 +1,11 @@
-"""Legacy discrete-event engine (pre two-tier queue).
+"""Legacy discrete-event engine (pre two-tier queue): the test oracle.
 
 The original binary-heap implementation, kept verbatim as the
-determinism oracle: the property tests and ``repro bench-core`` run it
-side by side with :mod:`repro.simcore.events` and require bit-identical
-simulated timestamps and counter values.  Do not optimise this module.
+reference the fast-path core in :mod:`repro.simcore.events` is checked
+against: the queue-equivalence and engine-identity tests run it side by
+side with the current engine and require bit-identical simulated
+timestamps and counter values, and the CI replay-ratio step times both
+engines on recorded event streams.  Do not optimise this module.
 
 A minimal but strict event queue: events fire in (time, sequence) order,
 where the sequence number is the order of scheduling.  Ties in time are
@@ -167,8 +169,3 @@ class LegacyEngine:
                     f"event budget exhausted ({self.max_events} events) at t={self.now}ns"
                 )
             event.callback()
-
-
-# Aliases so the legacy engine is a drop-in engine_factory.
-EventQueue = LegacyEventQueue
-Engine = LegacyEngine

@@ -4,7 +4,7 @@ Seeded randomized workloads (no Hypothesis needed — plain
 ``random.Random``) drive the new calendar-ring queue and the verbatim
 pre-optimisation binary heap side by side and require identical pop
 order, identical fire order, and identical final clocks.  This is the
-determinism contract the campaign cache and the bench-core gate rely
+determinism contract the campaign cache and the regression gates rely
 on.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from repro.simcore.events import RING_SLOTS, Engine, EventQueue
-from repro.simcore.events_legacy import LegacyEngine, LegacyEventQueue
+from tests.simcore.legacy_engine import LegacyEngine, LegacyEventQueue
 
 SEEDS = (0, 1, 20160523)
 

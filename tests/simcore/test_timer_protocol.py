@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.simcore.events import Engine, SimulationError, Timer
-from repro.simcore.events_legacy import LegacyEngine
+from tests.simcore.legacy_engine import LegacyEngine
 
 
 def test_schedule_returns_active_timer():

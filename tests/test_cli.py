@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import main
 
 
 def test_list_benchmarks(capsys):
@@ -15,21 +15,21 @@ def test_list_benchmarks(capsys):
 
 
 def test_list_counters(capsys):
-    assert main(["list-counters"]) == 0
+    assert main(["counters", "list"]) == 0
     out = capsys.readouterr().out
     assert "/threads/time/average" in out
     assert "/papi/OFFCORE_REQUESTS:ALL_DATA_RD" in out
 
 
 def test_list_counters_pattern(capsys):
-    assert main(["list-counters", "--pattern", "/runtime/*"]) == 0
+    assert main(["counters", "list", "--pattern", "/runtime/*"]) == 0
     out = capsys.readouterr().out
     assert "/runtime/uptime" in out
     assert "/threads" not in out
 
 
 def test_list_counters_verbose(capsys):
-    assert main(["list-counters", "--pattern", "/threads/idle-rate", "--verbose"]) == 0
+    assert main(["counters", "list", "--pattern", "/threads/idle-rate", "--verbose"]) == 0
     out = capsys.readouterr().out
     assert "worker-thread#0" in out
     assert "idle rate" in out.lower()

@@ -13,6 +13,40 @@ def test_version_consistent_with_pyproject():
     assert f'version = "{repro.__version__}"' in pyproject
 
 
+def test_third_party_imports_are_declared_dependencies():
+    """Every top-level module imported under ``src/repro`` is stdlib,
+    ``repro`` itself, or a ``[project] dependencies`` entry, so the
+    package imports after a plain ``pip install .`` (test extras such
+    as networkx stay out of the library)."""
+    import ast
+    import re
+    import sys
+
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S)
+    assert block, "pyproject.toml has no [project] dependencies list"
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower().replace("-", "_")
+        for spec in re.findall(r'"([^"]+)"', block.group(1))
+    }
+    package = ROOT / "src" / "repro"
+    undeclared = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                if top in sys.stdlib_module_names or top == "repro" or top in declared:
+                    continue
+                undeclared.append(f"{top} ({path.relative_to(package)})")
+    assert not undeclared, f"imports missing from [project] dependencies: {undeclared}"
+
+
 def test_public_api_surface():
     assert callable(repro.Session)
     assert not hasattr(repro, "run_benchmark")  # the deprecated shim is gone

@@ -1,4 +1,4 @@
-"""Task-DAG extraction and work/span analysis.
+"""Task-DAG extraction and work/span analysis with networkx: the test oracle.
 
 From a recorded trace, reconstruct the computation DAG — spawn edges
 (parent → child, from ``create`` events) and join edges (producer →
@@ -17,8 +17,9 @@ tasks compute before spawning or after joining.
 
 This module is the *networkx oracle* for the profiler: the streaming
 :mod:`repro.profiler.analysis` implementation (stdlib-only, usable at
-runtime — networkx is a test-only dependency) must produce identical
-work/span numbers, and ``tests/profiler`` cross-checks the two.
+runtime — networkx is a test-only dependency, which is why this module
+lives under ``tests/``) must produce identical work/span numbers, and
+``tests/profiler`` cross-checks the two.
 """
 
 from __future__ import annotations

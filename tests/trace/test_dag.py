@@ -6,9 +6,9 @@ from repro.profiler.events import TraceRecorder
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
-from repro.trace.dag import build_task_dag, work_span
 
 from tests.conftest import fib_body
+from tests.trace.dag_oracle import build_task_dag, work_span
 
 
 def traced(body, *args, cores=4):

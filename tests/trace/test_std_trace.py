@@ -9,9 +9,9 @@ from repro.kernel.scheduler import StdRuntime
 from repro.profiler.events import TraceRecorder
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine, MachineSpec
-from repro.trace.dag import build_task_dag, work_span
 
 from tests.conftest import fib_body
+from tests.trace.dag_oracle import build_task_dag, work_span
 
 
 def _run_traced(n=9):
