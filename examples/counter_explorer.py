@@ -15,8 +15,8 @@ Run:  python examples/counter_explorer.py
 
 from repro.counters.base import CounterEnvironment
 from repro.counters.manager import ActiveCounters, format_counter_values
+from repro.counters.providers import build_registry
 from repro.counters.query import PeriodicQuery
-from repro.counters.registry import build_default_registry
 from repro.inncabs.suite import get_benchmark
 from repro.papi.hw import PapiSubstrate
 from repro.runtime.scheduler import HpxRuntime
@@ -32,7 +32,7 @@ def main() -> None:
     env = CounterEnvironment(
         engine=engine, runtime=runtime, machine=machine, papi=PapiSubstrate(machine)
     )
-    registry = build_default_registry(env)
+    registry = build_registry(env)
 
     print("== discovery ==")
     for entry in registry.counter_types("/threads/time/*"):

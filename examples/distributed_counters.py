@@ -13,7 +13,6 @@ Run:  python examples/distributed_counters.py
 
 from repro.distributed import DistributedSystem
 from repro.simcore.events import Engine
-from repro.simcore.machine import MachineSpec
 
 
 def workload(ctx, pieces: int):
@@ -33,7 +32,7 @@ def workload(ctx, pieces: int):
 def main() -> None:
     engine = Engine()
     system = DistributedSystem(engine, localities=3, cores_per_locality=4,
-                               machine_spec=MachineSpec())
+                               platform="ivybridge-2x10")
 
     print("== run different-sized workloads on each locality ==")
     futures = []

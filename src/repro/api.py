@@ -11,7 +11,7 @@ together behind two calls::
     )
     print(result.exec_time_ms, result.counters)
 
-A :class:`Session` fixes the *environment* (machine spec, runtime kind,
+A :class:`Session` fixes the *environment* (platform, runtime kind,
 default core count, runtime parameters, event-engine factory); each
 :meth:`Session.run` executes one benchmark on a fresh engine and
 machine, so runs never share simulated state and remain bit-for-bit
@@ -35,10 +35,8 @@ from repro.exec.modes import CohortIneligibleError, ExecutionMode, resolve_mode
 from repro.experiments.config import DEFAULT_COUNTERS, ExperimentConfig
 from repro.experiments.runner import RunResult
 from repro.inncabs.base import effective_locality_factor
-from repro.kernel.config import StdParams
 from repro.kernel.scheduler import StdRuntime
 from repro.papi.hw import PapiSubstrate
-from repro.platform.presets import resolve_platform
 from repro.platform.spec import PlatformSpec
 from repro.profiler.builder import ProfileBuilder, ProfileConfig
 from repro.profiler.whatif import (
@@ -47,10 +45,9 @@ from repro.profiler.whatif import (
     predict_makespan_ns,
     resolve_body,
 )
-from repro.runtime.config import HpxParams
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
-from repro.simcore.machine import Machine, MachineSpec
+from repro.simcore.machine import Machine
 from repro.telemetry.pipeline import DEFAULT_BUFFER_LIMIT, TelemetryConfig, TelemetryPipeline
 from repro.workloads import WorkloadSpec, as_workload_spec, get_workload
 
@@ -73,19 +70,13 @@ class Session:
         Default worker/core count for :meth:`run` (overridable per run).
     platform:
         The simulated node: a preset name (``"epyc-2x64"``), a path to
-        a platform file (``.toml``/``.json``), a
-        :class:`~repro.platform.spec.PlatformSpec`, or a legacy
-        :class:`MachineSpec`.  Defaults to the paper's Table III node
-        (``"ivybridge-2x10"``).
-    machine:
-        Legacy alias for ``platform`` (a :class:`MachineSpec`); they
-        are mutually exclusive.
-    hpx_params / std_params:
-        Runtime cost models; default to the calibrated paper values.
+        a platform file (``.toml``/``.json``), or a
+        :class:`~repro.platform.spec.PlatformSpec`.  Defaults to the
+        paper's Table III node (``"ivybridge-2x10"``).
     config:
         A full :class:`ExperimentConfig` to start from instead of the
-        defaults; ``platform``/``hpx_params``/``std_params`` still
-        override its fields when given.
+        defaults: the runtime cost models (``hpx``/``std``) come from
+        here.  ``platform`` still overrides its platform when given.
     engine_factory:
         Zero-argument callable building the discrete-event engine for
         each run.  Defaults to :class:`repro.simcore.events.Engine`;
@@ -103,10 +94,7 @@ class Session:
         *,
         runtime: str = "hpx",
         cores: int = 1,
-        platform: PlatformSpec | MachineSpec | str | None = None,
-        machine: MachineSpec | None = None,
-        hpx_params: HpxParams | None = None,
-        std_params: StdParams | None = None,
+        platform: PlatformSpec | str | None = None,
         config: ExperimentConfig | None = None,
         engine_factory: Callable[[], Any] | None = None,
         telemetry: TelemetryConfig | None = None,
@@ -117,21 +105,10 @@ class Session:
             raise ValueError(f"unknown runtime {runtime!r}; expected one of {expected}")
         if cores < 1:
             raise ValueError(f"cores must be >= 1, got {cores}")
-        if platform is not None and machine is not None:
-            raise ValueError("pass either platform= or machine=, not both")
         self.runtime = canonical
         self.cores = cores
         base = config or ExperimentConfig()
-        overrides: dict[str, Any] = {}
-        if platform is not None:
-            overrides["platform"] = resolve_platform(platform)
-        elif machine is not None:
-            overrides["platform"] = machine.to_platform()
-        if hpx_params is not None:
-            overrides["hpx"] = hpx_params
-        if std_params is not None:
-            overrides["std"] = std_params
-        self.config = replace(base, **overrides) if overrides else base
+        self.config = base if platform is None else replace(base, platform=platform)
         self.engine_factory: Callable[[], Any] = engine_factory or Engine
         self.telemetry = telemetry
 

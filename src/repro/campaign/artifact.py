@@ -9,8 +9,8 @@ One file per campaign under ``results/campaigns/``:
 - ``cells`` — every (benchmark, runtime, cores, sample) run with its
   cache key and the per-run :class:`~repro.experiments.runner.RunResult`
   fields; counter readings are stored as the run's full telemetry
-  sample stream (``telemetry`` rows, schema 2) rather than a final
-  totals dict;
+  sample stream (``telemetry`` rows), and profiled cells carry a
+  ``profile`` summary;
 - ``points`` — per (benchmark, runtime, cores) aggregates (medians,
   abort status) — the exact data behind the paper's figures and tables.
 
@@ -34,19 +34,17 @@ from repro.experiments.harness import ScalingCurve, aggregate_point
 from repro.experiments.runner import RunResult
 from repro.telemetry.frame import TelemetryFrame
 
-#: Artifact format version; bump on breaking layout changes.
-#: Schema 2: cells persist the full telemetry sample stream
-#: (``telemetry`` rows) instead of the final ``counters`` dict; schema-1
-#: files still load (their counter dicts are adapted into one-shot
-#: frames).
-#: Schema 3: profiled cells persist a ``profile`` summary dict (the
+#: Artifact format version; bump on breaking layout changes.  Only the
+#: current schema loads.  Schema 2 replaced the final ``counters`` dict
+#: with the full telemetry sample stream (``telemetry`` rows); schema 3
+#: added the per-cell ``profile`` summary (the
 #: :meth:`~repro.profiler.report.RunProfile.to_json_dict` form) and the
-#: spec gained its ``profile`` flag; schema-1/2 files still load.
+#: spec's ``profile`` flag.
 ARTIFACT_SCHEMA = 3
 
 #: RunResult fields persisted per cell (result/query_samples are not
 #: serializable and are deliberately dropped).  ``telemetry`` is stored
-#: as sample rows; the legacy ``counters`` dict is derived from it on
+#: as sample rows; the ``counters`` totals dict is derived from it on
 #: load.
 RESULT_FIELDS = (
     "mode",
@@ -70,10 +68,6 @@ def run_result_to_dict(result: RunResult) -> dict[str, Any]:
     for name in RESULT_FIELDS:
         if name == "telemetry":
             frame = result.telemetry
-            if frame is None and result.counters:
-                frame = TelemetryFrame.from_counters(
-                    result.counters, timestamp_ns=result.exec_time_ns
-                )
             data["telemetry"] = frame.to_rows() if frame is not None else []
         elif name == "profile":
             # A live RunProfile serializes to its summary dict; a cell
@@ -88,21 +82,9 @@ def run_result_to_dict(result: RunResult) -> dict[str, Any]:
 
 
 def run_result_from_dict(cell: Cell, data: Mapping[str, Any]) -> RunResult:
-    """Rebuild a :class:`RunResult` from its persisted form.
-
-    Accepts both layouts: schema-2 dicts carry ``telemetry`` sample
-    rows; legacy schema-1 dicts carry only the final ``counters`` dict,
-    which is adapted into a one-shot frame.
-    """
-    # ``mode`` arrived with the execution-mode architecture; artifacts
-    # written before it default to the only mode that existed.
-    fields = {name: data[name] for name in RESULT_FIELDS if name != "telemetry" and name in data}
-    if "telemetry" in data:
-        frame = TelemetryFrame.from_rows(data["telemetry"])
-    else:  # legacy schema-1 cell
-        frame = TelemetryFrame.from_counters(
-            dict(data["counters"]), timestamp_ns=int(data.get("exec_time_ns", 0))
-        )
+    """Rebuild a :class:`RunResult` from its persisted form."""
+    fields = {name: data[name] for name in RESULT_FIELDS if name != "telemetry"}
+    frame = TelemetryFrame.from_rows(data["telemetry"])
     fields["telemetry"] = frame if len(frame) else None
     fields["counters"] = frame.totals()
     return RunResult(benchmark=cell.benchmark, runtime=cell.runtime, cores=cell.cores, **fields)
@@ -256,9 +238,10 @@ class CampaignArtifact:
         if data.get("kind") != "repro-campaign":
             raise ValueError("not a campaign artifact (missing kind=repro-campaign)")
         schema = data.get("schema")
-        if schema not in (1, 2, ARTIFACT_SCHEMA):
+        if schema != ARTIFACT_SCHEMA:
             raise ValueError(
-                f"unsupported artifact schema {schema!r}; this build reads 1..{ARTIFACT_SCHEMA}"
+                f"unsupported artifact schema {schema!r}; this build reads only "
+                f"schema {ARTIFACT_SCHEMA}"
             )
         return cls(
             spec=CampaignSpec.from_json_dict(data["spec"]),

@@ -27,10 +27,9 @@ from typing import Any, Iterator, Mapping, Sequence
 from repro._version import __version__
 from repro.experiments.config import DEFAULT_SAMPLES, QUICK_CORE_COUNTS, ExperimentConfig
 from repro.kernel.config import StdParams
-from repro.platform.presets import default_platform
+from repro.platform.presets import default_platform, resolve_platform
 from repro.platform.spec import PlatformSpec
 from repro.runtime.config import HpxParams
-from repro.simcore.machine import MachineSpec
 
 #: Bump to invalidate every cached cell (cache layout / semantics change).
 #: v4: payloads carry telemetry sample rows; platform specs grew
@@ -120,8 +119,7 @@ class CampaignSpec:
             workload.validate()
             normalized.append(workload.canonical())
         object.__setattr__(self, "benchmarks", tuple(normalized))
-        if isinstance(self.platform, MachineSpec):
-            object.__setattr__(self, "platform", self.platform.to_platform())
+        object.__setattr__(self, "platform", resolve_platform(self.platform))
         if self.std is None:
             from repro.experiments.config import default_std_params
 
@@ -131,11 +129,6 @@ class CampaignSpec:
                 raise ValueError(f"unknown runtime {runtime!r}; expected one of {RUNTIMES}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-
-    @property
-    def machine(self) -> PlatformSpec:
-        """Legacy alias for :attr:`platform`."""
-        return self.platform
 
     @classmethod
     def from_config(
@@ -235,10 +228,6 @@ class CampaignSpec:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        if "platform" in data:
-            platform = PlatformSpec.from_json_dict(data["platform"])
-        else:  # pre-platform artifacts carry a flat MachineSpec dict
-            platform = MachineSpec(**data["machine"]).to_platform()
         return cls(
             benchmarks=tuple(data["benchmarks"]),
             runtimes=tuple(data["runtimes"]),
@@ -247,15 +236,14 @@ class CampaignSpec:
             seed=data["seed"],
             preset=data["preset"],
             params=dict(data["params"]),
-            platform=platform,
+            platform=PlatformSpec.from_json_dict(data["platform"]),
             hpx=HpxParams(**data["hpx"]),
             std=StdParams(**data["std"]),
             collect_counters=data["collect_counters"],
             counter_specs=(
                 tuple(data["counter_specs"]) if data["counter_specs"] is not None else None
             ),
-            # Pre-profiler artifacts (schema <= 2) know nothing of it.
-            profile=data.get("profile", False),
+            profile=data["profile"],
         )
 
     def spec_id(self) -> str:

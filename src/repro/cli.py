@@ -63,6 +63,8 @@ from repro.experiments.report import (
 )
 from repro.inncabs.suite import available_benchmarks, get_benchmark
 from repro.papi.hw import PapiSubstrate
+from repro.platform.presets import resolve_platform
+from repro.platform.spec import PlatformSpec
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
@@ -82,6 +84,25 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, Any]:
             except ValueError:
                 params[key] = value
     return params
+
+
+def _platform_arg(text: str) -> PlatformSpec:
+    """argparse type for ``--platform``: a preset name or platform file."""
+    try:
+        return resolve_platform(text)
+    except (ValueError, OSError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _cores_arg(text: str) -> int:
+    """argparse type for ``--cores``: a positive integer."""
+    try:
+        cores = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if cores < 1:
+        raise argparse.ArgumentTypeError(f"core count must be positive, got {cores}")
+    return cores
 
 
 def _add_workload_options(
@@ -106,6 +127,7 @@ def _add_workload_options(
         )
     parser.add_argument(
         "--platform",
+        type=_platform_arg,
         default=None,
         metavar="NAME|FILE",
         help="simulated node: preset name or platform file (default: ivybridge-2x10)",
@@ -162,7 +184,6 @@ def cmd_counters_list(args: argparse.Namespace) -> int:
     import fnmatch
 
     from repro.counters.providers import build_registry
-    from repro.platform.presets import resolve_platform
     from repro.workloads import WorkloadSpec
 
     workload_name = None
@@ -174,16 +195,11 @@ def cmd_counters_list(args: argparse.Namespace) -> int:
             print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
             return 2
         workload_name = workload.name
-    try:
-        platform = resolve_platform(args.platform)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     # Cores follow the named platform's full shape unless given
     # explicitly; the bare invocation keeps its historical 4 workers.
-    cores = args.cores if args.cores is not None else (platform.total_cores if args.platform else 4)
+    cores = args.cores or (args.platform.total_cores if args.platform is not None else 4)
     engine = Engine()
-    machine = Machine(platform)
+    machine = Machine(args.platform)
     runtime = HpxRuntime(engine, machine, num_workers=cores)
     env = CounterEnvironment(
         engine=engine, runtime=runtime, machine=machine, papi=PapiSubstrate(machine)
@@ -194,7 +210,7 @@ def cmd_counters_list(args: argparse.Namespace) -> int:
     available_providers: set[str] = set()
     for entry in registry.counter_types(args.pattern):
         info = entry.info
-        provider = registry.provider_of(info.type_name) or "builtin"
+        provider = registry.provider_of(info.type_name)
         available_providers.add(provider)
         if provider_filters and not any(
             fnmatch.fnmatch(provider, pat) for pat in provider_filters
@@ -284,7 +300,7 @@ def cmd_platform_list(_args: argparse.Namespace) -> int:
 
 
 def cmd_platform_show(args: argparse.Namespace) -> int:
-    from repro.platform import PlatformError, resolve_platform
+    from repro.platform import PlatformError
     from repro.simcore.topology import Topology
 
     try:
@@ -441,7 +457,6 @@ def cmd_workloads_show(args: argparse.Namespace) -> int:
 
 def cmd_taskbench(args: argparse.Namespace) -> int:
     from repro.inncabs.base import DEFAULT_SEED
-    from repro.platform import resolve_platform
     from repro.taskbench import metg_sweep
 
     if getattr(args, "mode", None) == "cohort":
@@ -452,7 +467,7 @@ def cmd_taskbench(args: argparse.Namespace) -> int:
         )
         return 2
     platform = resolve_platform(args.platform)
-    cores = args.cores if args.cores else platform.total_cores
+    cores = args.cores or platform.total_cores
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     runtimes = ("hpx", "std") if args.runtime == "both" else (args.runtime,)
     results = []
@@ -560,7 +575,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.campaign.engine import run_campaign
     from repro.campaign.spec import CampaignSpec
     from repro.experiments.config import QUICK_CORE_COUNTS
-    from repro.platform import resolve_platform
 
     core_counts = args.cores_list if args.cores_list else QUICK_CORE_COUNTS
     workloads = tuple(args.benchmarks or []) + tuple(args.workloads or [])
@@ -578,7 +592,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             seed=args.seed,
             preset=args.preset,
             params=params,
-            platform=resolve_platform(args.platform),
+            platform=args.platform,
             collect_counters=not args.no_counters,
             profile=args.profile,
         )
@@ -647,16 +661,24 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
     return status
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def _load_artifacts(*paths: str) -> list[Any] | None:
+    """Load campaign artifacts; on failure say why and return ``None``."""
     from repro.campaign.artifact import CampaignArtifact
-    from repro.campaign.compare import CompareThresholds, compare_artifacts, render_compare
 
     try:
-        baseline = CampaignArtifact.load(args.baseline)
-        current = CampaignArtifact.load(args.current)
+        return [CampaignArtifact.load(path) for path in paths]
     except (OSError, ValueError) as exc:
         print(f"error: cannot load artifact: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.campaign.compare import CompareThresholds, compare_artifacts, render_compare
+
+    loaded = _load_artifacts(args.baseline, args.current)
+    if loaded is None:
         return 2
+    baseline, current = loaded
     thresholds = CompareThresholds(exec_time=args.threshold, counters=args.counter_threshold)
     report = compare_artifacts(baseline, current, thresholds)
     print(render_compare(report, only_failures=args.only_failures))
@@ -680,9 +702,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
     artifact = None
     if args.artifact is not None:
-        from repro.campaign.artifact import CampaignArtifact
-
-        artifact = CampaignArtifact.load(args.artifact)
+        loaded = _load_artifacts(args.artifact)
+        if loaded is None:
+            return 2
+        (artifact,) = loaded
     kwargs: dict[str, Any] = {"config": config, "artifact": artifact, "jobs": args.jobs}
     fig = args.figure.lower()
     if fig in EXEC_TIME_FIGURES:
@@ -714,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--pattern", default=None, help="glob over type names")
     pc.add_argument(
         "--cores",
-        type=int,
+        type=_cores_arg,
         default=None,
         help="worker count the instance lists reflect "
         "(default: 4, or the named --platform's full core count)",
@@ -728,6 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc.add_argument(
         "--platform",
+        type=_platform_arg,
         default=None,
         metavar="NAME|FILE",
         help="simulated node: preset name or platform file (default: ivybridge-2x10)",
@@ -758,9 +782,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload name or NAME:key=val,... spec (see 'repro workloads list')",
     )
     pc.add_argument("--runtime", choices=("hpx", "std"), default="hpx")
-    pc.add_argument("--cores", type=int, default=4)
+    pc.add_argument("--cores", type=_cores_arg, default=4)
     pc.add_argument(
         "--platform",
+        type=_platform_arg,
         default=None,
         metavar="NAME|FILE",
         help="simulated node: preset name or platform file (default: ivybridge-2x10)",
@@ -805,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload name or NAME:key=val,... spec (or use --workload)",
     )
     p.add_argument("--runtime", choices=("hpx", "std"), default="hpx")
-    p.add_argument("--cores", type=int, default=1)
+    p.add_argument("--cores", type=_cores_arg, default=1)
     _add_workload_options(p, seed_default=None)
     p.add_argument(
         "--print-counter",
@@ -850,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload name or NAME:key=val,... spec (or use --workload)",
     )
     p.add_argument("--runtime", choices=("hpx", "std"), default="hpx")
-    p.add_argument("--cores", type=int, default=4)
+    p.add_argument("--cores", type=_cores_arg, default=4)
     _add_workload_options(p, seed_default=None)
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument(
@@ -917,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="backend(s) to sweep (default: both)",
     )
     p.add_argument(
-        "--cores", type=int, default=None, help="worker count (default: all platform cores)"
+        "--cores", type=_cores_arg, default=None, help="worker count (default: all platform cores)"
     )
     p.add_argument("--membytes", type=int, default=0, help="memory traffic per task (bytes)")
     p.add_argument(

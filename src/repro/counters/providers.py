@@ -2,18 +2,18 @@
 
 The paper's premise is a *uniform* counter namespace — "any code
 consuming counter data can be utilized to access arbitrary system
-information with minimal effort".  Historically our registry was
-runtime-owned: ``build_default_registry`` hardwired the built-in
-counter families and no workload could publish counters without
-editing core code.  This module inverts that ownership:
+information with minimal effort".  Every counter type enters a
+registry the same way, through :meth:`CounterRegistry.install
+<repro.counters.registry.CounterRegistry.install>` of a provider:
 
 - a :class:`CounterProvider` declares counter types (and their
   instances) against a :class:`~repro.counters.base.CounterEnvironment`;
   every declared type name is validated against the
   ``/object{instance}/counter`` grammar before it enters a registry;
-- the built-in families (threads, runtime, taskbench, papi) are
-  providers themselves — same registration functions, same order, so
-  provider-built registries are bit-identical to the legacy path;
+- the built-in families (threads, runtime, taskbench, papi, profiler)
+  are providers themselves: each family module returns its
+  :class:`~repro.counters.registry.CounterTypeEntry` list from one
+  ``*_counter_types(env)`` function;
 - :func:`build_registry` resolves the full provider chain for one run:
   built-ins → the workload's own ``WorkloadEntry.counter_providers`` →
   third-party providers discovered through the
@@ -37,7 +37,12 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol, Sequence, r
 
 from repro.counters.base import CounterEnvironment, CounterInfo, MonotonicCounter
 from repro.counters.names import CounterNameError, parse_counter_name
+from repro.counters.papi_counters import papi_counter_types
+from repro.counters.runtime_counters import runtime_counter_types
+from repro.counters.taskbench_counters import taskbench_counter_types
+from repro.counters.threads_counters import threads_counter_types
 from repro.counters.types import CounterType
+from repro.profiler.counters import profiler_counter_types
 
 if TYPE_CHECKING:  # imported lazily at runtime (registry imports this module)
     from repro.counters.base import PerformanceCounter
@@ -140,30 +145,12 @@ def validate_type_name(provider: str, type_name: Any) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _EntryCollector:
-    """Registry stand-in handed to the legacy ``register_*`` functions.
-
-    The built-in wiring modules register imperatively against a
-    registry; collecting their entries through this shim keeps those
-    functions — and therefore the built-in counter sets — byte-for-byte
-    identical to the pre-provider era.
-    """
-
-    def __init__(self, env: CounterEnvironment) -> None:
-        self.env = env
-        self.entries: list["CounterTypeEntry"] = []
-
-    def register(self, entry: "CounterTypeEntry") -> None:
-        """Collect one entry (the ``CounterRegistry.register`` shape)."""
-        self.entries.append(entry)
-
-
 @dataclass(frozen=True)
 class _BuiltinProvider:
-    """One built-in counter family, adapted from its register function."""
+    """One built-in counter family: its identity and its entry list."""
 
     name: str
-    register_fn: Callable[[Any], None]
+    types_fn: Callable[[CounterEnvironment], list["CounterTypeEntry"]]
     #: Environment attribute the family needs (``None``: always available).
     requires: str | None = None
 
@@ -171,54 +158,21 @@ class _BuiltinProvider:
         """Whether *env* carries the component this family observes."""
         return self.requires is None or getattr(env, self.requires) is not None
 
-    def counter_types(self, env: CounterEnvironment) -> tuple["CounterTypeEntry", ...]:
-        """Collect the family's entries by replaying its register function."""
-        collector = _EntryCollector(env)
-        self.register_fn(collector)
-        return tuple(collector.entries)
+    def counter_types(self, env: CounterEnvironment) -> list["CounterTypeEntry"]:
+        """The family's counter types for *env*."""
+        return self.types_fn(env)
 
 
-def _register_threads(registry: Any) -> None:
-    from repro.counters.threads_counters import register_threads_counters
-
-    register_threads_counters(registry)
-
-
-def _register_runtime(registry: Any) -> None:
-    from repro.counters.runtime_counters import register_runtime_counters
-
-    register_runtime_counters(registry)
-
-
-def _register_taskbench(registry: Any) -> None:
-    from repro.counters.taskbench_counters import register_taskbench_counters
-
-    register_taskbench_counters(registry)
-
-
-def _register_papi(registry: Any) -> None:
-    from repro.counters.papi_counters import register_papi_counters
-
-    register_papi_counters(registry)
-
-
-def _register_profiler(registry: Any) -> None:
-    from repro.profiler.counters import register_profiler_counters
-
-    register_profiler_counters(registry)
-
-
-#: The built-in provider chain, in legacy registration order (threads →
-#: runtime → taskbench → papi, then the profiler family added later) so
-#: registries stay bit-identical.
+#: The built-in provider chain, in registration order (threads →
+#: runtime → taskbench → papi, then the profiler family added later).
 _BUILTINS: tuple[_BuiltinProvider, ...] = (
-    _BuiltinProvider("builtin.threads", _register_threads, requires="runtime"),
-    _BuiltinProvider("builtin.runtime", _register_runtime, requires="runtime"),
-    _BuiltinProvider("builtin.taskbench", _register_taskbench, requires="runtime"),
-    _BuiltinProvider("builtin.papi", _register_papi, requires="papi"),
+    _BuiltinProvider("builtin.threads", threads_counter_types, requires="runtime"),
+    _BuiltinProvider("builtin.runtime", runtime_counter_types, requires="runtime"),
+    _BuiltinProvider("builtin.taskbench", taskbench_counter_types, requires="runtime"),
+    _BuiltinProvider("builtin.papi", papi_counter_types, requires="papi"),
     # Only present when a ProfileBuilder is attached to the run
     # (Session.run(profile=...)); gated like papi on its env component.
-    _BuiltinProvider("builtin.profiler", _register_profiler, requires="profiler"),
+    _BuiltinProvider("builtin.profiler", profiler_counter_types, requires="profiler"),
 )
 
 
@@ -306,8 +260,8 @@ def build_registry(
 ) -> "CounterRegistry":
     """Build one run's registry by resolving the provider chain.
 
-    Installation order — built-ins (gated on the environment exactly as
-    the legacy ``build_default_registry``), then the workload's
+    Installation order — built-ins (each gated on the environment
+    component it observes), then the workload's
     ``WorkloadEntry.counter_providers``, then ``importlib.metadata``
     entry points, then explicit *providers* — so built-in names can
     never be shadowed and conflicts blame the newcomer.

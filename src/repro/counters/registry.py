@@ -53,21 +53,15 @@ class CounterRegistry:
         self.env = env
         env.registry = self
         self._types: dict[str, CounterTypeEntry] = {}
-        # Counter type name -> provider identity ("" for direct register()).
+        # Counter type name -> identity of the provider that installed it.
         self._provenance: dict[str, str] = {}
 
-    # -- registration ------------------------------------------------------
-
-    def register(self, entry: CounterTypeEntry, *, provider: str = "") -> None:
-        """Add one counter type; duplicate type names are an error."""
-        type_name = entry.info.type_name
-        if type_name in self._types:
-            raise ValueError(f"counter type {type_name} already registered")
-        self._types[type_name] = entry
-        self._provenance[type_name] = provider
+    # -- installation ------------------------------------------------------
 
     def install(self, provider: "Any") -> list[str]:
         """Install every counter type a :class:`CounterProvider` declares.
+
+        This is the only way a counter type enters a registry.
 
         Type names are validated against the ``/object/counter`` grammar
         and checked for conflicts across providers; violations raise
@@ -85,11 +79,10 @@ class CounterRegistry:
         for entry in provider.counter_types(self.env):
             type_name = validate_type_name(pname, entry.info.type_name)
             if type_name in self._types:
-                holder = self._provenance.get(type_name) or "direct registration"
                 raise ProviderError(
                     f"provider {pname!r} declares counter type {type_name!r} already "
-                    f"registered by {holder!r}; counter type names must be unique "
-                    f"across providers — pick a distinct /object or counter name"
+                    f"registered by {self._provenance[type_name]!r}; counter type names "
+                    f"must be unique across providers — pick a distinct /object or counter name"
                 )
             self._types[type_name] = entry
             self._provenance[type_name] = pname
@@ -97,16 +90,12 @@ class CounterRegistry:
         return installed
 
     def provider_of(self, type_name: str) -> str:
-        """Provider identity that registered *type_name* ("" if direct)."""
+        """Provider identity that installed *type_name* ("" if unknown)."""
         return self._provenance.get(type_name, "")
 
     def providers(self) -> list[str]:
         """Distinct provider identities present in this registry."""
-        seen: list[str] = []
-        for pname in self._provenance.values():
-            if pname and pname not in seen:
-                seen.append(pname)
-        return seen
+        return list(dict.fromkeys(self._provenance.values()))
 
     # -- listing / discovery --------------------------------------------------
 
@@ -208,17 +197,3 @@ class CounterRegistry:
             help_text=f"{name.counter_name} over samples of {name.embedded_instance}",
         )
         return StatisticsCounter(name, info, self.env, underlying, name.counter_name, window)
-
-
-def build_default_registry(env: CounterEnvironment) -> CounterRegistry:
-    """Registry with every built-in counter type wired to *env*.
-
-    Legacy spelling of :func:`repro.counters.providers.build_registry`
-    without a workload: the built-in provider chain (gated on the
-    environment exactly as before) plus any third-party providers
-    installed through the ``repro.counter_providers`` entry-point group.
-    """
-    # Imported here to avoid a cycle (providers imports registry types).
-    from repro.counters.providers import build_registry
-
-    return build_registry(env)

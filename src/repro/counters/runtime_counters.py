@@ -10,7 +10,7 @@ from repro.counters.base import (
     RawCounter,
 )
 from repro.counters.names import CounterName
-from repro.counters.registry import CounterRegistry, CounterTypeEntry
+from repro.counters.registry import CounterTypeEntry
 from repro.counters.types import CounterType
 
 
@@ -18,44 +18,20 @@ def _total_only(env: CounterEnvironment) -> list[tuple[str, int | None]]:
     return [("total", None)]
 
 
-def register_runtime_counters(registry: CounterRegistry) -> None:
-    """Register ``/runtime/uptime`` and ``/runtime/count/tasks-live``."""
+def runtime_counter_types(env: CounterEnvironment) -> list[CounterTypeEntry]:
+    """``/runtime/uptime``, ``/runtime/count/tasks-live`` and
+    ``/scheduler/utilization/instantaneous`` (provider ``builtin.runtime``)."""
 
     def uptime_factory(
         name: CounterName, info: CounterInfo, env: CounterEnvironment
     ) -> PerformanceCounter:
         return ElapsedTimeCounter(name, info, env)
 
-    registry.register(
-        CounterTypeEntry(
-            info=CounterInfo(
-                type_name="/runtime/uptime",
-                counter_type=CounterType.ELAPSED_TIME,
-                help_text="Simulated wall time since last reset",
-                unit="ns",
-            ),
-            factory=uptime_factory,
-            instances=_total_only,
-        )
-    )
-
     def live_factory(
         name: CounterName, info: CounterInfo, env: CounterEnvironment
     ) -> PerformanceCounter:
         runtime = env.require("runtime")
         return RawCounter(name, info, env, lambda: runtime.stats.live_tasks)
-
-    registry.register(
-        CounterTypeEntry(
-            info=CounterInfo(
-                type_name="/runtime/count/tasks-live",
-                counter_type=CounterType.RAW,
-                help_text="Instantaneous number of live (unterminated) tasks",
-            ),
-            factory=live_factory,
-            instances=_total_only,
-        )
-    )
 
     def utilization_factory(
         name: CounterName, info: CounterInfo, env: CounterEnvironment
@@ -68,7 +44,26 @@ def register_runtime_counters(registry: CounterRegistry) -> None:
 
         return RawCounter(name, info, env, read)
 
-    registry.register(
+    return [
+        CounterTypeEntry(
+            info=CounterInfo(
+                type_name="/runtime/uptime",
+                counter_type=CounterType.ELAPSED_TIME,
+                help_text="Simulated wall time since last reset",
+                unit="ns",
+            ),
+            factory=uptime_factory,
+            instances=_total_only,
+        ),
+        CounterTypeEntry(
+            info=CounterInfo(
+                type_name="/runtime/count/tasks-live",
+                counter_type=CounterType.RAW,
+                help_text="Instantaneous number of live (unterminated) tasks",
+            ),
+            factory=live_factory,
+            instances=_total_only,
+        ),
         CounterTypeEntry(
             info=CounterInfo(
                 type_name="/scheduler/utilization/instantaneous",
@@ -78,5 +73,5 @@ def register_runtime_counters(registry: CounterRegistry) -> None:
             ),
             factory=utilization_factory,
             instances=_total_only,
-        )
-    )
+        ),
+    ]

@@ -30,7 +30,7 @@ from repro.counters.base import (
     RawCounter,
 )
 from repro.counters.names import CounterName
-from repro.counters.registry import CounterRegistry, CounterTypeEntry
+from repro.counters.registry import CounterTypeEntry
 from repro.counters.types import CounterType
 
 # Per-activation timestamping cost while a timing counter is active.
@@ -123,9 +123,9 @@ def _avg(num_total: str, den_total: str, num_worker: str, den_worker: str):
     return factory
 
 
-def register_threads_counters(registry: CounterRegistry) -> None:
-    """Register every ``/threads/...`` counter type."""
-    env = registry.env
+def threads_counter_types(env: CounterEnvironment) -> list[CounterTypeEntry]:
+    """Every ``/threads/...`` counter type (provider ``builtin.threads``)."""
+    entries: list[CounterTypeEntry] = []
 
     def entry(
         counter: str,
@@ -136,7 +136,7 @@ def register_threads_counters(registry: CounterRegistry) -> None:
         unit: str = "",
         instrument: int = 0,
     ) -> None:
-        registry.register(
+        entries.append(
             CounterTypeEntry(
                 info=CounterInfo(
                     type_name=f"/threads/{counter}",
@@ -220,7 +220,7 @@ def register_threads_counters(registry: CounterRegistry) -> None:
             partial(getattr, view, "pending_waits"),
         )
 
-    registry.register(
+    entries.append(
         CounterTypeEntry(
             info=CounterInfo(
                 type_name="/threads/wait-time/pending",
@@ -244,7 +244,7 @@ def register_threads_counters(registry: CounterRegistry) -> None:
             name, info, env, partial(getattr, runtime.probes.total, "suspended_tasks")
         )
 
-    registry.register(
+    entries.append(
         CounterTypeEntry(
             info=CounterInfo(
                 type_name="/threads/count/instantaneous/suspended",
@@ -270,7 +270,7 @@ def register_threads_counters(registry: CounterRegistry) -> None:
             lambda: sum(1 for w in runtime.workers if w.current is not None),
         )
 
-    registry.register(
+    entries.append(
         CounterTypeEntry(
             info=CounterInfo(
                 type_name="/threads/count/instantaneous/active",
@@ -360,3 +360,4 @@ def register_threads_counters(registry: CounterRegistry) -> None:
         unit="0.01%",
         instrument=IDLE_INSTRUMENT_NS,
     )
+    return entries

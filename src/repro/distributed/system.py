@@ -18,7 +18,8 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.counters.base import CounterEnvironment
-from repro.counters.registry import CounterRegistry, build_default_registry
+from repro.counters.providers import build_registry
+from repro.counters.registry import CounterRegistry
 from repro.distributed.agas import AgasCache, AgasService
 from repro.distributed.parcel import NetworkParams, Parcel, Parcelport
 from repro.papi.hw import PapiSubstrate
@@ -27,7 +28,7 @@ from repro.platform.spec import PlatformSpec
 from repro.runtime.config import HpxParams
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
-from repro.simcore.machine import Machine, MachineSpec
+from repro.simcore.machine import Machine
 
 
 class Locality:
@@ -57,7 +58,7 @@ class Locality:
             papi=PapiSubstrate(self.machine),
         )
         env.locality_id = locality_id  # type: ignore[attr-defined]
-        self.registry: CounterRegistry = build_default_registry(env)
+        self.registry: CounterRegistry = build_registry(env)
 
 
 class DistributedSystem:
@@ -69,19 +70,16 @@ class DistributedSystem:
         *,
         localities: int,
         cores_per_locality: int,
-        platform: PlatformSpec | MachineSpec | str | None = None,
-        machine_spec: MachineSpec | None = None,
+        platform: PlatformSpec | str | None = None,
         hpx_params: HpxParams | None = None,
         network: NetworkParams | None = None,
     ) -> None:
         if localities < 1:
             raise ValueError("need at least one locality")
-        if platform is not None and machine_spec is not None:
-            raise ValueError("pass either platform= or machine_spec=, not both")
         self.engine = engine
         self.network = network or NetworkParams()
         self.agas = AgasService()
-        spec = resolve_platform(platform if platform is not None else machine_spec)
+        spec = resolve_platform(platform)
         params = hpx_params or HpxParams()
         self.localities = [
             Locality(

@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.kernel.config import StdParams
-from repro.platform.presets import default_platform
+from repro.platform.presets import default_platform, resolve_platform
 from repro.platform.spec import PlatformSpec
 from repro.runtime.config import HpxParams
-from repro.simcore.machine import MachineSpec
 
 #: Live threads at which the scaled std::async model aborts.
 SCALED_THREAD_LIMIT = 3_000
@@ -59,11 +58,6 @@ PAPI_COUNTERS = (
 DEFAULT_COUNTERS = SOFTWARE_COUNTERS + PAPI_COUNTERS
 
 
-def default_machine_spec() -> MachineSpec:
-    """The Table III node, in the legacy even-shape spelling."""
-    return MachineSpec()
-
-
 def default_hpx_params() -> HpxParams:
     return HpxParams()
 
@@ -88,11 +82,5 @@ class ExperimentConfig:
     seed: int = 20160523
 
     def __post_init__(self) -> None:
-        # Accept the legacy even-shape spelling transparently.
-        if isinstance(self.platform, MachineSpec):
-            object.__setattr__(self, "platform", self.platform.to_platform())
-
-    @property
-    def machine(self) -> PlatformSpec:
-        """Legacy alias for :attr:`platform`."""
-        return self.platform
+        # A preset name or platform file resolves to its spec.
+        object.__setattr__(self, "platform", resolve_platform(self.platform))

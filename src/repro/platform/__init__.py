@@ -1,4 +1,4 @@
-"""Declarative platform layer: machine specs, resources, presets.
+"""Declarative platform layer: platform specs, resources, presets.
 
 The paper's figures are all products of one node (Table III's 2×10-core
 Ivy Bridge).  This package frees that axis: a validated, declarative
@@ -8,7 +8,9 @@ interconnect factor, exposed hardware events), a single
 :class:`ResourceModel` owns every piece of contention/latency math, and
 a preset registry plus TOML/JSON file loading make platforms sweepable
 inputs — ``Session(platform=...)``, ``repro run --platform``, campaign
-cells keyed by platform.
+cells keyed by platform.  A node is always a :class:`PlatformSpec` or a
+designator (preset name or platform file) that :func:`resolve_platform`
+turns into one.
 """
 
 from repro.platform.io import load_platform_file, platform_to_toml, save_platform_file

@@ -15,14 +15,12 @@ sweepable out of the box:
   slow cores) exercising uneven topologies end to end.
 
 ``resolve_platform`` is the front door: it accepts a preset name, a
-path to a TOML/JSON platform file, an already-built ``PlatformSpec``,
-or a legacy ``MachineSpec``-shaped object exposing ``to_platform()``.
+path to a TOML/JSON platform file, or an already-built ``PlatformSpec``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any
 
 from repro.platform.spec import PlatformError, PlatformSpec, SocketSpec, scaled_query_cost_ns
 
@@ -147,23 +145,16 @@ def default_platform() -> PlatformSpec:
     return get_platform(DEFAULT_PLATFORM)
 
 
-def resolve_platform(platform: Any | None) -> PlatformSpec:
+def resolve_platform(platform: PlatformSpec | str | None) -> PlatformSpec:
     """Normalize any accepted platform designator to a ``PlatformSpec``.
 
     Accepts ``None`` (the default platform), a ``PlatformSpec``, a
-    legacy spec object exposing ``to_platform()`` (``MachineSpec``), a
     preset name, or a path to a ``.toml``/``.json`` platform file.
     """
     if platform is None:
         return default_platform()
     if isinstance(platform, PlatformSpec):
         return platform
-    to_platform = getattr(platform, "to_platform", None)
-    if callable(to_platform):
-        spec = to_platform()
-        if not isinstance(spec, PlatformSpec):
-            raise PlatformError(f"{platform!r}.to_platform() did not return a PlatformSpec")
-        return spec
     if isinstance(platform, str):
         if platform in _PRESETS:
             return get_platform(platform)

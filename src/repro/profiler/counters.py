@@ -39,10 +39,10 @@ from repro.counters.base import (
     RawCounter,
 )
 from repro.counters.names import CounterName
-from repro.counters.registry import CounterRegistry, CounterTypeEntry
+from repro.counters.registry import CounterTypeEntry
 from repro.counters.types import CounterType
 
-__all__ = ["register_profiler_counters"]
+__all__ = ["profiler_counter_types"]
 
 
 def _total_only(env: CounterEnvironment) -> list[tuple[str, int | None]]:
@@ -58,8 +58,8 @@ def _check_total(name: CounterName) -> None:
         )
 
 
-def register_profiler_counters(registry: CounterRegistry) -> None:
-    """Register the ``/profiler/...`` counter types."""
+def profiler_counter_types(env: CounterEnvironment) -> list[CounterTypeEntry]:
+    """The ``/profiler/...`` counter types (provider ``builtin.profiler``)."""
 
     def work_factory(
         name: CounterName, info: CounterInfo, env: CounterEnvironment
@@ -99,7 +99,7 @@ def register_profiler_counters(registry: CounterRegistry) -> None:
         profiler = env.require("profiler")
         return RawCounter(name, info, env, lambda: profiler.active_count)
 
-    registry.register(
+    return [
         CounterTypeEntry(
             info=CounterInfo(
                 type_name="/profiler/work-ns",
@@ -109,9 +109,7 @@ def register_profiler_counters(registry: CounterRegistry) -> None:
             ),
             factory=work_factory,
             instances=_total_only,
-        )
-    )
-    registry.register(
+        ),
         CounterTypeEntry(
             info=CounterInfo(
                 type_name="/profiler/critical-path-ns",
@@ -122,9 +120,7 @@ def register_profiler_counters(registry: CounterRegistry) -> None:
             ),
             factory=critical_factory,
             instances=_total_only,
-        )
-    )
-    registry.register(
+        ),
         CounterTypeEntry(
             info=CounterInfo(
                 type_name="/profiler/work-span-ratio",
@@ -133,9 +129,7 @@ def register_profiler_counters(registry: CounterRegistry) -> None:
             ),
             factory=ratio_factory,
             instances=_total_only,
-        )
-    )
-    registry.register(
+        ),
         CounterTypeEntry(
             info=CounterInfo(
                 type_name="/profiler/logical-parallelism",
@@ -144,5 +138,5 @@ def register_profiler_counters(registry: CounterRegistry) -> None:
             ),
             factory=parallelism_factory,
             instances=_total_only,
-        )
-    )
+        ),
+    ]

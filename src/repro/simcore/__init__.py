@@ -9,7 +9,7 @@ runs are bit-for-bit deterministic.
 
 from repro.simcore.clock import MS, NS_PER_S, US, from_us, ms, ns_to_s, ns_to_us, s, us
 from repro.simcore.events import Engine, EventQueue, SimulationError, Timer
-from repro.simcore.machine import Core, Machine, MachineSpec
+from repro.simcore.machine import Core, Machine
 from repro.simcore.rng import derive_rng, derive_seed
 from repro.simcore.topology import BindMode, Topology
 
@@ -22,7 +22,6 @@ __all__ = [
     "Engine",
     "EventQueue",
     "Machine",
-    "MachineSpec",
     "SimulationError",
     "Timer",
     "Topology",

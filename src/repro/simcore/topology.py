@@ -4,9 +4,9 @@ The paper pins worker threads so sockets fill first (``taskset`` for the
 Standard versions, ``--hpx:bind`` for HPX, verified with ``htop``).
 :class:`Topology` reproduces that: it maps a requested worker count to a
 concrete list of core indices under a binding mode.  Topologies are
-built from any :class:`~repro.platform.spec.PlatformSpec` — including
-uneven socket shapes (1-socket desktops, asymmetric hybrids) — with the
-legacy even-shape ``MachineSpec`` accepted and converted.
+built from any :class:`~repro.platform.spec.PlatformSpec` or platform
+designator, including uneven socket shapes (1-socket desktops,
+asymmetric hybrids).
 """
 
 from __future__ import annotations
@@ -36,13 +36,8 @@ class BindMode(enum.Enum):
 class Topology:
     """Logical view of the platform for affinity decisions."""
 
-    def __init__(self, spec: PlatformSpec | object | None = None) -> None:
+    def __init__(self, spec: PlatformSpec | str | None = None) -> None:
         self.platform = resolve_platform(spec)
-
-    @property
-    def spec(self) -> PlatformSpec:
-        """The underlying platform (legacy spelling)."""
-        return self.platform
 
     def describe_core(self, core_index: int) -> str:
         """hwloc-like location string, e.g. ``socket#1/core#3``."""

@@ -104,10 +104,10 @@ class TelemetryFrame:
         units: Mapping[str, str] | None = None,
         run_id: str = "",
     ) -> "TelemetryFrame":
-        """Adapt a legacy ``{name: value}`` dict into a one-shot frame.
+        """Adapt a ``{name: value}`` dict into a one-shot frame.
 
-        The load path for pre-telemetry campaign artifacts (schema 1)
-        and for any result object that only carries a counter dict.
+        For results that only carry a counter dict, such as the median
+        totals of an aggregated scaling point.
         """
         units = units or {}
         return cls(

@@ -69,9 +69,8 @@ class Sample:
 def instance_of(name: str) -> str:
     """Best-effort resolved instance part of a counter-name string.
 
-    Used when adapting legacy ``{name: value}`` dicts (pre-telemetry
-    artifacts) into sample streams; malformed names degrade to an empty
-    instance rather than failing the load.
+    Used when adapting ``{name: value}`` dicts into sample streams;
+    malformed names degrade to an empty instance rather than failing.
     """
     from repro.counters.names import CounterNameError, parse_counter_name
 

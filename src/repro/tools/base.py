@@ -144,7 +144,7 @@ def run_with_tool(
     root_fn, root_args = bench.make_root(merged)
 
     engine = Engine()
-    machine = Machine(config.machine)
+    machine = Machine(config.platform)
     rt = InstrumentedStdRuntime(engine, machine, num_workers=cores, params=config.std, tool=tool)
     result = ToolRunResult(benchmark=benchmark, tool=tool.name, outcome=ToolOutcome.COMPLETED)
     try:

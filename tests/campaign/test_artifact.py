@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.campaign.artifact import ARTIFACT_SCHEMA, CampaignArtifact
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import run_strong_scaling
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 
 def test_save_load_roundtrip(small_run, tmp_path):
@@ -87,20 +90,28 @@ def test_run_result_round_trips_through_telemetry_rows(small_run):
     assert run_result_to_dict(restored) == dict(cr.result)
 
 
-def test_legacy_schema1_artifact_still_loads(small_run):
-    """Pre-telemetry artifacts (schema 1, counters dicts) load: counter
-    dicts are adapted into one-shot frames with identical totals."""
+@pytest.mark.parametrize("schema", [1, 2])
+def test_old_schemas_are_rejected(small_run, schema):
+    """Only the current layout loads; the error names both schemas."""
     data = small_run.artifact.to_json_dict()
-    data["schema"] = 1
-    for cell in data["cells"]:
-        rows = cell["result"].pop("telemetry")
-        cell["result"]["counters"] = {row["name"]: row["value"] for row in rows}
-    legacy = CampaignArtifact.from_json_dict(data)
-    for old, new in zip(small_run.artifact.cells, legacy.cells):
-        assert old.run_result().counters == new.run_result().counters
-    # Aggregation over the adapted cells matches the native artifact.
-    native = small_run.artifact.curve("fib", "hpx")
-    adapted = legacy.curve("fib", "hpx")
-    for mine, theirs in zip(native.points, adapted.points):
-        assert mine.counters == theirs.counters
-        assert mine.median_exec_ns == theirs.median_exec_ns
+    data["schema"] = schema
+    with pytest.raises(ValueError, match=rf"schema {schema}\b.*schema {ARTIFACT_SCHEMA}\b"):
+        CampaignArtifact.from_json_dict(data)
+
+
+def test_committed_artifacts_are_current():
+    """Every campaign artifact committed under ``results/`` loads with
+    this build, and its stored ``points`` are exactly what its cells
+    aggregate to."""
+    checked = 0
+    for path in sorted(RESULTS.rglob("*.json")):
+        if "cache" in path.relative_to(RESULTS).parts:
+            continue  # local result-cache entries, not artifacts
+        data = json.loads(path.read_text())
+        if not isinstance(data, dict) or data.get("kind") != "repro-campaign":
+            continue
+        assert data["schema"] == ARTIFACT_SCHEMA, path
+        artifact = CampaignArtifact.from_json_dict(data)
+        assert data["points"] == artifact.points_json(), path
+        checked += 1
+    assert checked >= 3

@@ -90,7 +90,7 @@ def test_from_config_matches_harness_defaults():
     assert spec.core_counts == (1, 8)
     assert spec.samples == 4
     assert spec.seed == config.seed
-    assert spec.machine == config.machine
+    assert spec.platform == config.platform
     assert spec.std == config.std  # the scaled-budget StdParams
 
 
@@ -113,24 +113,27 @@ def test_cache_key_sensitive_to_platform():
     assert len(keys) == 4
 
 
-def test_spec_accepts_legacy_machinespec():
-    from repro.simcore.machine import MachineSpec
+def test_string_platform_resolves_to_its_spec():
+    """A preset name is a platform designator like any other: the spec
+    holds the resolved PlatformSpec, so its cells key and run on it."""
+    from repro.campaign.engine import run_campaign
+    from repro.platform import get_platform
 
-    spec = make_spec(platform=MachineSpec())
-    assert spec.platform == MachineSpec().to_platform()
-    assert spec.machine == spec.platform  # legacy alias
-
-
-def test_from_json_dict_accepts_legacy_machine_key():
-    """Pre-platform artifacts (e.g. the committed CI baseline) carry a
-    flat MachineSpec dict under "machine"; they must still load."""
-    import dataclasses as _dc
-
-    from repro.simcore.machine import MachineSpec
-
-    data = make_spec().to_json_dict()
-    assert "platform" in data and "machine" not in data
-    del data["platform"]
-    data["machine"] = _dc.asdict(MachineSpec())
-    spec = CampaignSpec.from_json_dict(data)
-    assert spec.platform == MachineSpec().to_platform()
+    desktop = get_platform("desktop-1x8")
+    assert ExperimentConfig(platform="desktop-1x8").platform == desktop
+    named = CampaignSpec(
+        benchmarks=("fib",),
+        runtimes=("hpx",),
+        core_counts=(2,),
+        samples=1,
+        preset="small",
+        platform="desktop-1x8",
+    )
+    assert named.platform == desktop
+    assert named == dataclasses.replace(named, platform=desktop)
+    run = run_campaign(named)
+    assert run.stats.executed == 1 and run.stats.aborted == 0
+    (cell,) = run.artifact.cells
+    assert cell.key == cell_cache_key(dataclasses.replace(named, platform=desktop), cell.cell)
+    assert run.artifact.environment["machine_spec"] == "desktop-1x8"
+    assert run.artifact.spec.platform == desktop

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.counters.base import CounterEnvironment
-from repro.counters.registry import build_default_registry
+from repro.counters.providers import build_registry
 from repro.experiments.config import ExperimentConfig
 from repro.papi.hw import PapiSubstrate
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
-from repro.simcore.machine import Machine, MachineSpec
+from repro.simcore.machine import Machine
 
 settings.register_profile(
     "repro",
@@ -30,7 +30,7 @@ def engine() -> Engine:
 
 @pytest.fixture
 def machine() -> Machine:
-    return Machine(MachineSpec())
+    return Machine()
 
 
 @pytest.fixture
@@ -48,7 +48,7 @@ def counter_env(engine: Engine, machine: Machine, hpx4: HpxRuntime) -> CounterEn
 
 @pytest.fixture
 def registry(counter_env: CounterEnvironment):
-    return build_default_registry(counter_env)
+    return build_registry(counter_env)
 
 
 @pytest.fixture

@@ -101,8 +101,15 @@ def test_statistics_requires_embedded(registry):
 
 def test_duplicate_registration_rejected(registry):
     entry = registry.counter_types()[0]
+
+    class Duplicate:
+        name = "dup"
+
+        def counter_types(self, env):
+            return [entry]
+
     with pytest.raises(ValueError, match="already registered"):
-        registry.register(entry)
+        registry.install(Duplicate())
 
 
 def test_runtime_counters_total_only(registry):

@@ -11,12 +11,12 @@ from pathlib import Path
 import pytest
 
 from repro.counters.base import CounterEnvironment
-from repro.counters.registry import build_default_registry
+from repro.counters.providers import build_registry
 from repro.exec.backend import SchedulerBackend
 from repro.kernel.scheduler import StdRuntime
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
-from repro.simcore.machine import Machine, MachineSpec
+from repro.simcore.machine import Machine
 
 from tests.conftest import fib_body
 
@@ -26,14 +26,14 @@ WORKERS = 3
 
 def _make(runtime_name: str) -> SchedulerBackend:
     engine = Engine()
-    machine = Machine(MachineSpec())
+    machine = Machine()
     cls = HpxRuntime if runtime_name == "hpx" else StdRuntime
     return cls(engine, machine, num_workers=WORKERS)
 
 
 def _registry(rt):
     env = CounterEnvironment(engine=rt.engine, runtime=rt, machine=rt.machine)
-    return build_default_registry(env)
+    return build_registry(env)
 
 
 def test_both_runtimes_are_scheduler_backends():

@@ -11,8 +11,24 @@ from repro.platform import (
     resolve_platform,
     save_platform_file,
 )
-from repro.platform.spec import PlatformError, PlatformSpec
-from repro.simcore.machine import Machine, MachineSpec
+from repro.platform.spec import PlatformError, PlatformSpec, SocketSpec
+from repro.simcore.machine import Machine
+
+
+def table_iii_platform() -> PlatformSpec:
+    """The paper's node written out field by field (Table III)."""
+    socket = SocketSpec(
+        cores=10, freq_ghz=2.5, l3_bytes=25 * 1024 * 1024, peak_bw=42e9, per_core_bw=7.5e9
+    )
+    return PlatformSpec(
+        name="ivybridge-2x10",
+        sockets=(socket, socket),
+        cross_socket_factor=1.6,
+        ram_bytes=62 * 1024**3,
+        ipc=1.6,
+        l3_pressure_alpha=0.35,
+        l3_max_factor=2.5,
+    )
 
 
 def test_registry_contents():
@@ -27,9 +43,9 @@ def test_registry_contents():
 
 
 def test_default_preset_is_the_legacy_machinespec():
-    """The paper's node: the preset and the legacy default must agree
-    exactly, or every golden fixture in the repo would shift."""
-    assert default_platform() == MachineSpec().to_platform()
+    """The paper's node: the preset must hold exactly the Table III
+    values every golden fixture was recorded on."""
+    assert default_platform() == table_iii_platform()
 
 
 def test_resolve_platform_accepts_every_designator(tmp_path):
@@ -37,7 +53,6 @@ def test_resolve_platform_accepts_every_designator(tmp_path):
     spec = get_platform("desktop-1x8")
     assert resolve_platform(spec) is spec
     assert resolve_platform("desktop-1x8") == spec
-    assert resolve_platform(MachineSpec()) == default_platform()
     path = save_platform_file(spec, tmp_path / "node.toml")
     assert resolve_platform(str(path)) == spec
     with pytest.raises(PlatformError, match="unknown platform"):
@@ -58,10 +73,11 @@ def run_fib(**session_kwargs):
 
 
 def test_default_platform_reproduces_legacy_numbers():
-    """platform=None, the preset by name, and the legacy MachineSpec
-    must be bit-identical — the refactor moved the math, not changed it."""
+    """platform=None, the preset by name, and the Table III values
+    written out must be bit-identical — the refactor moved the math,
+    not changed it."""
     base = run_fib()
-    for kwargs in ({"platform": "ivybridge-2x10"}, {"machine": MachineSpec()}):
+    for kwargs in ({"platform": "ivybridge-2x10"}, {"platform": table_iii_platform()}):
         other = run_fib(**kwargs)
         assert other.exec_time_ns == base.exec_time_ns
         assert other.counters == base.counters
@@ -76,11 +92,6 @@ def test_platforms_actually_differ():
         assert result.verified
         results.add(result.exec_time_ns)
     assert len(results) >= 3  # the platform axis moves the simulation
-
-
-def test_session_rejects_platform_and_machine_together():
-    with pytest.raises(ValueError, match="not both"):
-        Session(platform="desktop-1x8", machine=MachineSpec())
 
 
 def test_papi_substrate_respects_platform_events():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.platform.spec import KNOWN_PAPI_EVENTS, PlatformError, PlatformSpec, SocketSpec
-from repro.simcore.machine import MachineSpec
 
 
 def make_platform(**overrides):
@@ -126,20 +125,6 @@ def test_from_json_dict_schema_validation():
         PlatformSpec.from_json_dict({"name": "x", "sockets": [{"cores": 2, "l3": 1}]})
     with pytest.raises(PlatformError, match="must be a list"):
         PlatformSpec.from_json_dict({"name": "x", "sockets": "2x10"})
-
-
-def test_machinespec_to_platform_is_lossless():
-    spec = MachineSpec(sockets=2, cores_per_socket=6, freq_ghz=3.0, cross_socket_factor=1.4)
-    platform = spec.to_platform()
-    assert platform.total_cores == spec.total_cores
-    assert [platform.socket_of(i) for i in range(12)] == [spec.socket_of(i) for i in range(12)]
-    assert MachineSpec.from_platform(platform) == spec
-
-
-def test_from_platform_rejects_uneven_shapes():
-    uneven = PlatformSpec(name="uneven", sockets=(SocketSpec(cores=3), SocketSpec(cores=5)))
-    with pytest.raises(ValueError, match="no MachineSpec spelling"):
-        MachineSpec.from_platform(uneven)
 
 
 def test_describe_mentions_every_socket():

@@ -5,20 +5,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.model.work import Work
-from repro.simcore.machine import Machine, MachineSpec
+from repro.platform.presets import default_platform
+from repro.simcore.machine import Machine
 
 
 def test_default_spec_matches_table_iii():
-    spec = MachineSpec()
-    assert spec.sockets == 2
-    assert spec.cores_per_socket == 10
+    spec = default_platform()
+    assert spec.num_sockets == 2
+    assert [socket.cores for socket in spec.sockets] == [10, 10]
     assert spec.total_cores == 20
-    assert spec.freq_ghz == 2.5
-    assert spec.l3_bytes_per_socket == 25 * 1024 * 1024
+    assert [socket.freq_ghz for socket in spec.sockets] == [2.5, 2.5]
+    assert [socket.l3_bytes for socket in spec.sockets] == [25 * 1024 * 1024] * 2
 
 
 def test_socket_of():
-    spec = MachineSpec()
+    spec = default_platform()
     assert spec.socket_of(0) == 0
     assert spec.socket_of(9) == 0
     assert spec.socket_of(10) == 1

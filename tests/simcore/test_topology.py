@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.simcore.machine import MachineSpec
 from repro.simcore.topology import BindMode, Topology
 
 
 @pytest.fixture
 def topo():
-    return Topology(MachineSpec())
+    return Topology("ivybridge-2x10")
 
 
 def test_bind_mode_parse():
@@ -64,7 +63,7 @@ def test_sockets_used(topo):
     st.sampled_from(list(BindMode)),
 )
 def test_property_binding_valid_and_distinct(n, mode):
-    topo = Topology(MachineSpec())
+    topo = Topology("ivybridge-2x10")
     binding = topo.binding(n, mode)
     assert len(binding) == n
     assert len(set(binding)) == n
@@ -73,7 +72,7 @@ def test_property_binding_valid_and_distinct(n, mode):
 
 @given(st.integers(min_value=1, max_value=10))
 def test_property_compact_single_socket_below_boundary(n):
-    topo = Topology(MachineSpec())
+    topo = Topology("ivybridge-2x10")
     assert topo.sockets_used(topo.binding(n, BindMode.COMPACT)) == {0}
 
 

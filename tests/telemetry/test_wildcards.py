@@ -10,7 +10,7 @@ import pytest
 
 from repro.counters.base import CounterEnvironment
 from repro.counters.names import CounterName, format_counter_name
-from repro.counters.registry import build_default_registry
+from repro.counters.providers import build_registry
 from repro.papi.hw import PapiSubstrate
 from repro.platform.presets import get_platform
 from repro.runtime.scheduler import HpxRuntime
@@ -28,7 +28,7 @@ def hybrid_registry():
     env = CounterEnvironment(
         engine=engine, runtime=runtime, machine=machine, papi=PapiSubstrate(machine)
     )
-    return build_default_registry(env)
+    return build_registry(env)
 
 
 def test_worker_thread_wildcard_covers_asymmetric_topology(hybrid_registry):

@@ -535,3 +535,68 @@ def test_taskbench_cli_samples_out(tmp_path, capsys):
     names = {row["name"] for row in rows}
     assert "/taskbench{locality#0/trivial}/metg@0.5" in names
     assert any("/efficiency@" in name for name in names)
+
+
+def _rejected(capsys, argv, option):
+    """Run *argv*, expect argparse to reject *option*; return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: " in err
+    assert "Traceback" not in err
+    return err
+
+
+def test_run_rejects_bad_platform_and_cores(capsys):
+    assert "unknown platform 'vax-11'" in _rejected(
+        capsys, ["run", "fib", "--platform", "vax-11"], "--platform"
+    )
+    assert "must be positive" in _rejected(capsys, ["run", "fib", "--cores", "0"], "--cores")
+
+
+def test_profile_rejects_bad_platform_and_cores(capsys):
+    assert "unknown platform" in _rejected(
+        capsys, ["profile", "fib", "--platform", "vax-11"], "--platform"
+    )
+    assert "must be positive" in _rejected(capsys, ["profile", "fib", "--cores", "0"], "--cores")
+
+
+def test_taskbench_rejects_bad_platform_and_cores(capsys):
+    assert "unknown platform" in _rejected(
+        capsys, ["taskbench", "--platform", "vax-11"], "--platform"
+    )
+    assert "must be positive" in _rejected(capsys, ["taskbench", "--cores", "0"], "--cores")
+
+
+def test_counters_query_rejects_bad_platform_and_cores(capsys):
+    assert "unknown platform" in _rejected(
+        capsys, ["counters", "query", "--platform", "vax-11"], "--platform"
+    )
+    assert "must be positive" in _rejected(capsys, ["counters", "query", "--cores", "0"], "--cores")
+
+
+def test_counters_list_rejects_bad_platform_and_cores(capsys):
+    assert "unknown platform" in _rejected(
+        capsys, ["counters", "list", "--platform", "vax-11"], "--platform"
+    )
+    assert "expected an integer" in _rejected(
+        capsys, ["counters", "list", "--cores", "four"], "--cores"
+    )
+    assert "must be positive" in _rejected(capsys, ["counters", "list", "--cores", "0"], "--cores")
+
+
+def test_campaign_rejects_bad_platform_at_parse_time(capsys, tmp_path):
+    missing = str(tmp_path / "no-such-node.toml")
+    argv = ["campaign", "--benchmarks", "fib", "--platform", missing]
+    assert "no-such-node.toml" in _rejected(capsys, argv, "--platform")
+
+
+def test_figure_unreadable_artifact_errors(capsys, tmp_path):
+    """An artifact figure cannot read gets compare's message and exit 2."""
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"kind": "repro-campaign", "schema": 1}))
+    assert main(["figure", "fig3", "--artifact", str(old)]) == 2
+    assert "error: cannot load artifact: unsupported artifact schema 1" in capsys.readouterr().err
+    assert main(["figure", "fig3", "--artifact", str(tmp_path / "missing.json")]) == 2
+    assert "error: cannot load artifact: " in capsys.readouterr().err
