@@ -62,6 +62,13 @@ RESULT_FIELDS = (
 )
 
 
+def _require(data: Mapping[str, Any], what: str, keys: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` naming the first of *keys* that *data* lacks."""
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} is missing required key {key!r}")
+
+
 def run_result_to_dict(result: RunResult) -> dict[str, Any]:
     """The persisted subset of a :class:`RunResult`."""
     data: dict[str, Any] = {}
@@ -111,6 +118,7 @@ class CellResult:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "CellResult":
+        _require(data, "cell", ("benchmark", "runtime", "cores", "sample", "seed", "key", "result"))
         cell = Cell(
             benchmark=data["benchmark"],
             runtime=data["runtime"],
@@ -243,6 +251,7 @@ class CampaignArtifact:
                 f"unsupported artifact schema {schema!r}; this build reads only "
                 f"schema {ARTIFACT_SCHEMA}"
             )
+        _require(data, "artifact", ("spec", "cells", "code_version", "created_unix", "environment"))
         return cls(
             spec=CampaignSpec.from_json_dict(data["spec"]),
             cells=[CellResult.from_json_dict(c) for c in data["cells"]],

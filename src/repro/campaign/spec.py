@@ -194,19 +194,18 @@ class CampaignSpec:
     def cell_params(self, cell: Cell) -> dict[str, Any]:
         """Fully-resolved workload parameters for *cell*.
 
-        Overlay order: preset < campaign-wide ``params`` < the cell's
-        own embedded workload parameters (most specific wins — two
-        variants of one workload in a matrix keep what distinguishes
-        them) < the cell seed.
+        The overlay of :func:`repro.workloads.overlay_params`: preset <
+        campaign-wide ``params`` < the cell's own embedded workload
+        parameters < the cell seed.
         """
-        from repro.workloads import WorkloadSpec, workload_preset_params
+        from repro.workloads import WorkloadSpec, overlay_params
 
-        workload = WorkloadSpec.parse(cell.benchmark)
-        params = workload_preset_params(workload.name, self.preset)
-        params.update(self.params)
-        params.update(workload.params)
-        params["seed"] = cell.seed
-        return params
+        return overlay_params(
+            WorkloadSpec.parse(cell.benchmark),
+            preset=self.preset,
+            params=self.params,
+            seed=cell.seed,
+        )
 
     def to_json_dict(self) -> dict[str, Any]:
         assert self.std is not None

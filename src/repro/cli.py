@@ -5,32 +5,40 @@ applications provide command line options related to performance
 counters, such as the ability to list available counter types, or
 periodically query specific counters"):
 
-- ``repro list-benchmarks`` — the Inncabs suite;
+- ``repro workloads list|show`` — the unified workload registry
+  (Inncabs with its Table V granularity, Task Bench, fmm), with
+  defaults and presets;
 - ``repro counters list|query`` — counter-type discovery and the
   telemetry front door: list the counter types (``--pattern ...``), or
-  run a benchmark and stream every sample (wildcards expanded) as CSV
+  run a workload and stream every sample (wildcards expanded) as CSV
   or JSON lines;
-- ``repro run BENCH --runtime hpx --cores 8 --print-counter NAME ...``
+- ``repro run WORKLOAD --runtime hpx --cores 8 --print-counter NAME ...``
   — one run with counters printed CSV-style;
-- ``repro workloads list|show`` — the unified workload registry
-  (Inncabs and Task Bench alike, with defaults and presets);
+- ``repro profile WORKLOAD --what-if body=NAME,speedup=PCT`` — causal
+  profile of one run;
+- ``repro platform list|show`` — the simulated nodes;
 - ``repro taskbench --shape stencil_1d --width 64 --steps 32`` — the
   METG(eps) sweep over a parameterized dependency graph;
-- ``repro table1`` / ``repro table5`` — regenerate the paper's tables;
-- ``repro figure fig5`` — regenerate one figure's series.
-
-``repro run``, ``repro campaign`` and ``repro taskbench`` share one
-``--workload NAME[:key=val,...]`` / ``--platform`` / ``--seed`` option
-group (see :func:`_add_workload_options`).
-
-Campaign layer (the parallel experiment engine):
-
+- ``repro table1`` / ``repro table5`` / ``repro figure fig5`` /
+  ``repro generate`` — regenerate the paper's tables and figures;
 - ``repro campaign --benchmarks fib sort --cores-list 1,2,4 --jobs 8``
-  — run a (benchmark, runtime, cores, seed) matrix over a process
-  pool with content-addressed caching, writing a versioned JSON
-  artifact under ``results/campaigns/``;
+  — run a (workload, runtime, cores, seed) matrix over a process pool
+  with content-addressed caching, writing a versioned JSON artifact
+  under ``results/campaigns/``;
 - ``repro compare BASELINE CURRENT --threshold 0.10`` — diff two
-  artifacts and exit non-zero on regression (the CI gate).
+  artifacts and exit non-zero on regression (the CI gate);
+- ``repro serve`` / ``repro bench-serve`` — the HTTP run server and its
+  load test.
+
+Every option more than one subcommand takes is declared once, in
+:data:`OPTIONS`; a subcommand names the shared options it takes and
+overrides only their default.  ``run``, ``profile``, ``counters`` and
+``campaign`` resolve workloads through one function, :func:`_workload`.
+A user's mistake ends the same way on every subcommand: single-argument
+checks are argparse converters, and :func:`main` turns the library's
+validation errors (``ValueError``) into ``error: <message>`` on stderr
+and exit status 2.  Errors from a running simulation
+(``DeadlockError``, ``SimulationError``) keep their traceback.
 """
 
 from __future__ import annotations
@@ -38,11 +46,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
+from repro.api import Session
+from repro.campaign.spec import RUNTIMES
 from repro.counters.base import CounterEnvironment
 from repro.counters.manager import format_counter_values
-from repro.experiments.config import DEFAULT_COUNTERS, ExperimentConfig
+from repro.exec.modes import EXECUTION_MODES
+from repro.experiments.config import (
+    DEFAULT_COUNTERS,
+    DEFAULT_SAMPLES,
+    QUICK_CORE_COUNTS,
+    ExperimentConfig,
+)
 from repro.experiments.figures import (
     BANDWIDTH_FIGURES,
     EXEC_TIME_FIGURES,
@@ -51,9 +67,6 @@ from repro.experiments.figures import (
     execution_time_figure,
     overhead_figure,
 )
-from repro.api import Session
-from repro.exec.modes import EXECUTION_MODES, CohortIneligibleError
-from repro.experiments.tables import table1, table5
 from repro.experiments.report import (
     render_bandwidth_figure,
     render_execution_time_figure,
@@ -61,140 +74,209 @@ from repro.experiments.report import (
     render_table1,
     render_table5,
 )
-from repro.inncabs.suite import available_benchmarks, get_benchmark
+from repro.experiments.tables import table1, table5
+from repro.inncabs.base import DEFAULT_SEED
+from repro.inncabs.suite import available_benchmarks
 from repro.papi.hw import PapiSubstrate
 from repro.platform.presets import resolve_platform
-from repro.platform.spec import PlatformSpec
+from repro.profiler import parse_what_if
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
+from repro.simcore.topology import check_workers
+from repro.workloads import WorkloadSpec, overlay_params, parse_param
+
+FIGURES = {**EXEC_TIME_FIGURES, **OVERHEAD_FIGURES, **BANDWIDTH_FIGURES}
 
 
-def _parse_params(pairs: Sequence[str]) -> dict[str, Any]:
-    params: dict[str, Any] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise SystemExit(f"--param expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
+def _converter(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    """An argparse ``type=`` from a library parser: its error is a usage error."""
+
+    def convert(text: str) -> Any:
         try:
-            params[key] = int(value)
-        except ValueError:
-            try:
-                params[key] = float(value)
-            except ValueError:
-                params[key] = value
-    return params
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
-def _platform_arg(text: str) -> PlatformSpec:
-    """argparse type for ``--platform``: a preset name or platform file."""
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a positive integer."""
     try:
-        return resolve_platform(text)
-    except (ValueError, OSError) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _cores_arg(text: str) -> int:
-    """argparse type for ``--cores``: a positive integer."""
-    try:
-        cores = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if cores < 1:
-        raise argparse.ArgumentTypeError(f"core count must be positive, got {cores}")
-    return cores
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
-def _add_workload_options(
-    parser: argparse.ArgumentParser,
-    *,
-    workload: bool = True,
-    seed_default: int | None = 20160523,
-) -> None:
-    """The shared ``--workload`` / ``--platform`` / ``--seed`` option group.
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type for ``--cores-list``: "1,2,4" -> (1, 2, 4)."""
+    return tuple(_positive_int(item) for item in text.split(","))
 
-    ``repro run``, ``repro campaign`` and ``repro taskbench`` all pull
-    their workload-selection surface from here so the spellings stay
-    identical across subcommands.
-    """
-    if workload:
-        parser.add_argument(
-            "--workload",
-            default=None,
-            metavar="NAME[:key=val,...]",
-            help="workload spec in canonical form, e.g. taskbench:shape=fft,width=8 "
-            "(see 'repro workloads list')",
-        )
-    parser.add_argument(
-        "--platform",
-        type=_platform_arg,
+
+def _figure(text: str) -> str:
+    """argparse type for ``repro figure``'s FIGURE: a known figure id."""
+    if text.lower() not in FIGURES:
+        known = ", ".join(sorted(FIGURES))
+        raise argparse.ArgumentTypeError(f"unknown figure {text!r}; known: {known}")
+    return text.lower()
+
+
+#: Every option more than one subcommand takes: flag -> ``add_argument``
+#: keywords.  :func:`_options` adds them, with a subcommand's own default.
+OPTIONS: dict[str, dict[str, Any]] = {
+    "benchmark": dict(
+        nargs="?",
+        default=None,
+        metavar="WORKLOAD",
+        help="workload name or NAME:key=val,... spec (or use --workload)",
+    ),
+    "--workload": dict(
+        default=None,
+        metavar="NAME[:key=val,...]",
+        help="workload spec, e.g. taskbench:shape=fft,width=8 (see 'repro workloads list')",
+    ),
+    "--runtime": dict(choices=RUNTIMES, default="hpx", help="runtime backend"),
+    "--cores": dict(type=_positive_int, default=None, metavar="N", help="worker threads"),
+    "--platform": dict(
+        type=_converter(resolve_platform),
         default=None,
         metavar="NAME|FILE",
         help="simulated node: preset name or platform file (default: ivybridge-2x10)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=seed_default,
-        help="root seed (default: the paper's 20160523)",
-    )
-    parser.add_argument(
-        "--mode",
+    ),
+    "--seed": dict(type=int, default=None, help="root seed (default: the paper's 20160523)"),
+    "--mode": dict(
         choices=EXECUTION_MODES,
         default=None,
         help="execution mode: 'exact' replays every task event, 'cohort' advances "
         "homogeneous task populations analytically (default: exact)",
-    )
+    ),
+    "--preset": dict(
+        choices=("small", "default", "large", "paper"),
+        default="default",
+        help="input set (Inncabs-style); --param overrides on top",
+    ),
+    "--param": dict(
+        type=_converter(parse_param),
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="workload parameter override (repeatable)",
+    ),
+    "--benchmarks": dict(
+        nargs="*",
+        choices=available_benchmarks(),
+        default=None,
+        help="Inncabs benchmarks to include (default: all fourteen)",
+    ),
+    "--jobs": dict(type=_positive_int, default=1, help="worker processes (1 = serial)"),
+    "--samples": dict(type=_positive_int, default=DEFAULT_SAMPLES, help="samples per point"),
+    "--cores-list": dict(
+        type=_int_list, default=QUICK_CORE_COUNTS, help="comma-separated core counts"
+    ),
+    "--cache-dir": dict(
+        default=None,
+        metavar="DIR",
+        help="result cache root (default: results/campaigns/cache)",
+    ),
+    "--no-cache": dict(action="store_true", help="always execute, never read the cache"),
+    "--no-counters": dict(action="store_true", help="disable instrumentation"),
+    "--out": dict(default=None, metavar="FILE", help="output file"),
+    "--verbose": dict(action="store_true", help="more detail (progress goes to stderr)"),
+    "--workers": dict(type=_positive_int, default=None, help="server worker processes"),
+}
 
 
-def _resolve_cli_workload(args: argparse.Namespace) -> "Any":
-    """Build the WorkloadSpec a ``repro run``-style invocation names.
+#: The options of the commands that run one workload (``run``, ``profile``).
+ONE_WORKLOAD = (
+    "benchmark",
+    "--workload",
+    "--runtime",
+    "--cores",
+    "--platform",
+    "--seed",
+    "--mode",
+    "--preset",
+    "--param",
+)
 
-    Exactly one of the positional ``benchmark`` and ``--workload`` must
-    be given.  Overlay order matches campaigns: preset < ``--param`` <
-    parameters embedded in the workload spec < ``--seed`` / ``--mode``.
+
+def _options(parser: argparse.ArgumentParser, *names: str, **defaults: Any) -> None:
+    """Add the shared options *names*; *defaults* overrides some by dest."""
+    for name in names:
+        kwargs = dict(OPTIONS[name])
+        dest = name.lstrip("-").replace("-", "_")
+        if dest in defaults:
+            kwargs["default"] = defaults[dest]
+        parser.add_argument(name, **kwargs)
+
+
+def _workload(args: argparse.Namespace, text: str | None = None) -> WorkloadSpec:
+    """The workload *text* names, with the command's overrides applied.
+
+    *text* defaults to the one workload ``run``/``profile`` name, by
+    positional or ``--workload``.  ``--preset``, ``--param`` and
+    ``--seed`` overlay in :func:`~repro.workloads.overlay_params` order,
+    then ``--mode``.  Unknown workload and preset names (the registry's
+    ``KeyError``) become ``ValueError`` here, where they are looked up,
+    and the spec is validated, so a mistake surfaces before a command
+    writes anything.
     """
-    from repro.workloads import WorkloadSpec, workload_preset_params
-
-    named = [text for text in (getattr(args, "benchmark", None), args.workload) if text]
-    if len(named) != 1:
-        raise SystemExit("name exactly one workload (positional BENCHMARK or --workload)")
+    if text is None:
+        named = [name for name in (args.benchmark, args.workload) if name]
+        if len(named) != 1:
+            raise ValueError("name exactly one workload (positional WORKLOAD or --workload)")
+        (text,) = named
+    workload = WorkloadSpec.parse(text)
     try:
-        workload = WorkloadSpec.parse(named[0])
-        params = workload_preset_params(workload.name, getattr(args, "preset", "default"))
-    except (ValueError, KeyError) as exc:
-        raise SystemExit(f"error: {exc.args[0] if exc.args else exc}")
-    params.update(_parse_params(getattr(args, "param", [])))
-    params.update(workload.params)
-    if args.seed is not None:
-        params["seed"] = args.seed
-    if getattr(args, "mode", None) is not None:
-        params["mode"] = args.mode
-    return WorkloadSpec(workload.name, params)
+        params = overlay_params(
+            workload,
+            preset=getattr(args, "preset", "default"),
+            params=dict(getattr(args, "param", ())),
+            seed=getattr(args, "seed", None),
+        )
+        if getattr(args, "mode", None) is not None:
+            params["mode"] = args.mode
+        workload = WorkloadSpec(workload.name, params)
+        workload.validate()
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+    return workload
 
 
-def cmd_list_benchmarks(_args: argparse.Namespace) -> int:
-    for name in available_benchmarks():
-        info = get_benchmark(name).info
-        print(f"{name:11s} {info.structure:21s} {info.paper_granularity:18s} {info.description}")
-    return 0
+def _check_cores(args: argparse.Namespace) -> None:
+    """Reject core counts the command's platform cannot bind, before it runs."""
+    counts = [getattr(args, "cores", None), *getattr(args, "cores_list", ())]
+    counts = [cores for cores in counts if cores is not None]
+    if counts:
+        platform = resolve_platform(getattr(args, "platform", None))
+        for cores in counts:
+            check_workers(platform, cores)
+
+
+def _load(what: str, load: Callable[[str], Any], path: str) -> Any:
+    """``load(path)``; an unreadable file is the user's error."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot load {what}: {exc}") from None
+
+
+def _load_artifact(path: str) -> Any:
+    from repro.campaign.artifact import CampaignArtifact
+
+    return _load("artifact", CampaignArtifact.load, path)
 
 
 def cmd_counters_list(args: argparse.Namespace) -> int:
     import fnmatch
 
     from repro.counters.providers import build_registry
-    from repro.workloads import WorkloadSpec
 
-    workload_name = None
-    if args.workload:
-        try:
-            workload = WorkloadSpec.parse(args.workload)
-            workload.validate()
-        except (ValueError, KeyError) as exc:
-            print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-            return 2
-        workload_name = workload.name
+    workload_name = _workload(args, args.workload).name if args.workload else None
     # Cores follow the named platform's full shape unless given
     # explicitly; the bare invocation keeps its historical 4 workers.
     cores = args.cores or (args.platform.total_cores if args.platform is not None else 4)
@@ -238,36 +320,22 @@ def cmd_counters_list(args: argparse.Namespace) -> int:
 
 def cmd_counters_query(args: argparse.Namespace) -> int:
     from repro.telemetry import CsvSink, JsonLinesSink, TelemetryConfig
-    from repro.workloads import WorkloadSpec, workload_preset_params
 
-    try:
-        workload = WorkloadSpec.parse(args.benchmark)
-        params = workload_preset_params(workload.name, args.preset)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return 2
-    params.update(_parse_params(args.param))
-    params.update(workload.params)
-    if getattr(args, "mode", None) is not None:
-        params["mode"] = args.mode
+    workload = _workload(args, args.benchmark)
     specs = tuple(args.specs) if args.specs else DEFAULT_COUNTERS
     # A path destination is owned by the sink (the pipeline closes it
     # when the run finishes); stdout is borrowed and only flushed.
     dest: Any = args.out if args.out else sys.stdout
     sink = (CsvSink if args.format == "csv" else JsonLinesSink)(dest)
     session = Session(runtime=args.runtime, cores=args.cores, platform=args.platform)
-    try:
-        result = session.run(
-            WorkloadSpec(workload.name, params),
-            telemetry=TelemetryConfig(
-                counters=specs,
-                interval_ns=None if args.interval is None else round(args.interval * 1e6),
-                sinks=(sink,),
-            ),
-        )
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = session.run(
+        workload,
+        telemetry=TelemetryConfig(
+            counters=specs,
+            interval_ns=None if args.interval is None else round(args.interval * 1e6),
+            sinks=(sink,),
+        ),
+    )
     if result.aborted:
         print(f"{args.benchmark} [{args.runtime}]: ABORT: {result.abort_reason}", file=sys.stderr)
         return 1
@@ -300,14 +368,9 @@ def cmd_platform_list(_args: argparse.Namespace) -> int:
 
 
 def cmd_platform_show(args: argparse.Namespace) -> int:
-    from repro.platform import PlatformError
     from repro.simcore.topology import Topology
 
-    try:
-        spec = resolve_platform(args.name)
-    except (PlatformError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = resolve_platform(args.name)
     print(spec.describe())
     topology = Topology(spec)
     print("\ntopology:")
@@ -320,10 +383,8 @@ def cmd_platform_show(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.counters.manager import format_counter_values
-
     specs = tuple(args.print_counter) if args.print_counter else DEFAULT_COUNTERS
-    workload = _resolve_cli_workload(args)
+    workload = _workload(args)
     destination = None
     sink = None
     if args.print_counter_interval is not None:
@@ -336,7 +397,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         session = Session(runtime=args.runtime, cores=args.cores, platform=args.platform)
         result = session.run(
             workload,
-            counters=specs if args.runtime == "hpx" else None,
+            counters=specs,
             collect_counters=not args.no_counters,
             query_interval_ns=(
                 None
@@ -345,9 +406,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             ),
             query_sink=sink,
         )
-    except CohortIneligibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         if destination is not None:
             destination.close()
@@ -368,25 +426,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    from repro.profiler import ProfileConfig, parse_what_if
+    from repro.profiler import ProfileConfig
 
-    workload = _resolve_cli_workload(args)
-    try:
-        what_if = tuple(parse_what_if(text) for text in args.what_if)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    workload = _workload(args)
     keep_events = args.chrome_out is not None
     session = Session(runtime=args.runtime, cores=args.cores, platform=args.platform)
-    try:
-        result = session.run(
-            workload,
-            collect_counters=args.counters,
-            profile=ProfileConfig(what_if=what_if, keep_events=keep_events),
-        )
-    except (CohortIneligibleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = session.run(
+        workload,
+        collect_counters=args.counters,
+        profile=ProfileConfig(what_if=tuple(args.what_if), keep_events=keep_events),
+    )
     profile = result.profile
     if result.aborted:
         print(f"{workload.name} [{args.runtime}, {args.cores} cores]: ABORT")
@@ -429,18 +478,18 @@ def cmd_workloads_list(_args: argparse.Namespace) -> int:
     for name in available_workloads():
         entry = get_workload(name)
         presets = ",".join(["default", *sorted(entry.presets)])
-        print(f"{name:11s} {entry.family:9s} presets={presets:21s} {entry.description}")
+        granularity = entry.benchmark.info.paper_granularity
+        print(
+            f"{name:11s} {entry.family:9s} {granularity:18s} presets={presets:21s} "
+            f"{entry.description}"
+        )
     return 0
 
 
 def cmd_workloads_show(args: argparse.Namespace) -> int:
     from repro.workloads import get_workload
 
-    try:
-        entry = get_workload(args.name)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    entry = get_workload(_workload(args, args.name).name)
     info = entry.benchmark.info
     print(f"{entry.name} ({entry.family}): {entry.description}")
     print(f"  structure: {info.structure}, synchronization: {info.synchronization}")
@@ -456,20 +505,11 @@ def cmd_workloads_show(args: argparse.Namespace) -> int:
 
 
 def cmd_taskbench(args: argparse.Namespace) -> int:
-    from repro.inncabs.base import DEFAULT_SEED
     from repro.taskbench import metg_sweep
 
-    if getattr(args, "mode", None) == "cohort":
-        print(
-            "error: the METG sweep probes scheduling efficiency per grain and "
-            "only runs in exact mode",
-            file=sys.stderr,
-        )
-        return 2
     platform = resolve_platform(args.platform)
     cores = args.cores or platform.total_cores
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    runtimes = ("hpx", "std") if args.runtime == "both" else (args.runtime,)
+    runtimes = (args.runtime,) if args.runtime else RUNTIMES
     results = []
     for runtime in runtimes:
 
@@ -485,7 +525,7 @@ def cmd_taskbench(args: argparse.Namespace) -> int:
             runtime=runtime,
             cores=cores,
             eps=args.eps,
-            seed=seed,
+            seed=args.seed,
             platform=platform,
             membytes=args.membytes,
             degree=args.degree,
@@ -548,57 +588,33 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cores_list(text: str) -> tuple[int, ...]:
-    """argparse type for ``--cores-list``: "1,2,4" -> (1, 2, 4)."""
-    try:
-        cores = tuple(int(c) for c in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not cores or any(c < 1 for c in cores):
-        raise argparse.ArgumentTypeError(f"core counts must be positive, got {text!r}")
-    return cores
-
-
-def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    kwargs: dict[str, Any] = {}
-    if getattr(args, "samples", None):
-        kwargs["samples"] = args.samples
-    if getattr(args, "cores_list", None):
-        kwargs["core_counts"] = args.cores_list
-    return ExperimentConfig(**kwargs)
-
-
 def cmd_campaign(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.campaign.cache import ResultCache
     from repro.campaign.engine import run_campaign
     from repro.campaign.spec import CampaignSpec
-    from repro.experiments.config import QUICK_CORE_COUNTS
 
-    core_counts = args.cores_list if args.cores_list else QUICK_CORE_COUNTS
     workloads = tuple(args.benchmarks or []) + tuple(args.workloads or [])
     if not workloads:
         workloads = tuple(available_benchmarks())
-    params = _parse_params(args.param)
-    if getattr(args, "mode", None) is not None:
+    for text in workloads:  # every name, preset and parameter, before any cell runs
+        _workload(args, text)
+    params = dict(args.param)
+    if args.mode is not None:
         params["mode"] = args.mode
-    try:
-        spec = CampaignSpec(
-            benchmarks=workloads,
-            runtimes=tuple(args.runtimes),
-            core_counts=core_counts,
-            samples=args.samples,
-            seed=args.seed,
-            preset=args.preset,
-            params=params,
-            platform=args.platform,
-            collect_counters=not args.no_counters,
-            profile=args.profile,
-        )
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return 2
+    spec = CampaignSpec(
+        benchmarks=workloads,
+        runtimes=tuple(args.runtimes),
+        core_counts=args.cores_list,
+        samples=args.samples,
+        seed=args.seed,
+        preset=args.preset,
+        params=params,
+        platform=args.platform,
+        collect_counters=not args.no_counters,
+        profile=args.profile,
+    )
     cache = None
     if not args.no_cache:
         cache = ResultCache(Path(args.cache_dir)) if args.cache_dir else ResultCache.default()
@@ -628,8 +644,13 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_serve(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from repro.experiments.bench_serve import compare_to_baseline, render, run_bench_serve
 
+    baseline = None
+    if args.baseline:
+        baseline = _load("baseline", lambda path: json.loads(Path(path).read_text()), args.baseline)
     result = run_bench_serve(
         args.mode,
         clients=args.clients,
@@ -643,42 +664,22 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
     if args.out:
         result.save(args.out)
         print(f"\nwrote {args.out}")
-    status = 0
-    if args.baseline:
-        try:
-            baseline = json.loads(open(args.baseline).read())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-        failures = compare_to_baseline(payload, baseline, threshold=args.threshold)
-        if failures:
-            print(f"\nFAIL: serve load regression vs {args.baseline}:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            status = 1
-        else:
-            print(f"\ngate OK vs {args.baseline} (threshold x{args.threshold:g})")
-    return status
-
-
-def _load_artifacts(*paths: str) -> list[Any] | None:
-    """Load campaign artifacts; on failure say why and return ``None``."""
-    from repro.campaign.artifact import CampaignArtifact
-
-    try:
-        return [CampaignArtifact.load(path) for path in paths]
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load artifact: {exc}", file=sys.stderr)
-        return None
+    if baseline is None:
+        return 0
+    failures = compare_to_baseline(payload, baseline, threshold=args.threshold)
+    if failures:
+        print(f"\nFAIL: serve load regression vs {args.baseline}:", file=sys.stderr)
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
+        return 1
+    print(f"\ngate OK vs {args.baseline} (threshold x{args.threshold:g})")
+    return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     from repro.campaign.compare import CompareThresholds, compare_artifacts, render_compare
 
-    loaded = _load_artifacts(args.baseline, args.current)
-    if loaded is None:
-        return 2
-    baseline, current = loaded
+    baseline, current = _load_artifact(args.baseline), _load_artifact(args.current)
     thresholds = CompareThresholds(exec_time=args.threshold, counters=args.counter_threshold)
     report = compare_artifacts(baseline, current, thresholds)
     print(render_compare(report, only_failures=args.only_failures))
@@ -692,31 +693,32 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_table5(args: argparse.Namespace) -> int:
-    config = _experiment_config(args)
+    config = ExperimentConfig(samples=args.samples, core_counts=args.cores_list)
     rows = table5(benchmarks=args.benchmarks or None, config=config, jobs=args.jobs)
     print(render_table5(rows))
     return 0
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    config = _experiment_config(args)
-    artifact = None
-    if args.artifact is not None:
-        loaded = _load_artifacts(args.artifact)
-        if loaded is None:
-            return 2
-        (artifact,) = loaded
+    config = ExperimentConfig(samples=args.samples, core_counts=args.cores_list)
+    artifact = _load_artifact(args.artifact) if args.artifact is not None else None
     kwargs: dict[str, Any] = {"config": config, "artifact": artifact, "jobs": args.jobs}
-    fig = args.figure.lower()
-    if fig in EXEC_TIME_FIGURES:
-        print(render_execution_time_figure(execution_time_figure(fig, **kwargs)))
-    elif fig in OVERHEAD_FIGURES:
-        print(render_overhead_figure(overhead_figure(fig, **kwargs)))
-    elif fig in BANDWIDTH_FIGURES:
-        print(render_bandwidth_figure(bandwidth_figure(fig, **kwargs)))
+    if args.figure in EXEC_TIME_FIGURES:
+        print(render_execution_time_figure(execution_time_figure(args.figure, **kwargs)))
+    elif args.figure in OVERHEAD_FIGURES:
+        print(render_overhead_figure(overhead_figure(args.figure, **kwargs)))
     else:
-        known = sorted({**EXEC_TIME_FIGURES, **OVERHEAD_FIGURES, **BANDWIDTH_FIGURES})
-        raise SystemExit(f"unknown figure {args.figure!r}; known: {', '.join(known)}")
+        print(render_bandwidth_figure(bandwidth_figure(args.figure, **kwargs)))
+    return 0
+
+
+def cmd_generate(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from repro.experiments.generate import generate_all
+
+    generate_all(Path(args.outdir), samples=args.samples, jobs=args.jobs, cache_dir=args.cache_dir)
+    print(f"wrote results to {args.outdir}/")
     return 0
 
 
@@ -728,34 +730,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("list-benchmarks", help="list the Inncabs suite")
-    p.set_defaults(fn=cmd_list_benchmarks)
-
     p = sub.add_parser("counters", help="telemetry front door: list counter types, stream samples")
     counters_sub = p.add_subparsers(dest="counters_command", required=True)
     pc = counters_sub.add_parser("list", help="list available counter types")
     pc.add_argument("--pattern", default=None, help="glob over type names")
-    pc.add_argument(
-        "--cores",
-        type=_cores_arg,
-        default=None,
-        help="worker count the instance lists reflect "
-        "(default: 4, or the named --platform's full core count)",
-    )
-    pc.add_argument("--verbose", action="store_true", help="show help text and instances")
-    pc.add_argument(
-        "--workload",
-        default=None,
-        metavar="NAME[:key=val,...]",
-        help="also list the counter types this workload's own providers add",
-    )
-    pc.add_argument(
-        "--platform",
-        type=_platform_arg,
-        default=None,
-        metavar="NAME|FILE",
-        help="simulated node: preset name or platform file (default: ivybridge-2x10)",
-    )
+    _options(pc, "--cores", "--verbose", "--workload", "--platform")
     pc.add_argument(
         "--providers",
         action="append",
@@ -766,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc.set_defaults(fn=cmd_counters_list)
     pc = counters_sub.add_parser(
-        "query", help="run a benchmark and stream every counter sample (CSV or JSON lines)"
+        "query", help="run a workload and stream every counter sample (CSV or JSON lines)"
     )
     pc.add_argument(
         "specs",
@@ -781,24 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="WORKLOAD",
         help="workload name or NAME:key=val,... spec (see 'repro workloads list')",
     )
-    pc.add_argument("--runtime", choices=("hpx", "std"), default="hpx")
-    pc.add_argument("--cores", type=_cores_arg, default=4)
-    pc.add_argument(
-        "--platform",
-        type=_platform_arg,
-        default=None,
-        metavar="NAME|FILE",
-        help="simulated node: preset name or platform file (default: ivybridge-2x10)",
-    )
-    pc.add_argument("--preset", choices=("small", "default", "large", "paper"), default="default")
-    pc.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
-    pc.add_argument(
-        "--mode",
-        choices=EXECUTION_MODES,
-        default=None,
-        help="execution mode: 'exact' replays every task event, 'cohort' advances "
-        "homogeneous task populations analytically (default: exact)",
-    )
+    _options(pc, "--runtime", "--cores", "--platform", "--preset", "--param", "--mode", cores=4)
     pc.add_argument(
         "--interval",
         type=float,
@@ -808,9 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: one evaluation at termination)",
     )
     pc.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    pc.add_argument(
-        "--out", default=None, metavar="FILE", help="write the stream to FILE (default: stdout)"
-    )
+    _options(pc, "--out")
     pc.set_defaults(fn=cmd_counters_query)
 
     p = sub.add_parser("platform", help="inspect the available platform presets")
@@ -822,16 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(fn=cmd_platform_show)
 
     p = sub.add_parser("run", help="run one workload")
-    p.add_argument(
-        "benchmark",
-        nargs="?",
-        default=None,
-        metavar="WORKLOAD",
-        help="workload name or NAME:key=val,... spec (or use --workload)",
-    )
-    p.add_argument("--runtime", choices=("hpx", "std"), default="hpx")
-    p.add_argument("--cores", type=_cores_arg, default=1)
-    _add_workload_options(p, seed_default=None)
+    _options(p, *ONE_WORKLOAD, "--no-counters", cores=1)
     p.add_argument(
         "--print-counter",
         action="append",
@@ -839,7 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="counter to collect (repeatable); default: the paper's set",
     )
-    p.add_argument("--no-counters", action="store_true", help="disable instrumentation")
     p.add_argument(
         "--print-counter-interval",
         type=float,
@@ -854,38 +804,16 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write interval samples to FILE instead of stdout",
     )
-    p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
-    p.add_argument(
-        "--preset",
-        choices=("small", "default", "large", "paper"),
-        default="default",
-        help="input set (Inncabs-style); --param overrides on top",
-    )
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser(
         "profile",
         help="causal profile of one run: critical path, parallelism, what-if speedups",
     )
-    p.add_argument(
-        "benchmark",
-        nargs="?",
-        default=None,
-        metavar="WORKLOAD",
-        help="workload name or NAME:key=val,... spec (or use --workload)",
-    )
-    p.add_argument("--runtime", choices=("hpx", "std"), default="hpx")
-    p.add_argument("--cores", type=_cores_arg, default=4)
-    _add_workload_options(p, seed_default=None)
-    p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
-    p.add_argument(
-        "--preset",
-        choices=("small", "default", "large", "paper"),
-        default="default",
-        help="input set (Inncabs-style); --param overrides on top",
-    )
+    _options(p, *ONE_WORKLOAD, cores=4)
     p.add_argument(
         "--what-if",
+        type=_converter(parse_what_if),
         action="append",
         default=[],
         metavar="body=NAME,speedup=PCT",
@@ -913,21 +841,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("workloads", help="the unified workload registry (Inncabs + Task Bench)")
     workloads_sub = p.add_subparsers(dest="workloads_command", required=True)
-    pw = workloads_sub.add_parser("list", help="list every registered workload")
+    pw = workloads_sub.add_parser(
+        "list", help="list every registered workload, with its Table V granularity"
+    )
     pw.set_defaults(fn=cmd_workloads_list)
     pw = workloads_sub.add_parser("show", help="defaults and presets of one workload")
     pw.add_argument("name", help="workload name (see 'repro workloads list')")
     pw.set_defaults(fn=cmd_workloads_show)
 
-    p = sub.add_parser("taskbench", help="METG(eps) sweep over a parameterized dependency graph")
+    p = sub.add_parser(
+        "taskbench",
+        help="METG(eps) sweep over a parameterized dependency graph",
+        description="METG(eps) sweep over a parameterized dependency graph, on both "
+        "runtimes unless --runtime names one, on all platform cores unless --cores is given.",
+    )
     p.add_argument(
         "--shape",
         choices=("trivial", "stencil_1d", "fft", "tree", "random"),
         default="stencil_1d",
         help="dependency pattern (default: stencil_1d)",
     )
-    p.add_argument("--width", type=int, default=64, help="points per timestep")
-    p.add_argument("--steps", type=int, default=32, help="number of timesteps")
+    p.add_argument("--width", type=_positive_int, default=64, help="points per timestep")
+    p.add_argument("--steps", type=_positive_int, default=32, help="number of timesteps")
     p.add_argument(
         "--eps",
         type=float,
@@ -935,34 +870,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="efficiency slack: METG is the smallest grain with "
         "efficiency >= 1-eps (default 0.5)",
     )
-    p.add_argument(
-        "--runtime",
-        choices=("hpx", "std", "both"),
-        default="both",
-        help="backend(s) to sweep (default: both)",
-    )
-    p.add_argument(
-        "--cores", type=_cores_arg, default=None, help="worker count (default: all platform cores)"
-    )
+    _options(p, "--runtime", "--cores", runtime=None)
     p.add_argument("--membytes", type=int, default=0, help="memory traffic per task (bytes)")
     p.add_argument(
         "--degree", type=float, default=3.0, help="expected in-degree of the random shape"
     )
-    _add_workload_options(p, workload=False, seed_default=None)
-    p.add_argument("--out", default=None, metavar="FILE", help="write the sweep results as JSON")
+    _options(p, "--platform", "--seed", "--out", seed=DEFAULT_SEED)
     p.add_argument(
         "--samples-out",
         default=None,
         metavar="FILE",
         help="also write the derived /taskbench{...} counter samples as JSON lines",
     )
-    p.add_argument("--verbose", action="store_true", help="per-probe progress on stderr")
+    _options(p, "--verbose")
     p.set_defaults(fn=cmd_taskbench)
 
     p = sub.add_parser("serve", help="run the HTTP run server (simulation-as-a-service)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765, help="0 = ephemeral (announced on stdout)")
-    p.add_argument("--workers", type=int, default=2, help="run-executing worker processes")
+    _options(p, "--workers", workers=2)
     p.add_argument(
         "--max-queue", type=int, default=256, help="queued-run capacity (429 beyond this)"
     )
@@ -970,63 +896,36 @@ def build_parser() -> argparse.ArgumentParser:
         "--quota-rate", type=float, default=50.0, help="per-tenant sustained runs/second"
     )
     p.add_argument("--quota-burst", type=float, default=100.0, help="per-tenant burst allowance")
-    p.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="shared result cache root (default: results/campaigns/cache — campaigns hit it too)",
-    )
-    p.add_argument("--no-cache", action="store_true", help="always execute every run")
+    _options(p, "--cache-dir", "--no-cache")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("campaign", help="run an experiment matrix over a process pool")
-    p.add_argument(
-        "--benchmarks",
-        nargs="*",
-        default=None,
-        choices=available_benchmarks(),
-        help="Inncabs benchmarks to include (default: all fourteen when "
-        "--workloads is not given either)",
-    )
+    _options(p, "--benchmarks")
     p.add_argument(
         "--workloads",
         nargs="*",
         default=None,
         metavar="NAME[:key=val,...]",
-        help="workload specs to include alongside --benchmarks "
-        "(e.g. taskbench:shape=fft,width=8; see 'repro workloads list')",
+        help="workload specs to include alongside --benchmarks (with no --benchmarks, "
+        "only these run; e.g. taskbench:shape=fft,width=8)",
     )
     p.add_argument(
         "--runtimes",
         nargs="+",
-        default=["hpx", "std"],
-        choices=("hpx", "std"),
+        default=list(RUNTIMES),
+        choices=RUNTIMES,
         help="runtimes to include (default: both)",
     )
-    p.add_argument(
-        "--cores-list", type=_cores_list, default=None, help="comma-separated core counts"
-    )
-    p.add_argument("--samples", type=int, default=3, help="samples per cell group")
-    p.add_argument("--preset", choices=("small", "default", "large", "paper"), default="default")
-    _add_workload_options(p, workload=False)
-    p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (1 = serial)")
-    p.add_argument("--out", default=None, metavar="FILE", help="artifact path (JSON)")
-    p.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="result cache root (default: results/campaigns/cache)",
-    )
-    p.add_argument("--no-cache", action="store_true", help="always execute every cell")
-    p.add_argument("--no-counters", action="store_true", help="disable instrumentation")
+    _options(p, "--cores-list", "--samples", "--preset", "--param", "--mode", "--jobs")
+    _options(p, "--platform", "--seed", "--out", "--cache-dir", seed=DEFAULT_SEED)
+    _options(p, "--no-cache", "--no-counters")
     p.add_argument(
         "--profile",
         action="store_true",
         help="attach the causal profiler to every cell; artifacts then carry "
         "per-cell profile summaries (critical path, work/span, parallelism)",
     )
-    p.add_argument("--verbose", action="store_true", help="per-cell progress on stderr")
+    _options(p, "--verbose")
     p.set_defaults(fn=cmd_campaign)
 
     p = sub.add_parser("bench-serve", help="load-test the run server (latency + cache gate)")
@@ -1038,14 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--clients", type=int, default=None, help="concurrent client tasks")
     p.add_argument("--runs", type=int, default=None, help="total submissions")
-    p.add_argument("--workers", type=int, default=None, help="server worker processes")
-    p.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="server cache root (default: a fresh temp dir, so every cold run executes)",
-    )
-    p.add_argument("--out", default="BENCH_serve.json", metavar="FILE", help="artifact path")
+    _options(p, "--workers", "--cache-dir", "--out", out="BENCH_serve.json")
     p.add_argument(
         "--baseline",
         default=None,
@@ -1079,26 +971,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("table1", help="regenerate Table I (external tools)")
-    p.add_argument("--benchmarks", nargs="*", default=None)
-    p.add_argument("--cores", type=int, default=20)
+    _options(p, "--benchmarks", "--cores", cores=20)
     p.set_defaults(fn=cmd_table1)
 
     p = sub.add_parser("table5", help="regenerate Table V (classification)")
-    p.add_argument("--benchmarks", nargs="*", default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument(
-        "--cores-list", type=_cores_list, default=None, help="comma-separated core counts"
-    )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (1 = serial)")
+    _options(p, "--benchmarks", "--samples", "--cores-list", "--jobs")
     p.set_defaults(fn=cmd_table5)
 
     p = sub.add_parser("figure", help="regenerate one figure's series")
-    p.add_argument("figure", help="fig1..fig14")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument(
-        "--cores-list", type=_cores_list, default=None, help="comma-separated core counts"
-    )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (1 = serial)")
+    p.add_argument("figure", type=_figure, help="fig1..fig14")
+    _options(p, "--samples", "--cores-list", "--jobs")
     p.add_argument(
         "--artifact",
         default=None,
@@ -1109,32 +991,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="regenerate every table and figure into a directory")
     p.add_argument("outdir", nargs="?", default="results")
-    p.add_argument("--samples", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (1 = serial)")
-    p.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="campaign result cache to reuse across invocations",
-    )
+    _options(p, "--samples", "--jobs", "--cache-dir", samples=1)
     p.set_defaults(fn=cmd_generate)
 
     return parser
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.experiments.generate import generate_all
-
-    generate_all(Path(args.outdir), samples=args.samples, jobs=args.jobs, cache_dir=args.cache_dir)
-    print(f"wrote results to {args.outdir}/")
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        _check_cores(args)
+        return args.fn(args)
+    except ValueError as exc:
+        # The library's validation errors are the user's mistakes.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

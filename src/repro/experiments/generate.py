@@ -1,6 +1,6 @@
 """Regenerate every table and figure of the paper into text files.
 
-Run:  python -m repro.experiments.generate [outdir] [--samples N] [--jobs N]
+Run:  repro generate [outdir] [--samples N] [--jobs N] [--cache-dir DIR]
 
 Produces one ``<experiment>.txt`` per table/figure under *outdir*
 (default ``results/``) plus a combined ``all_results.txt``.  This is
@@ -16,7 +16,6 @@ missing.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -91,18 +90,3 @@ def generate_all(
     combined = "\n\n".join(f"===== {key} =====\n{text}" for key, text in sorted(results.items()))
     (outdir / "all_results.txt").write_text(combined + "\n")
     return results
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("outdir", nargs="?", default="results", type=Path)
-    parser.add_argument("--samples", type=int, default=1)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--cache-dir", type=Path, default=None)
-    args = parser.parse_args(argv)
-    generate_all(args.outdir, samples=args.samples, jobs=args.jobs, cache_dir=args.cache_dir)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,7 +15,7 @@ content-addressed result cache.  The moving parts:
   ``ProcessPoolExecutor``, chunked JSONL telemetry streaming, and
   ``/stats`` introspection in the paper's counter-name grammar;
 - :mod:`repro.serve.client` — a minimal asyncio client used by the
-  tests, the CI smoke, and ``benchmarks/bench_serve.py``.
+  tests, the CI smoke, and ``repro bench-serve``.
 """
 
 from repro.serve.client import HttpReply, ServeClient, http_request

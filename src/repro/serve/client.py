@@ -2,8 +2,8 @@
 
 Connection-per-request (matching the server's ``Connection: close``
 discipline), stdlib-only.  Used by the serve tests, the CI end-to-end
-smoke, and the ``benchmarks/bench_serve.py`` load harness — hundreds
-of these clients run concurrently inside one event loop.
+smoke, and the ``repro bench-serve`` load harness — hundreds of these
+clients run concurrently inside one event loop.
 """
 
 from __future__ import annotations

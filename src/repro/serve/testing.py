@@ -1,7 +1,7 @@
 """Spawn a real ``repro serve`` process and talk to it.
 
 Shared by the serve test-suite's subprocess test, the CI ``serve-smoke``
-job, and ``benchmarks/bench_serve.py`` — anything that wants the
+job, and ``repro bench-serve`` — anything that wants the
 genuine article (own process, own pool) rather than an in-loop
 :class:`~repro.serve.server.RunServer`.
 """

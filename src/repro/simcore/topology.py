@@ -33,6 +33,20 @@ class BindMode(enum.Enum):
             raise ValueError(f"unknown bind mode {text!r}; expected one of {valid}") from None
 
 
+def check_workers(platform: PlatformSpec, num_workers: int, smt: int = 1) -> None:
+    """Raise ``ValueError`` naming *platform* unless it can bind *num_workers*.
+
+    A platform binds up to ``smt`` workers per core (hyper-threading is
+    disabled in the paper's experiments, so ``smt`` defaults to 1).
+    """
+    total = platform.total_cores * smt
+    if not 1 <= num_workers <= total:
+        raise ValueError(
+            f"platform {platform.name!r} has {total} bindable cores; "
+            f"num_workers must be in [1, {total}], got {num_workers}"
+        )
+
+
 class Topology:
     """Logical view of the platform for affinity decisions."""
 
@@ -44,13 +58,6 @@ class Topology:
         socket, local = self.platform.core_local(core_index)
         return f"socket#{socket}/core#{local}"
 
-    def _check_workers(self, num_workers: int, total: int) -> None:
-        if not 1 <= num_workers <= total:
-            raise ValueError(
-                f"platform {self.platform.name!r} has {total} bindable cores; "
-                f"num_workers must be in [1, {total}], got {num_workers}"
-            )
-
     def binding(self, num_workers: int, mode: BindMode = BindMode.COMPACT) -> list[int]:
         """Core indices for *num_workers* workers under *mode*.
 
@@ -59,7 +66,7 @@ class Topology:
         experiments).
         """
         platform = self.platform
-        self._check_workers(num_workers, platform.total_cores)
+        check_workers(platform, num_workers)
         if mode is BindMode.COMPACT:
             # Global core indices are already socket-major.
             return list(range(num_workers))
@@ -109,7 +116,7 @@ class Topology:
         if smt < 1:
             raise ValueError("smt must be >= 1")
         total_cores = self.platform.total_cores
-        self._check_workers(num_workers, total_cores * smt)
+        check_workers(self.platform, num_workers, smt)
         if num_workers <= total_cores:
             return self.binding(num_workers, mode)
         full = self.binding(total_cores, mode)

@@ -14,10 +14,11 @@ from repro.workloads.registry import (
     WorkloadEntry,
     available_workloads,
     get_workload,
+    overlay_params,
     register_workload,
     workload_preset_params,
 )
-from repro.workloads.spec import WorkloadSpec, as_workload_spec
+from repro.workloads.spec import WorkloadSpec, as_workload_spec, parse_param
 
 __all__ = [
     "WorkloadEntry",
@@ -25,6 +26,8 @@ __all__ = [
     "as_workload_spec",
     "available_workloads",
     "get_workload",
+    "overlay_params",
+    "parse_param",
     "register_workload",
     "workload_preset_params",
 ]

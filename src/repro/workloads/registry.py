@@ -20,11 +20,13 @@ from repro.inncabs.base import Benchmark
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.counters.providers import CounterProvider
+    from repro.workloads.spec import WorkloadSpec
 
 __all__ = [
     "WorkloadEntry",
     "available_workloads",
     "get_workload",
+    "overlay_params",
     "register_workload",
     "workload_preset_params",
 ]
@@ -133,3 +135,26 @@ def workload_preset_params(name: str, preset: str) -> dict[str, Any]:
     except KeyError:
         known = ", ".join(["default", *sorted(entry.presets)])
         raise KeyError(f"unknown preset {preset!r} for {name}; choose from: {known}") from None
+
+
+def overlay_params(
+    workload: "WorkloadSpec",
+    *,
+    preset: str = "default",
+    params: Mapping[str, Any] | None = None,
+    seed: int | None = None,
+) -> dict[str, Any]:
+    """The parameter overrides a run of *workload* gets.
+
+    One overlay order for every surface: the *preset* < *params* (the
+    CLI's ``--param``, a campaign's params) < the parameters embedded
+    in the spec (most specific wins, so two variants of one workload in
+    a matrix keep what distinguishes them) < *seed*.  Raises
+    ``KeyError`` for an unknown workload or preset name.
+    """
+    resolved = workload_preset_params(workload.name, preset)
+    resolved.update(params or {})
+    resolved.update(workload.params)
+    if seed is not None:
+        resolved["seed"] = seed
+    return resolved

@@ -7,9 +7,10 @@ throughout the stack.  It has a canonical string spelling —
     taskbench:shape=stencil_1d,width=64,steps=32
 
 — that round-trips through :meth:`WorkloadSpec.parse`, sorts its
-parameters, and coerces values ``int`` → ``float`` → ``str`` exactly
-like the CLI's ``--param`` option, so two spellings of the same
-workload always compare (and hash, and cache) equal.
+parameters, and coerces values ``int`` → ``float`` → ``str`` with
+:func:`parse_param` (the CLI's ``--param`` option uses the same rule),
+so two spellings of the same workload always compare (and hash, and
+cache) equal.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-__all__ = ["WorkloadSpec", "as_workload_spec"]
+__all__ = ["WorkloadSpec", "as_workload_spec", "parse_param"]
 
 
 def _coerce(value: str) -> Any:
@@ -29,6 +30,14 @@ def _coerce(value: str) -> Any:
             return float(value)
         except ValueError:
             return value
+
+
+def parse_param(pair: str) -> tuple[str, Any]:
+    """``"n=10"`` -> ``("n", 10)``: one ``key=value`` override, value coerced."""
+    key, eq, value = pair.partition("=")
+    if not eq or not key:
+        raise ValueError(f"expected key=value, got {pair!r}")
+    return key, _coerce(value)
 
 
 def _format_value(value: Any) -> str:
@@ -74,13 +83,10 @@ class WorkloadSpec:
         if not isinstance(text, str) or not text:
             raise ValueError(f"workload spec must be a non-empty string, got {text!r}")
         name, _, rest = text.partition(":")
-        params: dict[str, Any] = {}
-        if rest:
-            for pair in rest.split(","):
-                key, eq, value = pair.partition("=")
-                if not eq or not key:
-                    raise ValueError(f"workload spec {text!r}: expected key=value, got {pair!r}")
-                params[key] = _coerce(value)
+        try:
+            params = dict(parse_param(pair) for pair in rest.split(",")) if rest else {}
+        except ValueError as exc:
+            raise ValueError(f"workload spec {text!r}: {exc}") from None
         return cls(name=name, params=params)
 
     # -- canonical form ----------------------------------------------------

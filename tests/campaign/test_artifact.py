@@ -42,6 +42,15 @@ def test_unsupported_schema_rejected(small_run, tmp_path):
         CampaignArtifact.from_json_dict({"cells": []})
 
 
+def test_truncated_artifact_names_the_missing_key(small_run):
+    with pytest.raises(ValueError, match="artifact is missing required key 'spec'"):
+        CampaignArtifact.from_json_dict({"kind": "repro-campaign", "schema": ARTIFACT_SCHEMA})
+    data = small_run.artifact.to_json_dict()
+    del data["cells"][0]["result"]
+    with pytest.raises(ValueError, match="cell is missing required key 'result'"):
+        CampaignArtifact.from_json_dict(data)
+
+
 def test_curves_match_serial_harness(small_spec, small_run):
     """Artifact aggregation is the harness aggregation, number for number."""
     config = ExperimentConfig(

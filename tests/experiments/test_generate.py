@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import generate
 
 
@@ -26,5 +27,5 @@ def test_generate_all_writes_every_experiment(tmp_path):
 
 
 def test_generate_main(tmp_path, capsys):
-    assert generate.main([str(tmp_path), "--samples", "1"]) == 0
+    assert main(["generate", str(tmp_path), "--samples", "1"]) == 0
     assert (tmp_path / "table5.txt").exists()

@@ -7,11 +7,24 @@ import pytest
 from repro.cli import main
 
 
+def _exit_code(argv):
+    """``main(argv)``'s exit status, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_list_benchmarks(capsys):
-    assert main(["list-benchmarks"]) == 0
-    out = capsys.readouterr().out
-    assert "fib" in out and "alignment" in out
-    assert len(out.strip().splitlines()) == 14
+    """The 14 Inncabs rows of ``workloads list`` carry their Table V granularity."""
+    from repro.inncabs.suite import available_benchmarks, get_benchmark
+
+    assert main(["workloads", "list"]) == 0
+    rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert "fib" in rows and "alignment" in rows
+    for name in available_benchmarks():
+        granularity = get_benchmark(name).info.paper_granularity
+        assert f" inncabs   {granularity:18s} presets=" in rows[name]
 
 
 def test_list_counters(capsys):
@@ -73,6 +86,14 @@ def test_run_explicit_counter(capsys):
     assert "idle-rate" not in out
 
 
+def test_run_std_prints_only_the_named_counter(capsys):
+    name = "/threads{locality#0/total}/idle-rate"
+    argv = ["run", "fib", "--runtime", "std", "--cores", "2", "--param", "n=10"]
+    assert main([*argv, "--print-counter", name]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == [name]
+
+
 def test_run_no_counters(capsys):
     main(["run", "fib", "--param", "n=9", "--no-counters"])
     out = capsys.readouterr().out
@@ -84,14 +105,14 @@ def test_bad_param_format():
         main(["run", "fib", "--param", "n:10"])
 
 
-def test_unknown_benchmark_rejected():
-    with pytest.raises(SystemExit, match="unknown workload"):
-        main(["run", "linpack"])
+def test_unknown_benchmark_rejected(capsys):
+    assert _exit_code(["run", "linpack"]) == 2
+    assert "error: unknown workload 'linpack'" in capsys.readouterr().err
 
 
-def test_figure_unknown():
-    with pytest.raises(SystemExit, match="unknown figure"):
-        main(["figure", "fig99"])
+def test_figure_unknown(capsys):
+    assert _exit_code(["figure", "fig99"]) == 2
+    assert "unknown figure 'fig99'" in capsys.readouterr().err
 
 
 def test_figure_small(capsys):
@@ -468,9 +489,9 @@ def test_run_workload_option(capsys):
     assert "verified=True" in out
 
 
-def test_run_rejects_two_workload_names():
-    with pytest.raises(SystemExit, match="exactly one workload"):
-        main(["run", "fib", "--workload", "sort"])
+def test_run_rejects_two_workload_names(capsys):
+    assert _exit_code(["run", "fib", "--workload", "sort"]) == 2
+    assert "error: name exactly one workload" in capsys.readouterr().err
 
 
 def test_run_param_overridden_by_embedded_spec_param(capsys):
@@ -592,6 +613,9 @@ def test_campaign_rejects_bad_platform_at_parse_time(capsys, tmp_path):
     assert "no-such-node.toml" in _rejected(capsys, argv, "--platform")
 
 
+TRUNCATED_ARTIFACT = {"kind": "repro-campaign", "schema": 3}
+
+
 def test_figure_unreadable_artifact_errors(capsys, tmp_path):
     """An artifact figure cannot read gets compare's message and exit 2."""
     old = tmp_path / "old.json"
@@ -600,3 +624,49 @@ def test_figure_unreadable_artifact_errors(capsys, tmp_path):
     assert "error: cannot load artifact: unsupported artifact schema 1" in capsys.readouterr().err
     assert main(["figure", "fig3", "--artifact", str(tmp_path / "missing.json")]) == 2
     assert "error: cannot load artifact: " in capsys.readouterr().err
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(json.dumps(TRUNCATED_ARTIFACT))
+    assert main(["compare", str(truncated), str(truncated)]) == 2
+    assert "artifact: artifact is missing required key 'spec'" in capsys.readouterr().err
+
+
+USER_ERRORS = [
+    # core counts the platform (default: ivybridge-2x10, 20 cores) cannot bind
+    ["run", "fib", "--cores", "64"],
+    ["profile", "fib", "--cores", "64"],
+    ["taskbench", "--cores", "64"],
+    ["counters", "list", "--cores", "64"],
+    ["counters", "query", "--cores", "64"],
+    ["table1", "--benchmarks", "fib", "--cores", "64"],
+    ["campaign", "--benchmarks", "fib", "--cores-list", "64", "--no-cache"],
+    ["figure", "fig3", "--cores-list", "1,64"],
+    # unreadable artifacts ("T" is a truncated one)
+    ["compare", "T", "T"],
+    ["figure", "fig3", "--artifact", "T"],
+    # unknown names, presets and parameters
+    ["run", "linpack"],
+    ["run", "fib", "--workload", "sort"],
+    ["run", "fib", "--param", "bogus"],
+    ["run", "sort", "--preset", "paper"],
+    ["campaign", "--benchmarks", "sort", "--preset", "paper", "--no-cache"],
+    ["table1", "--benchmarks", "nosuch"],
+    ["table5", "--benchmarks", "nosuch"],
+    ["figure", "fig99"],
+    # out-of-range counts and retired options
+    ["table1", "--cores", "0"],
+    ["taskbench", "--width", "0"],
+    ["taskbench", "--mode", "cohort"],
+    ["figure", "fig3", "--samples", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", USER_ERRORS, ids="_".join)
+def test_user_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
+    """A user's mistake: exit 2 with an error message, no traceback, no output."""
+    monkeypatch.chdir(tmp_path)  # nothing a wrongly accepted command writes lands in the repo
+    (tmp_path / "T").write_text(json.dumps(TRUNCATED_ARTIFACT))
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: " in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
