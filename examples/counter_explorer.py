@@ -13,8 +13,8 @@ Demonstrates the full counter workflow on a live application:
 Run:  python examples/counter_explorer.py
 """
 
+from repro.cli import format_counter_values
 from repro.counters.base import CounterEnvironment
-from repro.counters.manager import ActiveCounters, format_counter_values
 from repro.counters.providers import build_registry
 from repro.counters.query import PeriodicQuery
 from repro.inncabs.suite import get_benchmark
@@ -23,6 +23,7 @@ from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.clock import us
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
+from repro.telemetry import TelemetryPipeline
 
 
 def main() -> None:
@@ -43,7 +44,7 @@ def main() -> None:
         print(f"    {name}")
 
     print("\n== periodic in-band query (every 2 ms of simulated time) ==")
-    active = ActiveCounters(
+    pipeline = TelemetryPipeline(
         registry,
         [
             "/threads{locality#0/total}/count/cumulative",
@@ -54,7 +55,7 @@ def main() -> None:
         print("  " + format_counter_values(values).replace("\n", "\n  ") + "\n")
 
     query = PeriodicQuery(
-        active,
+        pipeline,
         engine=engine,
         runtime=runtime,
         interval_ns=us(2000),
@@ -73,14 +74,14 @@ def main() -> None:
           f"verified={bench.verify(result, params)}")
 
     print("\n== evaluate + reset (per-sample protocol) ==")
-    sample = ActiveCounters(
+    sample = TelemetryPipeline(
         registry,
         [
             "/threads{locality#0/total}/time/average",
             "/threads{locality#0/total}/time/average-overhead",
         ],
     )
-    for row in sample.evaluate_active_counters(reset=True, description="sample 1"):
+    for row in sample.sample(reset=True):
         print(f"  {row.name} = {row.value:.1f} ns")
 
     print("\n== derived counter: the paper's bandwidth formula ==")

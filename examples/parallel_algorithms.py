@@ -13,13 +13,13 @@ Run:  python examples/parallel_algorithms.py
 import operator
 
 from repro.counters.base import CounterEnvironment
-from repro.counters.manager import ActiveCounters
 from repro.counters.providers import build_registry
 from repro.runtime.executors import StaticChunkSize, transform_reduce
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
 from repro.simcore.rng import derive_rng
+from repro.telemetry import TelemetryPipeline
 
 SAMPLES = 200_000
 NS_PER_SAMPLE = 12  # simulated cost of one dart
@@ -49,7 +49,7 @@ def estimate_pi(chunk_size: int, cores: int = 8):
     runtime = HpxRuntime(engine, machine, num_workers=cores)
     env = CounterEnvironment(engine=engine, runtime=runtime, machine=machine)
     registry = build_registry(env)
-    counters = ActiveCounters(
+    counters = TelemetryPipeline(
         registry,
         [
             "/threads{locality#0/total}/count/cumulative",
@@ -60,7 +60,7 @@ def estimate_pi(chunk_size: int, cores: int = 8):
     )
     counters.start()
     pi = runtime.run_to_completion(body)
-    values = counters.evaluate_dict()
+    values = {v.name: v.value for v in counters.sample()}
     return pi, engine.now, values
 
 

@@ -13,12 +13,12 @@ Run:  python examples/work_span_analysis.py [benchmark]
 import sys
 
 from repro.api import Session, WorkloadSpec
-from repro.inncabs.presets import preset_params
 from repro.inncabs.suite import available_benchmarks, get_benchmark
 from repro.profiler import ProfileBuilder
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
+from repro.workloads import workload_preset_params
 
 
 def main() -> None:
@@ -26,7 +26,7 @@ def main() -> None:
     if name not in available_benchmarks():
         raise SystemExit(f"unknown benchmark {name}")
     bench = get_benchmark(name)
-    params = bench.params_with_defaults(preset_params(name, "small"))
+    params = bench.params_with_defaults(workload_preset_params(name, "small"))
     root_fn, root_args = bench.make_root(params)
 
     engine = Engine()

@@ -4,6 +4,12 @@ Periodically samples a set of performance counters and runs user
 policies over the sample.  Policies return decisions (or ``None``);
 every fired decision is recorded with its simulated timestamp, so
 adaptation behaviour is fully inspectable after a run.
+
+The engine is a :class:`~repro.telemetry.pipeline.TelemetryPipeline`
+driven by an out-of-band
+:class:`~repro.counters.query.PeriodicQuery` that resets the counters
+at every sample; the policies run as the query's per-evaluation
+callback.
 """
 
 from __future__ import annotations
@@ -11,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.counters.manager import ActiveCounters
+from repro.counters.query import PeriodicQuery
 from repro.counters.registry import CounterRegistry
+from repro.counters.types import CounterValue
+from repro.telemetry.pipeline import TelemetryPipeline
 
 
 @dataclass(frozen=True)
@@ -59,41 +67,35 @@ class PolicyEngine:
         if period_ns <= 0:
             raise ValueError("period_ns must be positive")
         self.engine = engine
-        self.runtime = runtime
-        self.active = ActiveCounters(registry, counter_specs)
-        self.period_ns = period_ns
+        self.pipeline = TelemetryPipeline(registry, counter_specs)
+        self.query = PeriodicQuery(
+            self.pipeline,
+            engine=engine,
+            runtime=runtime,
+            interval_ns=period_ns,
+            sink=self._apply,
+            in_band=False,
+            reset_each_sample=True,
+        )
         self.rules: list[PolicyRule] = list(rules)
         self.history: list[FiredDecision] = []
         self.samples: list[dict[str, float]] = []
-        self._running = False
 
     def add_rule(self, rule: PolicyRule) -> None:
         self.rules.append(rule)
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.active.start()
-        self.active.reset_active_counters()
-        self.engine.schedule(self.period_ns, self._tick)
+        """Begin sampling; each period's sample reads from zeroed counters."""
+        self.query.start()
 
     def stop(self) -> None:
-        self._running = False
-        self.active.stop()
+        self.query.stop()
 
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        if self.runtime.stats.live_tasks == 0:
-            self.stop()
-            return
-        sample = self.active.evaluate_dict(reset=True)
+    def _apply(self, values: list[CounterValue]) -> None:
+        sample = {v.name: v.value for v in values}
         self.samples.append(sample)
+        now = self.engine.now
         for rule in self.rules:
-            decision = rule.fn(sample, self.engine.now)
+            decision = rule.fn(sample, now)
             if decision is not None:
-                self.history.append(
-                    FiredDecision(time_ns=self.engine.now, rule=rule.name, decision=decision)
-                )
-        self.engine.schedule(self.period_ns, self._tick)
+                self.history.append(FiredDecision(time_ns=now, rule=rule.name, decision=decision))

@@ -127,7 +127,6 @@ class Session:
         counters: Sequence[str] | None = None,
         collect_counters: bool = True,
         keep_result: bool = False,
-        query_interval_ns: int | None = None,
         query_sink: Any = None,
         telemetry: TelemetryConfig | None = None,
         profile: ProfileConfig | bool | None = None,
@@ -154,16 +153,20 @@ class Session:
         the backend's probe bus, so they work on both runtimes.
         ``collect_counters=False`` disables instrumentation entirely
         (the Section V-C overhead experiment measures exactly this
-        difference); ``query_interval_ns`` additionally samples the
-        active counters on a fixed in-band interval during the run.
+        difference).
 
         Every counter reading flows through one
         :class:`~repro.telemetry.pipeline.TelemetryPipeline`
         (``telemetry=`` overrides the session's default config): the
         result carries the full sample frame as ``result.telemetry``
-        and its final totals as the legacy ``result.counters`` dict,
-        and configured sinks (CSV, JSONL, Chrome-trace, ...) stream
-        every sample as it is recorded.
+        and its final totals as the ``result.counters`` dict, and
+        configured sinks (CSV, JSONL, Chrome-trace, ...) stream every
+        sample as it is recorded.  ``TelemetryConfig.interval_ns``
+        additionally samples the counters on a fixed interval during
+        the run; ``query_sink`` is called with each of those periodic
+        evaluations (a list of
+        :class:`~repro.counters.types.CounterValue`), as
+        ``--hpx:print-counter-interval`` prints them.
 
         ``profile`` attaches the causal profiler
         (:class:`~repro.profiler.builder.ProfileConfig`, or ``True``
@@ -246,10 +249,6 @@ class Session:
             rt.set_compute_rewriter(work_rewriter)
 
         pipeline: TelemetryPipeline | None = None
-        query = None
-        interval_ns = query_interval_ns
-        if interval_ns is None and tele is not None:
-            interval_ns = tele.interval_ns
         if collect_counters:
             env = CounterEnvironment(
                 engine=engine,
@@ -275,19 +274,18 @@ class Session:
             )
             pipeline.start()
             pipeline.reset()
-            if interval_ns is not None:
+            if tele is not None and tele.interval_ns is not None:
                 from repro.counters.query import PeriodicQuery
 
-                query = PeriodicQuery(
+                PeriodicQuery(
                     pipeline,
                     engine=engine,
                     runtime=rt,
-                    interval_ns=interval_ns,
+                    interval_ns=tele.interval_ns,
                     sink=query_sink,
-                    in_band=tele.in_band if tele is not None else True,
-                )
-                query.start()
-        elif interval_ns is not None:
+                    in_band=tele.in_band,
+                ).start()
+        elif tele is not None and tele.interval_ns is not None:
             raise ValueError("periodic queries need collect_counters=True")
 
         if plan is not None:
@@ -327,8 +325,6 @@ class Session:
             out.telemetry = pipeline.frame
             pipeline.stop()
             pipeline.close()
-        if query is not None:
-            out.query_samples = query.samples
 
         # Mean-value plans resolve to expectations, not the exact
         # benchmark output; verification only applies to exact results.
@@ -354,7 +350,6 @@ class Session:
                     cores=ncores,
                     counters=counters,
                     collect_counters=collect_counters,
-                    query_interval_ns=query_interval_ns,
                     telemetry=tele,
                 )
             out.profile = builder.finalize(
@@ -377,7 +372,6 @@ class Session:
         cores: int,
         counters: Sequence[str] | None,
         collect_counters: bool,
-        query_interval_ns: int | None,
         telemetry: TelemetryConfig | None,
     ) -> list[WhatIfResult]:
         """Validate each what-if experiment with a cost-rewritten replay.
@@ -403,7 +397,6 @@ class Session:
                 mode=ExecutionMode.EXACT,
                 counters=counters,
                 collect_counters=collect_counters,
-                query_interval_ns=query_interval_ns,
                 telemetry=replay_tele,
                 profile=ProfileConfig(),  # same perturbation, no nested what-ifs
                 work_rewriter=rewriter,

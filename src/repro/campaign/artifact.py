@@ -42,8 +42,8 @@ from repro.telemetry.frame import TelemetryFrame
 #: spec's ``profile`` flag.
 ARTIFACT_SCHEMA = 3
 
-#: RunResult fields persisted per cell (result/query_samples are not
-#: serializable and are deliberately dropped).  ``telemetry`` is stored
+#: RunResult fields persisted per cell (``result`` is not serializable
+#: and is deliberately dropped).  ``telemetry`` is stored
 #: as sample rows; the ``counters`` totals dict is derived from it on
 #: load.
 RESULT_FIELDS = (

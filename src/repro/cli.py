@@ -51,7 +51,7 @@ from typing import Any, Callable, Sequence
 from repro.api import Session
 from repro.campaign.spec import RUNTIMES
 from repro.counters.base import CounterEnvironment
-from repro.counters.manager import format_counter_values
+from repro.counters.types import CounterValue
 from repro.exec.modes import EXECUTION_MODES
 from repro.experiments.config import (
     DEFAULT_COUNTERS,
@@ -84,6 +84,7 @@ from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
 from repro.simcore.topology import check_workers
+from repro.telemetry import CsvSink, JsonLinesSink, TelemetryConfig
 from repro.workloads import WorkloadSpec, overlay_params, parse_param
 
 FIGURES = {**EXEC_TIME_FIGURES, **OVERHEAD_FIGURES, **BANDWIDTH_FIGURES}
@@ -319,8 +320,6 @@ def cmd_counters_list(args: argparse.Namespace) -> int:
 
 
 def cmd_counters_query(args: argparse.Namespace) -> int:
-    from repro.telemetry import CsvSink, JsonLinesSink, TelemetryConfig
-
     workload = _workload(args, args.benchmark)
     specs = tuple(args.specs) if args.specs else DEFAULT_COUNTERS
     # A path destination is owned by the sink (the pipeline closes it
@@ -382,12 +381,20 @@ def cmd_platform_show(args: argparse.Namespace) -> int:
     return 0
 
 
+def format_counter_values(values: Sequence[CounterValue]) -> str:
+    """Render one evaluation in the HPX ``--hpx:print-counter`` CSV style:
+    ``name,count,time[ns],value``, one line per counter."""
+    return "\n".join(f"{v.name},{v.count},{v.time},{v.value:g}" for v in values)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     specs = tuple(args.print_counter) if args.print_counter else DEFAULT_COUNTERS
     workload = _workload(args)
+    interval = args.print_counter_interval
+    telemetry = TelemetryConfig(interval_ns=None if interval is None else round(interval * 1e6))
     destination = None
     sink = None
-    if args.print_counter_interval is not None:
+    if interval is not None:
         if args.print_counter_destination:
             destination = open(args.print_counter_destination, "w")
 
@@ -399,11 +406,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             workload,
             counters=specs,
             collect_counters=not args.no_counters,
-            query_interval_ns=(
-                None
-                if args.print_counter_interval is None
-                else round(args.print_counter_interval * 1e6)
-            ),
+            telemetry=telemetry,
             query_sink=sink,
         )
     finally:
@@ -703,12 +706,19 @@ def cmd_figure(args: argparse.Namespace) -> int:
     config = ExperimentConfig(samples=args.samples, core_counts=args.cores_list)
     artifact = _load_artifact(args.artifact) if args.artifact is not None else None
     kwargs: dict[str, Any] = {"config": config, "artifact": artifact, "jobs": args.jobs}
-    if args.figure in EXEC_TIME_FIGURES:
-        print(render_execution_time_figure(execution_time_figure(args.figure, **kwargs)))
-    elif args.figure in OVERHEAD_FIGURES:
-        print(render_overhead_figure(overhead_figure(args.figure, **kwargs)))
-    else:
-        print(render_bandwidth_figure(bandwidth_figure(args.figure, **kwargs)))
+    try:
+        if args.figure in EXEC_TIME_FIGURES:
+            text = render_execution_time_figure(execution_time_figure(args.figure, **kwargs))
+        elif args.figure in OVERHEAD_FIGURES:
+            text = render_overhead_figure(overhead_figure(args.figure, **kwargs))
+        else:
+            text = render_bandwidth_figure(bandwidth_figure(args.figure, **kwargs))
+    except KeyError as exc:
+        if artifact is None:
+            raise
+        # CampaignArtifact.curve: the artifact lacks the figure's cells.
+        raise ValueError(exc.args[0]) from None
+    print(text)
     return 0
 
 

@@ -10,12 +10,15 @@ Performance counters are named components exposing a uniform interface:
   over an underlying counter, and arithmetic combinations of counters;
 - the **registry** maps name patterns to factories and supports
   ``discover_counters`` / ``create_counter`` by name;
-- the **manager** holds the set of *active* counters and implements
-  ``evaluate_active_counters`` / ``reset_active_counters`` exactly as
-  the paper uses them around each benchmark sample;
+- the set of *active* counters is a
+  :class:`~repro.telemetry.pipeline.TelemetryPipeline`: its
+  ``sample(reset=)`` and ``reset()`` are ``evaluate_active_counters`` /
+  ``reset_active_counters`` exactly as the paper uses them around each
+  benchmark sample;
 - the **query** layer reproduces the command-line convenience interface
   (``--hpx:print-counter`` / ``--hpx:print-counter-interval``):
-  periodic in-band sampling with CSV output.
+  :class:`~repro.counters.query.PeriodicQuery` drives a pipeline on a
+  simulated interval, in-band or as an external observer.
 
 Counter *collection* carries a small per-task instrumentation cost when
 counters are active (timestamping in the scheduler hot path; PAPI reads
@@ -24,7 +27,6 @@ in Section V-C.
 """
 
 from repro.counters.base import CounterEnvironment, CounterInfo, PerformanceCounter
-from repro.counters.manager import ActiveCounters
 from repro.counters.names import CounterName, format_counter_name, parse_counter_name
 from repro.counters.providers import (
     ENTRY_POINT_GROUP,
@@ -43,7 +45,6 @@ from repro.counters.types import CounterStatus, CounterType, CounterValue
 
 __all__ = [
     "ENTRY_POINT_GROUP",
-    "ActiveCounters",
     "AppCounter",
     "AppCounterSet",
     "CounterEnvironment",

@@ -1,11 +1,14 @@
-"""Periodic counter querying — the in-band sampling driver.
+"""Periodic counter querying — the one sampling loop.
 
 Reproduces ``--hpx:print-counter <name> --hpx:print-counter-interval
 <ms>``: the named counters are sampled on a fixed simulated interval.
-Since the telemetry refactor this class is a thin *cadence driver*: it
-owns only the timer chain and the in-band query task; evaluation,
-record conversion, buffering and export belong to the
-:class:`~repro.telemetry.pipeline.TelemetryPipeline` it drives.
+This class is a thin *cadence driver*: it owns only the timer chain
+and the in-band query task; evaluation, record conversion, buffering
+and export belong to the
+:class:`~repro.telemetry.pipeline.TelemetryPipeline` it drives.  Every
+periodic sampler runs on it: ``Session.run``'s interval sampling and
+the APEX policy engine (:mod:`repro.apex.policy`), whose rules are the
+per-evaluation ``sink`` callback.
 
 Queries can run *in-band*: each sample executes as an HPX task that
 consumes scheduler time proportional to the number of counters queried,
@@ -18,11 +21,13 @@ counter-overhead experiments scale with the platform being simulated.
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.counters.manager import ActiveCounters
 from repro.counters.types import CounterValue
 from repro.platform.spec import DEFAULT_COUNTER_QUERY_COST_NS
+
+if TYPE_CHECKING:  # the pipeline imports the counter package
+    from repro.telemetry.pipeline import TelemetryPipeline
 
 Sink = Callable[[list[CounterValue]], None]
 
@@ -56,13 +61,12 @@ def _validate_sink(sink: Any) -> Sink | None:
 
 
 class PeriodicQuery:
-    """Sample a counter set every *interval_ns*.
+    """Sample a :class:`~repro.telemetry.pipeline.TelemetryPipeline`
+    every *interval_ns*.
 
-    The first argument is either an :class:`ActiveCounters` set (the
-    historical form) or a
-    :class:`~repro.telemetry.pipeline.TelemetryPipeline`, in which case
-    every sample is recorded through the pipeline (frame + sinks) as
-    well as kept on :attr:`samples`.
+    Each sample is recorded through the pipeline (frame + sinks); the
+    optional *sink* callback additionally receives every evaluation's
+    :class:`CounterValue` list as it is taken.
 
     With ``in_band=True`` (default) each sample is executed as a task on
     the runtime; with ``in_band=False`` sampling is free (an external
@@ -72,7 +76,7 @@ class PeriodicQuery:
 
     def __init__(
         self,
-        active: Any,
+        pipeline: "TelemetryPipeline",
         *,
         engine: Any,
         runtime: Any = None,
@@ -82,27 +86,18 @@ class PeriodicQuery:
         reset_each_sample: bool = False,
         cost_per_counter_ns: int | None = None,
     ) -> None:
+        from repro.telemetry.pipeline import TelemetryPipeline
+
         if interval_ns <= 0:
             raise ValueError("interval_ns must be positive")
-        # A TelemetryPipeline exposes the resolved counter set plus
-        # sample recording; a bare ActiveCounters is driven directly.
-        if isinstance(active, ActiveCounters):
-            self.pipeline = None
-            self.active = active
-        elif hasattr(active, "sample") and isinstance(
-            getattr(active, "active", None), ActiveCounters
-        ):
-            self.pipeline = active
-            self.active = active.active
-        else:
+        if not isinstance(pipeline, TelemetryPipeline):
             raise TypeError(
-                "PeriodicQuery needs an ActiveCounters set or a TelemetryPipeline, "
-                f"got {type(active).__name__}"
+                f"PeriodicQuery drives a TelemetryPipeline, got {type(pipeline).__name__}"
             )
+        self.pipeline = pipeline
         self.engine = engine
         self.runtime = runtime
         self.interval_ns = interval_ns
-        self.samples: list[list[CounterValue]] = []
         self.sink = _validate_sink(sink)
         self.in_band = in_band
         self.reset_each_sample = reset_each_sample
@@ -130,13 +125,18 @@ class PeriodicQuery:
     # -- control ------------------------------------------------------------
 
     def start(self) -> None:
-        """Begin sampling (first sample after one interval)."""
+        """Begin sampling (first sample after one interval).
+
+        With ``reset_each_sample`` the counters are re-baselined here
+        too, so the first sample also covers exactly one interval."""
         if self._running:
             return
         self._running = True
         self._epoch += 1
-        self.active.start()
-        self._timer = self.engine.schedule(self.interval_ns, self._tick, self._epoch)
+        self.pipeline.start()
+        if self.reset_each_sample:
+            self.pipeline.reset()
+        self._arm()
 
     def stop(self) -> None:
         """Stop sampling.  Idempotent: a second stop (or a stale in-band
@@ -148,7 +148,7 @@ class PeriodicQuery:
         timer, self._timer = self._timer, None
         if timer is not None and timer.active:
             timer.cancel()
-        self.active.stop()
+        self.pipeline.stop()
 
     # -- internals -----------------------------------------------------------
 
@@ -173,7 +173,7 @@ class PeriodicQuery:
 
     def _query_task(self, ctx: Any, epoch: int) -> Any:
         """The in-band query: an HPX task costing time per counter."""
-        cost = self.cost_per_counter_ns * len(self.active)
+        cost = self.cost_per_counter_ns * len(self.pipeline)
         yield ctx.compute(cost)
         if not self._running or epoch != self._epoch:
             return None  # stopped while the query task was in flight
@@ -185,10 +185,6 @@ class PeriodicQuery:
         return None
 
     def _record(self) -> None:
-        if self.pipeline is not None:
-            values = self.pipeline.sample(reset=self.reset_each_sample)
-        else:
-            values = self.active.evaluate_active_counters(reset=self.reset_each_sample)
-        self.samples.append(values)
+        values = self.pipeline.sample(reset=self.reset_each_sample)
         if self.sink is not None:
             self.sink(values)

@@ -1,15 +1,16 @@
 """Scaling analysis over strong-scaling curves.
 
 Downstream-user conveniences the paper's discussion implies: speedups,
-parallel efficiency, the serial-fraction estimate (Karp-Flatt), and a
-knee detector for the "scales to N" readings.
+parallel efficiency, the serial-fraction estimate (Karp-Flatt), and the
+knee detector (:func:`~repro.experiments.harness.knee`, the same search
+behind :meth:`ScalingCurve.scales_to`'s "scales to N" label).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.harness import ScalingCurve
+from repro.experiments.harness import ScalingCurve, knee
 
 
 @dataclass(frozen=True)
@@ -44,23 +45,6 @@ def karp_flatt(curve: ScalingCurve, cores: int) -> float | None:
     if speedup is None or speedup <= 0:
         return None
     return (1.0 / speedup - 1.0 / cores) / (1.0 - 1.0 / cores)
-
-
-def knee(curve: ScalingCurve, tolerance: float = 0.03) -> int | None:
-    """The core count past which no point improves by > *tolerance*.
-
-    None when the curve fails at every point.
-    """
-    live = [p for p in curve.points if not p.aborted]
-    if not live:
-        return None
-    best_cores = live[0].cores
-    best = live[0].median_exec_ns
-    for point in live[1:]:
-        if point.median_exec_ns < best * (1 - tolerance):
-            best = point.median_exec_ns
-            best_cores = point.cores
-    return best_cores
 
 
 def analyze(curve: ScalingCurve) -> ScalingAnalysis:

@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.experiments.config import PAPI_COUNTERS, ExperimentConfig
+from repro.experiments import metrics
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import ScalingCurve, run_strong_scaling
-from repro.model.work import CACHE_LINE
 
 if TYPE_CHECKING:
     from repro.campaign.artifact import CampaignArtifact
@@ -58,9 +58,6 @@ BANDWIDTH_FIGURES: dict[str, str] = {
     "fig13": "alignment",
     "fig14": "pyramids",
 }
-
-_CUMULATIVE = "/threads{locality#0/total}/time/cumulative"
-_CUMULATIVE_OVERHEAD = "/threads{locality#0/total}/time/cumulative-overhead"
 
 
 @dataclass
@@ -200,17 +197,15 @@ def overhead_figure(
     )
     out = OverheadFigure(figure=figure, benchmark=benchmark)
     base = curve.points[0]
-    base_exec = base.median_exec_ns
-    base_task_time = base.counters[_CUMULATIVE]
     for p in curve.points:
         if p.aborted:
             continue
         out.cores.append(p.cores)
         out.exec_time_ms.append(p.median_exec_ns / 1e6)
-        out.ideal_scaling_ms.append(base_exec / p.cores / 1e6)
-        out.task_time_per_core_ms.append(p.counters[_CUMULATIVE] / p.cores / 1e6)
-        out.ideal_task_time_ms.append(base_task_time / p.cores / 1e6)
-        out.sched_overhead_per_core_ms.append(p.counters[_CUMULATIVE_OVERHEAD] / p.cores / 1e6)
+        out.ideal_scaling_ms.append(base.median_exec_ns / p.cores / 1e6)
+        out.task_time_per_core_ms.append(metrics.task_time_per_core_ms(p, p.cores))
+        out.ideal_task_time_ms.append(metrics.task_time_per_core_ms(base, p.cores))
+        out.sched_overhead_per_core_ms.append(metrics.scheduling_overhead_per_core_ms(p, p.cores))
     return out
 
 
@@ -244,10 +239,8 @@ def bandwidth_figure(
     for p in curve.points:
         if p.aborted or p.median_exec_ns <= 0:
             continue
-        requests = sum(p.counters[name] for name in PAPI_COUNTERS)
-        gbs = requests * CACHE_LINE / (p.median_exec_ns / 1e9) / 1e9
         out.cores.append(p.cores)
-        out.bandwidth_gbs.append(gbs)
+        out.bandwidth_gbs.append(metrics.bandwidth_gbs(p))
     return out
 
 

@@ -35,9 +35,6 @@ class ScalingPoint:
     median_exec_ns: float = 0.0
     exec_samples: tuple[int, ...] = ()
     counters: dict[str, float] = field(default_factory=dict)  # medians
-    # Median counter values as a telemetry frame (same numbers as
-    # ``counters``, plus units) when the runs carried frames.
-    telemetry: Any = None
     tasks_executed: int = 0
     peak_live_tasks: int = 0
     offcore_bytes: int = 0
@@ -77,21 +74,33 @@ class ScalingCurve:
     def scales_to(self, tolerance: float = 0.03) -> str:
         """Table V style scaling label: 'to N', 'no scaling' or 'fail'.
 
-        The largest core count whose time improves on every smaller
-        one by more than *tolerance*.
+        'to N' names the :func:`knee`; any aborted point fails.
         """
-        live = [p for p in self.points if not p.aborted]
-        if not live or len(live) < len(self.points):
+        best_cores = knee(self, tolerance)
+        if best_cores is None or any(p.aborted for p in self.points):
             return "fail"
-        best_cores = live[0].cores
-        best = live[0].median_exec_ns
-        for p in live[1:]:
-            if p.median_exec_ns < best * (1 - tolerance):
-                best = p.median_exec_ns
-                best_cores = p.cores
-        if best_cores == live[0].cores:
+        if best_cores == self.points[0].cores:
             return "no scaling"
         return f"to {best_cores}"
+
+
+def knee(curve: ScalingCurve, tolerance: float = 0.03) -> int | None:
+    """The core count past which no point improves by > *tolerance*.
+
+    The largest core count whose time improves on every smaller one by
+    more than *tolerance*; aborted points are skipped.  None when the
+    curve fails at every point.
+    """
+    live = [p for p in curve.points if not p.aborted]
+    if not live:
+        return None
+    best_cores = live[0].cores
+    best = live[0].median_exec_ns
+    for point in live[1:]:
+        if point.median_exec_ns < best * (1 - tolerance):
+            best = point.median_exec_ns
+            best_cores = point.cores
+    return best_cores
 
 
 def aggregate_point(cores: int, runs: Sequence[RunResult]) -> ScalingPoint:
@@ -110,25 +119,9 @@ def aggregate_point(cores: int, runs: Sequence[RunResult]) -> ScalingPoint:
         point.exec_samples = tuple(times)
         point.tasks_executed = runs[0].tasks_executed
         point.offcore_bytes = round(statistics.median([r.offcore_bytes for r in runs]))
-        # Per-run totals come off the telemetry frame when the run
-        # carried one (a frame's totals are its last sample per name —
-        # identical to the legacy ``counters`` dict), else the dict.
-        totals = [
-            r.telemetry.totals() if getattr(r, "telemetry", None) is not None else r.counters
-            for r in runs
-        ]
-        names = totals[0].keys()
-        point.counters = {name: statistics.median([t[name] for t in totals]) for name in names}
-        first = getattr(runs[0], "telemetry", None)
-        if first is not None and point.counters:
-            from repro.telemetry.frame import TelemetryFrame
-
-            point.telemetry = TelemetryFrame.from_counters(
-                point.counters,
-                timestamp_ns=round(point.median_exec_ns),
-                units=first.units(),
-                run_id=f"{runs[0].benchmark}/{runs[0].runtime}/c{cores}/median",
-            )
+        point.counters = {
+            name: statistics.median([r.counters[name] for r in runs]) for name in runs[0].counters
+        }
     return point
 
 

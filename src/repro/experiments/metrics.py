@@ -2,8 +2,9 @@
 
 Each function maps a :class:`~repro.experiments.runner.RunResult` or a
 :class:`~repro.experiments.harness.ScalingPoint` (anything carrying a
-telemetry frame or a ``counters`` dict, plus an execution time) to one
-number, exactly as the paper defines it:
+``counters`` dict, plus an execution time) to one number, exactly as the
+paper defines it.  The figure and table generators compute these
+metrics through this module, so each has one definition:
 
 - **Task Duration** — ``/threads/time/average``;
 - **Task Overhead** — ``/threads/time/average-overhead``;
@@ -28,11 +29,6 @@ IDLE_RATE = "/threads{locality#0/total}/idle-rate"
 
 
 def _counters(run: Any) -> dict[str, float]:
-    telemetry = getattr(run, "telemetry", None)
-    if telemetry is not None:
-        totals = telemetry.totals()
-        if totals:
-            return totals
     counters = getattr(run, "counters", None)
     if not counters:
         raise ValueError("no counters on this result — run with collect_counters=True")

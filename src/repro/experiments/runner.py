@@ -29,11 +29,8 @@ class RunResult:
     counters: dict[str, float] = field(default_factory=dict)
     # The run's telemetry frame: every sample recorded through the
     # pipeline (periodic rows plus the final evaluation).  ``counters``
-    # is its final-totals view, kept for the legacy dict consumers.
+    # is the final evaluation as a {name: value} dict.
     telemetry: Any = None  # repro.telemetry.frame.TelemetryFrame | None
-    # Periodic in-band samples (lists of CounterValue) when a
-    # query_interval_ns was requested.
-    query_samples: list = field(default_factory=list)
     tasks_executed: int = 0
     tasks_created: int = 0
     peak_live_tasks: int = 0

@@ -5,14 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+from repro.experiments import metrics
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import run_strong_scaling
 from repro.api import Session
 from repro.inncabs.suite import available_benchmarks, get_benchmark
 from repro.tools import HPCTOOLKIT, TAU, ToolOutcome, ToolRunResult, run_with_tool
 from repro.workloads import WorkloadSpec
-
-_TASK_DURATION = "/threads{locality#0/total}/time/average"
 
 
 def classify_granularity(task_duration_us: float) -> str:
@@ -130,7 +129,7 @@ def table5(
                 params=bench_params,
                 jobs=jobs,
             )
-        duration_us = hpx.points[0].counters[_TASK_DURATION] / 1e3
+        duration_us = metrics.task_duration_us(hpx.points[0])
         rows.append(
             Table5Row(
                 benchmark=name,

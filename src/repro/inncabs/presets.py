@@ -12,6 +12,9 @@ three presets per benchmark:
 - ``paper``  — the *unscaled* paper-scale inputs (up to ~10^7..10^8
   tasks), offered only where the mesoscale cohort engine can run them
   (``mode=cohort``); the exact engine would take hours on these.
+
+The workload registry serves these tables; look a preset up with
+:func:`repro.workloads.workload_preset_params`.
 """
 
 from __future__ import annotations
@@ -86,31 +89,12 @@ PRESETS: dict[str, dict[str, dict[str, Any]]] = {
     },
 }
 
-PRESET_NAMES = ("small", "default", "large", "paper")
-
-
-def preset_params(benchmark: str, preset: str) -> dict[str, Any]:
-    """Parameter overrides for *benchmark* under *preset*.
-
-    ``default`` is always the empty override.  Raises ``KeyError`` for
-    unknown benchmarks or presets.
-    """
-    if benchmark not in PRESETS:
-        get_benchmark(benchmark)  # raises with the available list
-        raise KeyError(f"no presets table for {benchmark!r}")  # pragma: no cover
-    if preset == "default":
-        return {}
-    try:
-        return dict(PRESETS[benchmark][preset])
-    except KeyError:
-        raise KeyError(
-            f"unknown preset {preset!r} for {benchmark}; choose from {PRESET_NAMES}"
-        ) from None
-
 
 def validate_presets() -> None:
     """Every benchmark has small/large, and every listed preset (the
     ``paper`` tier is opt-in per benchmark) uses known parameter names."""
+    from repro.workloads import workload_preset_params
+
     for name in available_benchmarks():
         bench = get_benchmark(name)
         table = PRESETS.get(name, {})
@@ -118,4 +102,4 @@ def validate_presets() -> None:
             if required not in table:
                 raise AssertionError(f"{name} is missing the {required!r} preset")
         for preset in table:
-            bench.params_with_defaults(preset_params(name, preset))
+            bench.params_with_defaults(workload_preset_params(name, preset))

@@ -8,8 +8,9 @@ implementation: a :class:`Sample` record model, a
 nested statistics), sampling, bounded buffering with drop accounting,
 and pluggable sinks (CSV, JSON-lines, Chrome-trace, in-memory frames).
 
-Every consumer — periodic in-band queries, the strong-scaling harness,
-the experiment metrics, campaign artifacts, the ``repro counters``
+Every sampler — the end-of-run evaluation, periodic in-band queries,
+the APEX policy engine — records through a pipeline, and every stream
+consumer — campaign artifacts, the run server, the ``repro counters``
 CLI — reads and writes this one stream format instead of private row
 shapes.  See ``docs/telemetry.md``.
 """

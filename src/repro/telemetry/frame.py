@@ -1,18 +1,18 @@
-"""In-memory telemetry frame: the sink used by tests and aggregation.
+"""In-memory telemetry frame: the sink used by tests and campaign artifacts.
 
 A :class:`TelemetryFrame` is both a sink (it implements ``emit`` /
 ``close``) and the queryable result of a run's telemetry: ordered
-sample rows with per-counter series and final totals.  The harness,
-the experiment metrics, and campaign artifacts all consume frames —
-``totals()`` reproduces, bit for bit, the ``{name: value}`` dict the
-pre-pipeline code paths used to carry around.
+sample rows with per-counter series and final totals.  Campaign
+artifacts persist frames and rebuild a run's ``counters`` dict with
+``totals()``, which for a finished run is, bit for bit, its final
+evaluation.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro.telemetry.sample import Sample, instance_of
+from repro.telemetry.sample import Sample
 
 
 class TelemetryFrame:
@@ -64,11 +64,11 @@ class TelemetryFrame:
         raise KeyError(f"no counter {name!r} in frame; collected:\n  {known}")
 
     def totals(self) -> dict[str, float]:
-        """{name: final value} — the legacy counter-dict view.
+        """{name: final value} — the counter-dict view.
 
         The *last* sample per counter wins, so for a run that sampled
         periodically and then evaluated once at termination this is
-        exactly the dict ``evaluate_active_counters`` used to produce.
+        exactly the run's final evaluation.
         """
         out: dict[str, float] = {}
         for sample in self.samples:
@@ -94,30 +94,3 @@ class TelemetryFrame:
     @classmethod
     def from_rows(cls, rows: Iterable[Mapping[str, Any]]) -> "TelemetryFrame":
         return cls(Sample.from_row(row) for row in rows)
-
-    @classmethod
-    def from_counters(
-        cls,
-        counters: Mapping[str, float],
-        *,
-        timestamp_ns: int = 0,
-        units: Mapping[str, str] | None = None,
-        run_id: str = "",
-    ) -> "TelemetryFrame":
-        """Adapt a ``{name: value}`` dict into a one-shot frame.
-
-        For results that only carry a counter dict, such as the median
-        totals of an aggregated scaling point.
-        """
-        units = units or {}
-        return cls(
-            Sample(
-                name=name,
-                instance=instance_of(name),
-                timestamp_ns=timestamp_ns,
-                value=value,
-                unit=units.get(name, ""),
-                run_id=run_id,
-            )
-            for name, value in counters.items()
-        )

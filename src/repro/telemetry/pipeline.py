@@ -6,12 +6,17 @@ export path the paper describes:
 - **counter-set resolution** — specs (including ``#*`` wildcard
   instances and nested statistics counter names) are expanded through
   the run's :class:`~repro.counters.registry.CounterRegistry` into one
-  concrete counter per stream;
-- **sampling** — ``sample()`` evaluates every resolved counter at the
-  current simulated instant and converts the readings into
-  :class:`~repro.telemetry.sample.Sample` records (cadence is driven
-  by :class:`~repro.counters.query.PeriodicQuery` for in-band interval
-  sampling, or by a single end-of-run call);
+  concrete counter per stream; the pipeline is the run's set of
+  *active* counters, whose instrumentation ``start()``/``stop()``
+  switch on and off;
+- **the paper's evaluate/reset protocol** — ``sample(reset=)`` is
+  ``hpx::evaluate_active_counters``: it evaluates every resolved
+  counter at the current simulated instant (optionally re-baselining
+  it) and converts the readings into
+  :class:`~repro.telemetry.sample.Sample` records; ``reset()`` is
+  ``hpx::reset_active_counters``.  Cadence is driven by
+  :class:`~repro.counters.query.PeriodicQuery` for interval sampling,
+  or by a single end-of-run call;
 - **bounded buffering with drop accounting** — the in-memory frame
   retains at most ``buffer_limit`` samples; overflow is *counted*
   (``dropped``), never silent, while streaming sinks still receive
@@ -22,10 +27,10 @@ export path the paper describes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.counters.manager import ActiveCounters
+from repro.counters.base import PerformanceCounter
 from repro.counters.registry import CounterRegistry
 from repro.counters.types import CounterValue
 from repro.telemetry.frame import TelemetryFrame
@@ -85,9 +90,9 @@ class TelemetryPipeline:
         if buffer_limit < 1:
             raise ValueError("buffer_limit must be >= 1")
         self.sinks = [ensure_sink(sink) for sink in sinks]
-        # Counter-set resolution: ActiveCounters runs wildcard discovery
-        # and nested statistics/arithmetics construction on the registry.
-        self.active = ActiveCounters(registry, specs)
+        # Counter-set resolution: the registry runs wildcard discovery
+        # and nested statistics/arithmetics construction.
+        self.counters: list[PerformanceCounter] = registry.create_counters(specs)
         self.run_id = run_id
         self.buffer_limit = buffer_limit
         self.frame = frame if frame is not None else TelemetryFrame()
@@ -95,14 +100,15 @@ class TelemetryPipeline:
         self.samples_recorded = 0
         # Per-counter static metadata, resolved once: canonical name,
         # instance part, unit.  Evaluation order is the plan order.
-        self._plan = [
-            (str(c.name), c.name.full_instance, c.info.unit) for c in self.active.counters
-        ]
+        self._plan = [(str(c.name), c.name.full_instance, c.info.unit) for c in self.counters]
+        # The bound evaluator of every counter, resolved once: periodic
+        # sampling calls this list per tick.
+        self._evaluators = [c.get_counter_value for c in self.counters]
 
     # -- introspection -----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.active)
+        return len(self.counters)
 
     def names(self) -> list[str]:
         """Fully-resolved concrete counter names (wildcards expanded)."""
@@ -111,15 +117,21 @@ class TelemetryPipeline:
     # -- life cycle --------------------------------------------------------
 
     def start(self) -> None:
-        """Activate counter instrumentation (charges the runtime)."""
-        self.active.start()
+        """Activate counter instrumentation (charges the runtime).
+
+        Idempotent: each counter registers its instrumentation once."""
+        for counter in self.counters:
+            counter.start()
 
     def stop(self) -> None:
-        self.active.stop()
+        """Deactivate counter instrumentation; idempotent like ``start``."""
+        for counter in self.counters:
+            counter.stop()
 
     def reset(self) -> None:
-        """Re-baseline every resolved counter (start of a sample window)."""
-        self.active.reset_active_counters()
+        """Re-baseline every resolved counter (``hpx::reset_active_counters``)."""
+        for counter in self.counters:
+            counter.reset()
 
     def __enter__(self) -> "TelemetryPipeline":
         self.start()
@@ -134,19 +146,20 @@ class TelemetryPipeline:
     def sample(self, *, reset: bool = False) -> list[CounterValue]:
         """Evaluate every counter now, record the readings, return them.
 
-        The returned :class:`CounterValue` list is exactly what
-        ``evaluate_active_counters`` produces, so counter values that
-        flow through the pipeline are bit-identical to the direct path.
+        This is ``hpx::evaluate_active_counters(reset)``: one
+        :class:`CounterValue` per resolved counter, in plan order, each
+        exactly what the counter's ``get_counter_value`` returns; with
+        ``reset=True`` every counter is re-baselined as it is read.
         """
-        values = self.active.evaluate_active_counters(reset=reset)
+        values = [evaluate(reset=reset) for evaluate in self._evaluators]
         self.record(values)
         return values
 
     def record(self, values: Sequence[CounterValue]) -> list[Sample]:
         """Convert one evaluation's readings into samples and route them.
 
-        ``values`` must be in plan order (the order ``sample()`` and
-        ``evaluate_active_counters`` produce).
+        ``values`` must be in plan order (the order ``sample()``
+        produces).
         """
         if len(values) != len(self._plan):
             raise ValueError(

@@ -64,17 +64,3 @@ class Sample:
             unit=row.get("unit", ""),
             run_id=row.get("run_id", ""),
         )
-
-
-def instance_of(name: str) -> str:
-    """Best-effort resolved instance part of a counter-name string.
-
-    Used when adapting ``{name: value}`` dicts into sample streams;
-    malformed names degrade to an empty instance rather than failing.
-    """
-    from repro.counters.names import CounterNameError, parse_counter_name
-
-    try:
-        return parse_counter_name(name).full_instance
-    except CounterNameError:
-        return ""

@@ -72,17 +72,32 @@ class _StreamSink:
 
 
 class CsvSink(_StreamSink):
-    """``name,instance,timestamp_ns,value,unit,run_id`` rows."""
+    """``name,instance,timestamp_ns,value,unit,run_id`` rows.
+
+    The header goes out with the first row (or at ``close()`` for a
+    stream with no rows), so a run that fails before sampling writes
+    nothing.
+    """
 
     def __init__(self, dest: str | Path | IO[str]) -> None:
         super().__init__(dest)
-        self._write_line(",".join(SAMPLE_FIELDS))
+        self._header_written = False
+
+    def _write_header(self) -> None:
+        if not self._header_written:
+            self._header_written = True
+            self._write_line(",".join(SAMPLE_FIELDS))
 
     def emit(self, sample: Sample) -> None:
+        self._write_header()
         self._write_line(
             f"{sample.name},{sample.instance},{sample.timestamp_ns},"
             f"{sample.value:g},{sample.unit},{sample.run_id}"
         )
+
+    def close(self) -> None:
+        self._write_header()
+        super().close()
 
 
 class JsonLinesSink(_StreamSink):

@@ -9,6 +9,11 @@ from repro.simcore.clock import us
 from tests.conftest import fib_body
 
 
+def busy(ctx, ns):
+    """One task computing for *ns*: keeps the application live."""
+    yield ctx.compute(ns)
+
+
 def make_engine(registry, hpx4, engine, rules=(), period=us(50)):
     return PolicyEngine(
         engine=engine,
@@ -34,7 +39,7 @@ def test_engine_stops_at_quiescence(registry, hpx4, engine):
     pe.start()
     hpx4.run_to_completion(fib_body, 10)
     engine.run()
-    assert not pe._running
+    assert not pe.query._running
     assert engine.pending_events == 0
 
 
@@ -54,6 +59,39 @@ def test_rules_returning_none_record_nothing(registry, hpx4, engine):
     pe.start()
     hpx4.run_to_completion(fib_body, 12)
     assert pe.history == []
+
+
+def test_first_period_reads_from_zeroed_counters(registry, hpx4, engine):
+    """Tasks retired before start() do not leak into the first sample."""
+    hpx4.run_to_completion(fib_body, 8)
+    assert hpx4.stats.tasks_executed > 1
+    hpx4.submit(busy, us(200))
+    pe = make_engine(registry, hpx4, engine)
+    pe.start()
+    engine.run()
+    counts = [s["/threads{locality#0/total}/count/cumulative"] for s in pe.samples]
+    assert len(counts) >= 3
+    assert set(counts) == {0}  # only the busy task runs, and it has not retired at any tick
+
+
+def test_stop_start_within_a_period_keeps_one_chain(registry, hpx4, engine):
+    """A stop/start cycle mid-period leaves one sampling chain, armed
+    from the restart: the first chain's pending tick must not fire."""
+    hpx4.submit(busy, us(2000))  # live throughout
+    times = []
+    pe = make_engine(registry, hpx4, engine, rules=[PolicyRule("t", lambda s, t: times.append(t))])
+    pe.start()
+    engine.run(until=us(10))
+    restart = engine.now  # the clock rests on the last event before 10 us
+    assert 0 < restart < us(50)
+    pe.stop()
+    pe.start()
+    engine.run(until=restart + us(775))
+    # One chain, one period apart from the restart (the first chain's
+    # tick at 50 us would make it two).
+    assert times == [restart + k * us(50) for k in range(1, 16)]
+    assert len(pe.samples) == 15
+    pe.stop()
 
 
 def test_invalid_period_rejected(registry, hpx4, engine):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.counters.manager import ActiveCounters
+from repro.telemetry.pipeline import TelemetryPipeline
 
 from tests.conftest import fib_body
 
@@ -11,9 +11,9 @@ TOTAL = "locality#0/total"
 
 
 def run_and_read(registry, hpx4, specs):
-    ac = ActiveCounters(registry, specs)
+    pipeline = TelemetryPipeline(registry, specs)
     hpx4.run_to_completion(fib_body, 10)
-    return ac.evaluate_dict(), hpx4
+    return {v.name: v.value for v in pipeline.sample()}, hpx4
 
 
 def test_count_cumulative_matches_stats(registry, hpx4):

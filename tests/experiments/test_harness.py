@@ -84,27 +84,30 @@ def test_collect_counters_false():
 
 
 def test_runner_periodic_query_samples():
-    from repro.api import Session, WorkloadSpec
+    from repro.api import Session, TelemetryConfig, WorkloadSpec
     from repro.simcore.clock import us
 
     result = Session(runtime="hpx", cores=2).run(
         WorkloadSpec.parse("fib"),
         params={"n": 13},
-        query_interval_ns=us(100),
+        telemetry=TelemetryConfig(interval_ns=us(100)),
     )
     assert result.verified
-    assert len(result.query_samples) >= 2
-    counts = [rows[4].value for rows in result.query_samples]
+    # The periodic rows, then the final evaluation at the end of the run.
+    *periodic, final = result.telemetry.series("/threads{locality#0/total}/count/cumulative")
+    assert len(periodic) >= 2
+    assert final.timestamp_ns == result.exec_time_ns
+    counts = [s.value for s in periodic]
     assert counts == sorted(counts)  # cumulative counter grows
 
 
 def test_runner_query_requires_counters():
-    from repro.api import Session, WorkloadSpec
+    from repro.api import Session, TelemetryConfig, WorkloadSpec
 
     with pytest.raises(ValueError, match="collect_counters"):
         Session(runtime="hpx").run(
             WorkloadSpec.parse("fib"),
             params={"n": 8},
             collect_counters=False,
-            query_interval_ns=1000,
+            telemetry=TelemetryConfig(interval_ns=1000),
         )

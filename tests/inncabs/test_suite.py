@@ -75,28 +75,31 @@ def test_only_pyramids_has_locality_penalty():
 
 
 def test_presets_cover_every_benchmark():
-    from repro.inncabs.presets import PRESETS, preset_params, validate_presets
+    from repro.inncabs.presets import PRESETS, validate_presets
+    from repro.workloads import workload_preset_params
 
     assert set(PRESETS) == set(available_benchmarks())
     validate_presets()
-    assert preset_params("fib", "default") == {}
-    assert preset_params("fib", "small") == {"n": 12}
+    assert workload_preset_params("fib", "default") == {}
+    assert workload_preset_params("fib", "small") == {"n": 12}
 
 
 def test_preset_unknown_rejected():
-    from repro.inncabs.presets import preset_params
+    from repro.workloads import workload_preset_params
 
     with pytest.raises(KeyError, match="preset"):
-        preset_params("fib", "gigantic")
+        workload_preset_params("fib", "gigantic")
     with pytest.raises(KeyError, match="available"):
-        preset_params("linpack", "small")
+        workload_preset_params("linpack", "small")
 
 
 def test_small_presets_run_quickly_and_verify():
     from repro.api import Session, WorkloadSpec
-    from repro.inncabs.presets import preset_params
+    from repro.workloads import workload_preset_params
 
     session = Session(runtime="hpx", cores=2)
     for name in ("fib", "sort", "qap"):
-        result = session.run(WorkloadSpec.parse(name), params=preset_params(name, "small"))
+        result = session.run(
+            WorkloadSpec.parse(name), params=workload_preset_params(name, "small")
+        )
         assert result.verified

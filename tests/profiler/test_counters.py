@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Session
+from repro.api import Session, TelemetryConfig
 from repro.workloads import WorkloadSpec
 
 SPECS = (
@@ -61,16 +61,12 @@ def test_unknown_body_parameter_reads_zero():
 
 
 def test_profiler_counters_ride_periodic_queries():
-    result = _run(query_interval_ns=100_000)
-    assert result.query_samples
-    names = {v.name for row in result.query_samples for v in row}
-    assert "/profiler{locality#0/total}/work-ns" in names
-    work = [
-        v.value
-        for row in result.query_samples
-        for v in row
-        if v.name == "/profiler{locality#0/total}/work-ns"
-    ]
+    result = _run(telemetry=TelemetryConfig(interval_ns=100_000))
+    # Periodic rows before the final evaluation at the end of the run.
+    *periodic, final = result.telemetry.series("/profiler{locality#0/total}/work-ns")
+    assert periodic
+    assert final.timestamp_ns == result.exec_time_ns
+    work = [s.value for s in periodic]
     assert work == sorted(work)  # monotonic while the run progresses
 
 

@@ -1,33 +1,36 @@
-"""The committed golden profile: fib(16) with a 50 % what-if, bit for bit.
+"""The golden profile: fib(16) with a 50 % what-if, bit for bit.
 
-The CI ``profiler-smoke`` job runs the same configuration through the
-``repro profile`` CLI and diffs the JSON against the same fixture, so a
-behavior change shows up identically in-process and end-to-end.
-Regenerate (only for an intentional change) with:
+Two committed files pin it: ``profile_fib16_whatif.summary.json``
+holds every field of the profile except the parallelism series (a
+readable diff when something moves), and ``profile_fib16_whatif.sha256``
+holds the sha256 of the exact bytes ``repro profile --json`` writes,
+series included.  The CI ``profiler-smoke`` job checks the same digest
+end to end.  Regenerate both (only for an intentional change) with:
 
-    repro profile fib:n=16 --what-if body=fib,speedup=50 \
-        --json tests/fixtures/profile_fib16_whatif.json
+    repro profile fib:n=16 --what-if body=fib,speedup=50 --json p.json
+    sha256sum p.json | cut -d' ' -f1 > tests/fixtures/profile_fib16_whatif.sha256
+
+and the summary as ``p.json`` without ``parallelism.points``.
 """
 
+import hashlib
 import json
 import pathlib
 
-from repro.api import Session
-from repro.profiler import ProfileConfig
-from repro.profiler.whatif import WhatIfSpec
-from repro.workloads import WorkloadSpec
+from repro.cli import main
 
-FIXTURE = pathlib.Path(__file__).parent.parent / "fixtures" / "profile_fib16_whatif.json"
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
+SUMMARY = FIXTURES / "profile_fib16_whatif.summary.json"
+DIGEST = FIXTURES / "profile_fib16_whatif.sha256"
 
 
-def test_profile_matches_golden_fixture():
-    session = Session(runtime="hpx", cores=4)
-    result = session.run(
-        WorkloadSpec.parse("fib:n=16"),
-        collect_counters=False,
-        profile=ProfileConfig(what_if=(WhatIfSpec(body="fib", speedup_pct=50),)),
-    )
-    golden = json.loads(FIXTURE.read_text())
-    got = result.profile.to_json_dict(include_series=True)
-    # Round-trip through JSON so int/float spellings compare like the file.
-    assert json.loads(json.dumps(got)) == golden
+def test_profile_matches_golden_fixture(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    argv = ["profile", "fib:n=16", "--what-if", "body=fib,speedup=50", "--json", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    written = out.read_bytes()
+    profile = json.loads(written)
+    del profile["parallelism"]["points"]
+    assert profile == json.loads(SUMMARY.read_text())
+    assert hashlib.sha256(written).hexdigest() == DIGEST.read_text().strip()

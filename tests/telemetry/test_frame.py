@@ -56,13 +56,3 @@ def test_rows_round_trip(frame):
     clone = TelemetryFrame.from_rows(frame.to_rows())
     assert clone.samples == frame.samples
 
-
-def test_from_counters_adapts_legacy_dict():
-    counters = {
-        "/threads{locality#0/total}/time/average": 1500.25,
-        "/threads{locality#0/total}/idle-rate": 123.0,
-    }
-    frame = TelemetryFrame.from_counters(counters, timestamp_ns=42, run_id="legacy")
-    assert frame.totals() == counters
-    assert all(x.timestamp_ns == 42 and x.run_id == "legacy" for x in frame)
-    assert frame.samples[0].instance == "locality#0/total"

@@ -28,14 +28,12 @@ def test_pipeline_expands_wildcards(registry):
 
 def test_sample_values_match_direct_evaluation(registry, hpx4):
     """The bit-identity contract: sampling through the pipeline returns
-    exactly what evaluate_active_counters returns."""
-    from repro.counters.manager import ActiveCounters
-
+    exactly what evaluating each counter directly returns."""
     specs = ["/threads/count/cumulative", "/threads/time/average"]
     pipe = TelemetryPipeline(registry, specs)
-    direct = ActiveCounters(registry, specs)
+    direct = registry.create_counters(specs)
     hpx4.run_to_completion(fib_body, 10)
-    expected = direct.evaluate_active_counters()
+    expected = [counter.get_counter_value() for counter in direct]
     got = pipe.sample()
     assert [(v.name, v.value, v.time) for v in got] == [
         (v.name, v.value, v.time) for v in expected

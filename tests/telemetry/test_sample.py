@@ -1,8 +1,8 @@
-"""Sample record model: round trips and instance extraction."""
+"""Sample record model: round trips."""
 
 import pytest
 
-from repro.telemetry.sample import SAMPLE_FIELDS, Sample, instance_of
+from repro.telemetry.sample import SAMPLE_FIELDS, Sample
 
 
 def test_to_row_uses_sample_field_order():
@@ -47,20 +47,3 @@ def test_samples_are_frozen():
     with pytest.raises(AttributeError):
         sample.value = 1.0
 
-
-def test_instance_of_resolves_instance_part():
-    assert (
-        instance_of("/threads{locality#0/worker-thread#3}/time/average")
-        == "locality#0/worker-thread#3"
-    )
-    # Omitted instance defaults to locality#0/total.
-    assert instance_of("/runtime/uptime") == "locality#0/total"
-
-
-def test_instance_of_statistics_counter_is_embedded_name():
-    nested = "/statistics{/threads{locality#0/total}/idle-rate}/rolling_average@3"
-    assert instance_of(nested) == "/threads{locality#0/total}/idle-rate"
-
-
-def test_instance_of_degrades_on_malformed_names():
-    assert instance_of("not-a-counter") == ""

@@ -68,7 +68,9 @@ def test_interval_sampling_streams_to_sinks():
     # Periodic samples plus the final end-of-run evaluation.
     assert len(frame) == len(result.telemetry) > 1
     assert frame.samples == result.telemetry.samples
-    assert result.query_samples  # the cadence driver recorded them too
+    # The cadence driver's rows come before the final evaluation.
+    assert result.telemetry.timestamps()[-1] == result.exec_time_ns
+    assert len(result.telemetry.timestamps()) > 1
 
 
 def test_default_run_id_identifies_the_run():

@@ -1,10 +1,15 @@
 """Command-line interface."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+#: A committed schema-3 artifact holding fib and sort cells only.
+SMOKE_BASELINE = Path(__file__).resolve().parent.parent / "results" / "baseline_smoke.json"
 
 
 def _exit_code(argv):
@@ -643,11 +648,14 @@ USER_ERRORS = [
     # unreadable artifacts ("T" is a truncated one)
     ["compare", "T", "T"],
     ["figure", "fig3", "--artifact", "T"],
+    # a valid artifact without the figure's workload (fib and sort only)
+    ["figure", "fig3", "--artifact", "smoke.json"],
     # unknown names, presets and parameters
     ["run", "linpack"],
     ["run", "fib", "--workload", "sort"],
     ["run", "fib", "--param", "bogus"],
     ["run", "sort", "--preset", "paper"],
+    ["counters", "query", "/no-such/counter", "--param", "n=8"],
     ["campaign", "--benchmarks", "sort", "--preset", "paper", "--no-cache"],
     ["table1", "--benchmarks", "nosuch"],
     ["table5", "--benchmarks", "nosuch"],
@@ -665,6 +673,7 @@ def test_user_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     """A user's mistake: exit 2 with an error message, no traceback, no output."""
     monkeypatch.chdir(tmp_path)  # nothing a wrongly accepted command writes lands in the repo
     (tmp_path / "T").write_text(json.dumps(TRUNCATED_ARTIFACT))
+    shutil.copy(SMOKE_BASELINE, tmp_path / "smoke.json")
     assert _exit_code(argv) == 2
     captured = capsys.readouterr()
     assert "error: " in captured.err
