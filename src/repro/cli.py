@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Callable, Sequence
 
@@ -1011,11 +1012,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_cores(args)
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
     except ValueError as exc:
         # The library's validation errors are the user's mistakes.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away (``repro ... | head``): stop quietly, with
+        # stdout on /dev/null so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,10 +22,12 @@ from repro.exec.errors import DeadlockError, ResourceExhausted, format_stall
 from repro.exec.interp import EffectInterpreter, WorkRewriter
 from repro.exec.probes import ProbeBus, SchedulerProbe
 from repro.model.effects import Await, AwaitAll, Lock, Unlock
-from repro.model.future import SimFuture, resume_payload, resume_payload_all
+from repro.model.future import FutureState, SimFuture, resume_payload, resume_payload_all
 from repro.model.population import TaskCohort
 from repro.model.sync import Mutex
 from repro.model.work import Work
+
+_NOT_READY = FutureState.NOT_READY  # hot-path alias (one global load)
 
 
 class SchedulerBackend:
@@ -144,10 +146,11 @@ class SchedulerBackend:
 
     def do_await(self, worker: Any, task: Any, effect: Await) -> None:
         future = effect.future
-        if future.is_ready:
+        if future.state is not _NOT_READY:
             cost = self.params.future_get_ready_ns
             self._charge_exec(worker, task, cost)
-            self.probes.emit_dependencies(self.engine.now, task, (future,))
+            if self.probes.trace is not None:
+                self.probes.emit_dependencies(self.engine.now, task, (future,))
             self.engine.call_later(cost, self._step, worker, task, resume_payload(future))
             return
         producer = future.producer_task
@@ -159,7 +162,7 @@ class SchedulerBackend:
 
     def do_await_all(self, worker: Any, task: Any, effect: AwaitAll) -> None:
         futures = effect.futures
-        pending = [f for f in futures if not f.is_ready]
+        pending = [f for f in futures if f.state is _NOT_READY]
         for fut in pending:
             producer = fut.producer_task
             if producer is not None and producer.state is self.DEFERRED:
@@ -170,7 +173,8 @@ class SchedulerBackend:
         if not pending:
             cost = self.params.future_get_ready_ns
             self._charge_exec(worker, task, cost)
-            self.probes.emit_dependencies(self.engine.now, task, futures)
+            if self.probes.trace is not None:
+                self.probes.emit_dependencies(self.engine.now, task, futures)
             self.engine.call_later(cost, self._step, worker, task, resume_payload_all(futures))
             return
         self._block(worker, task)
@@ -187,7 +191,8 @@ class SchedulerBackend:
 
     def _joined(self, task: Any, futures: Sequence[Any], payload: Any) -> None:
         """Every future a blocked *task* waits on is ready: wake it."""
-        self.probes.emit_dependencies(self.engine.now, task, futures)
+        if self.probes.trace is not None:
+            self.probes.emit_dependencies(self.engine.now, task, futures)
         self._wake(self._fulfil_worker, task, payload)
 
     def do_lock(self, worker: Any, task: Any, effect: Lock) -> None:
@@ -221,7 +226,9 @@ class SchedulerBackend:
         del self._live[task.tid]
         worker.stats.tasks_executed += 1
         self.stats.tasks_executed += 1
-        self.probes.emit(self.engine.now, "terminate", task, worker.index)
+        trace = self.probes.trace
+        if trace is not None:
+            trace(self.engine.now, "terminate", task, worker.index)
         prev = self._fulfil_worker
         self._fulfil_worker = worker
         try:

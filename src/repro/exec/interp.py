@@ -16,6 +16,7 @@ the per-step gate come from the :class:`~repro.exec.backend.SchedulerBackend`.
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Callable, Generator
 
 from repro.model.context import TaskContext
@@ -96,7 +97,8 @@ class EffectInterpreter:
         gen = task.gen
         if gen is None:  # first activation: bind the body to its context
             gen = task.fn(TaskContext(backend, task), *task.args)
-            if not isinstance(gen, Generator):
+            # The exact-type test spares plain generators the ABC check.
+            if gen.__class__ is not GeneratorType and not isinstance(gen, Generator):
                 raise TypeError(f"task body {task.description!r} must be a generator function")
             task.gen = gen
         task.pending_send = None

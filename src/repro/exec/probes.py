@@ -155,17 +155,16 @@ class ProbeBus:
 
         The hook's 4th argument carries the *producer tid* for
         ``depend`` events (it is the worker index for the life-cycle
-        events).
+        events).  The backends call this only while a hook is attached.
         """
         hook = self.trace
         if hook is None:
             return
+        waiter_tid = waiter.tid
         for fut in futures:
-            producer = getattr(fut, "producer_task", None)
-            if producer is not None and producer is not waiter:
-                tid = getattr(producer, "tid", None)
-                if tid is not None:
-                    hook(time_ns, "depend", waiter, tid)
+            tid = fut.producer_tid
+            if tid is not None and tid != waiter_tid:
+                hook(time_ns, "depend", waiter, tid)
 
     # -- derived views -----------------------------------------------------
 

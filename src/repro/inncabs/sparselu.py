@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from repro.inncabs.base import Benchmark, BenchmarkInfo
 from repro.model.work import Work
@@ -54,11 +53,15 @@ def lu0(diag: np.ndarray) -> None:
 
 def fwd(diag: np.ndarray, right: np.ndarray) -> None:
     """Solve L X = right in place (L unit-lower from *diag*)."""
+    from scipy.linalg import solve_triangular  # at first use: ``import repro`` skips scipy
+
     right[:] = solve_triangular(diag, right, lower=True, unit_diagonal=True)
 
 
 def bdiv(diag: np.ndarray, below: np.ndarray) -> None:
     """Solve X U = below in place (U upper from *diag*)."""
+    from scipy.linalg import solve_triangular
+
     below[:] = solve_triangular(diag.T, below.T, lower=True).T
 
 

@@ -65,15 +65,15 @@ class TaskContext:
         stack_bytes: int = 0,
     ) -> Spawn:
         """``hpx::async(f, ...)`` / ``std::async(std::launch::async, f, ...)``."""
-        return Spawn(fn=fn, args=args, policy=policy, stack_bytes=stack_bytes)
+        return Spawn(fn, args, policy, stack_bytes)
 
     def wait(self, future: Any) -> Await:
         """``future.get()`` — suspend until ready, resume with the value."""
-        return Await(future=future)
+        return Await(future)
 
     def wait_all(self, futures: Sequence[Any]) -> AwaitAll:
         """Join a vector of futures (``hpx::when_all(...).get()``)."""
-        return AwaitAll(futures=tuple(futures))
+        return AwaitAll(tuple(futures))
 
     def compute(self, work: Work | int, membytes: int = 0, **kwargs: Any) -> Compute:
         """Consume machine resources.

@@ -23,7 +23,9 @@ class FutureError(RuntimeError):
     """Invalid future usage (double set, get before ready)."""
 
 
-_NOT_READY = FutureState.NOT_READY  # hot-path alias (one global load)
+# Hot-path aliases (one global load each).
+_NOT_READY = FutureState.NOT_READY
+_READY = FutureState.READY
 
 
 class ThrowValue:
@@ -37,12 +39,12 @@ class ThrowValue:
 
 
 def resume_payload(future: "SimFuture") -> Any:
-    """What a waiter should be resumed with: the value, or a
-    :class:`ThrowValue` carrying the stored exception."""
+    """What a waiter of the settled *future* should be resumed with:
+    the value, or a :class:`ThrowValue` carrying the stored exception."""
     exc = future._exception
     if exc is not None:
         return ThrowValue(exc)
-    return future.value()
+    return future._value
 
 
 def resume_payload_all(futures: Any) -> Any:
@@ -52,22 +54,28 @@ def resume_payload_all(futures: Any) -> Any:
         exc = fut._exception
         if exc is not None:
             return ThrowValue(exc)
-    return [fut.value() for fut in futures]
+    return [fut._value for fut in futures]
 
 
 class SimFuture:
-    """Write-once container with ready callbacks."""
+    """Write-once container with ready callbacks.
 
-    __slots__ = ("state", "_value", "_exception", "_callbacks", "producer_task")
+    Until it is settled a future holds its ``producer_task``, which the
+    runtimes read to run a ``deferred`` task inline at its first wait;
+    settling drops it, so a retired task and its future do not keep
+    each other alive.  ``producer_tid`` outlives the settlement: the
+    probe bus reads it for the ``depend`` edges of the join.
+    """
+
+    __slots__ = ("state", "_value", "_exception", "_callbacks", "producer_task", "producer_tid")
 
     def __init__(self, producer_task: Any = None) -> None:
         self.state = _NOT_READY
         self._value: Any = None
         self._exception: BaseException | None = None
         self._callbacks: list[Callable[["SimFuture"], None]] = []
-        # The task that will produce the value; runtimes use this to run
-        # `deferred` tasks inline at first wait.
         self.producer_task = producer_task
+        self.producer_tid: int | None = getattr(producer_task, "tid", None)
 
     @property
     def is_ready(self) -> bool:
@@ -75,18 +83,21 @@ class SimFuture:
 
     def set_value(self, value: Any) -> None:
         """Fulfil the future; fires callbacks synchronously, in FIFO order."""
-        if self.is_ready:
+        if self.state is not _NOT_READY:
             raise FutureError("future already satisfied")
         self._value = value
-        self.state = FutureState.READY
-        self._fire()
+        self.state = _READY
+        self.producer_task = None
+        if self._callbacks:
+            self._fire()
 
     def set_exception(self, exc: BaseException) -> None:
         """Fail the future; ``value`` will re-raise *exc* for every waiter."""
-        if self.is_ready:
+        if self.state is not _NOT_READY:
             raise FutureError("future already satisfied")
         self._exception = exc
         self.state = FutureState.EXCEPTION
+        self.producer_task = None
         self._fire()
 
     def value(self) -> Any:
@@ -104,7 +115,7 @@ class SimFuture:
 
     def on_ready(self, callback: Callable[["SimFuture"], None]) -> None:
         """Run *callback(self)* when ready (immediately if already ready)."""
-        if self.is_ready:
+        if self.state is not _NOT_READY:
             callback(self)
         else:
             self._callbacks.append(callback)

@@ -81,14 +81,6 @@ class MemoryController:
         """Nanoseconds needed to move *nbytes* under current contention."""
         if nbytes <= 0:
             return 0
-        if cross_socket_fraction == 0.0:
-            # Hot path: socket-local traffic (the common case).  Matches
-            # the general expression exactly: local == float(nbytes),
-            # remote == 0.0, and bw is the same min().
-            bw = self.peak_bw / (self.active_streams + 1)
-            if bw > self.per_core_bw:
-                bw = self.per_core_bw
-            return round(nbytes / bw * 1e9)
         if not 0.0 <= cross_socket_fraction <= 1.0:
             raise ValueError("cross_socket_fraction must be in [0, 1]")
         bw = self.effective_bandwidth(self.active_streams + 1)
@@ -224,7 +216,6 @@ class ResourceModel:
         self,
         core: Core,
         work: Work,
-        *,
         cross_socket_fraction: float = 0.0,
         speed_factor: float = 1.0,
     ) -> SegmentTicket:
@@ -235,23 +226,29 @@ class ResourceModel:
         used by the kernel model for time-slicing dilation).
         """
         socket = core.socket
-        controller = self.controllers[socket]
+        cpu_ns = work.cpu_ns
         working_set = work.membytes if work.working_set is None else work.working_set
 
-        # Inline l3_pressure_factor (hot path: one call per segment).
-        ws = self.active_ws[socket] + working_set
-        overflow = ws / self._l3_bytes[socket] - 1.0
+        # l3_pressure_factor and, for socket-local traffic, the
+        # controller's service time run inline: one call per segment.
+        overflow = (self.active_ws[socket] + working_set) / self._l3_bytes[socket] - 1.0
         if overflow <= 0:
             pressure = 1.0
         else:
             pressure = min(self._l3_max, 1.0 + self._l3_alpha * overflow)
         membytes = round(work.membytes * pressure)
-        mem_ns = controller.service_time_ns(membytes, cross_socket_fraction=cross_socket_fraction)
-        cpu_ns = round(work.cpu_ns * speed_factor)
-        duration = cpu_ns + mem_ns
-
-        uses_memory = membytes > 0
-        if uses_memory:
+        duration = round(cpu_ns * speed_factor)
+        if membytes > 0:
+            controller = self.controllers[socket]
+            if cross_socket_fraction == 0.0:
+                bw = controller.peak_bw / (controller.active_streams + 1)
+                if bw > controller.per_core_bw:
+                    bw = controller.per_core_bw
+                duration += round(membytes / bw * 1e9)
+            else:
+                duration += controller.service_time_ns(
+                    membytes, cross_socket_fraction=cross_socket_fraction
+                )
             controller.stream_started(membytes, cross_socket_fraction=cross_socket_fraction)
         self.active_ws[socket] += working_set
 
@@ -261,29 +258,24 @@ class ResourceModel:
         freq = self._freq_ghz[socket]
         hw = core.hw
         if membytes:
-            lines_work = work.scaled_traffic(pressure)
+            lines_work = work if pressure == 1.0 else work.scaled_traffic(pressure)
             data_rd, code_rd, rfo = lines_work.offcore_requests()
             hw.offcore_all_data_rd += data_rd
             hw.offcore_demand_code_rd += code_rd
             hw.offcore_demand_rfo += rfo
         hw.cycles += round(duration * freq)
-        hw.instructions += round(work.cpu_ns * freq * self._ipc)
+        hw.instructions += round(cpu_ns * freq * self._ipc)
         core.busy_ns += duration
-
-        return SegmentTicket(
-            core_index=core.index,
-            socket=socket,
-            duration_ns=duration,
-            membytes_effective=membytes,
-            uses_memory=uses_memory,
-        )
+        return SegmentTicket(core.index, socket, duration, membytes, membytes > 0)
 
     def segment_end(self, ticket: SegmentTicket, work: Work) -> None:
         """Finish the segment identified by *ticket*."""
+        socket = ticket.socket
         if ticket.uses_memory:
-            self.controllers[ticket.socket].stream_finished()
-        self.active_ws[ticket.socket] -= work.effective_working_set
-        if self.active_ws[ticket.socket] < 0:
+            self.controllers[socket].stream_finished()
+        active_ws = self.active_ws
+        active_ws[socket] -= work.membytes if work.working_set is None else work.working_set
+        if active_ws[socket] < 0:
             raise RuntimeError("working-set accounting went negative")
 
     # -- population (mesoscale) charging ---------------------------------

@@ -1,9 +1,10 @@
 """HPX-style task runtime.
 
 A user-level thread scheduler in the spirit of HPX's thread manager:
-lightweight tasks staged in per-worker double-ended queues, executed
-depth-first (LIFO at the owner's end), with FIFO work stealing from
-other workers (same socket preferred), futures for synchronization and
+lightweight tasks staged in per-worker deques (plain
+``collections.deque``), executed depth-first (LIFO at the owner's end),
+with thieves taking the oldest task from other workers (same socket
+preferred), futures for synchronization and
 the four launch policies the paper exercises (``async``, ``deferred``,
 ``fork``, ``sync``).
 

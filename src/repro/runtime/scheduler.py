@@ -1,20 +1,23 @@
 """The HPX-style thread manager: a work-stealing user-level thread
 scheduler on top of :class:`repro.simcore.events.Engine`.
 
-One worker per bound core, each with a double-ended queue (owner LIFO /
-thief FIFO); idle workers are woken by notifications, never by polling;
-victims are scanned same-socket-first — cross-socket steals cost more,
-producing the 10-core knee of Figures 11/12.  Every scheduling action
-is accounted to either *task execution time* or *task scheduling
-overhead*, the two quantities behind the paper's ``/threads/time/*``
-counters.  The mechanics shared with the kernel model (effect
-interpretation, the probe bus, the waits' fast paths, retirement) come
-from :class:`repro.exec.backend.SchedulerBackend`; this module holds the
-HPX policy.
+One worker per bound core, each with a work-stealing deque: the owner
+pushes and pops at its left end (LIFO, depth-first), thieves take from
+the right end (the oldest staged task).  Idle workers are woken by
+notifications, never by polling; victims are scanned same-socket-first
+— cross-socket steals cost more, producing the 10-core knee of Figures
+11/12.  Every scheduling action is accounted to either *task execution
+time* or *task scheduling overhead*, the two quantities behind the
+paper's ``/threads/time/*`` counters.  The mechanics shared with the
+kernel model (effect interpretation, the probe bus, the waits' fast
+paths, retirement) come from
+:class:`repro.exec.backend.SchedulerBackend`; this module holds the HPX
+policy.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, Sequence
 
 from repro.exec.backend import SchedulerBackend
@@ -25,7 +28,6 @@ from repro.model.population import TaskCohort
 from repro.model.work import Work
 from repro.runtime.config import HpxParams
 from repro.runtime.policies import LaunchPolicy, _BY_NAME as _POLICY_BY_NAME
-from repro.runtime.queues import TaskQueue
 from repro.runtime.task import Task, TaskState
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
@@ -37,6 +39,10 @@ __all__ = ["HpxRuntime"]
 _ASYNC = LaunchPolicy.ASYNC
 _FORK = LaunchPolicy.FORK
 _SYNC = LaunchPolicy.SYNC
+_PENDING = TaskState.PENDING
+_ACTIVE = TaskState.ACTIVE
+_SUSPENDED = TaskState.SUSPENDED
+_TERMINATED = TaskState.TERMINATED
 
 
 class _Worker:
@@ -58,7 +64,10 @@ class _Worker:
         self.index = index
         self.core_index = core_index
         self.socket = socket
-        self.queue = TaskQueue(index)
+        # Staged tasks: the owner pushes and pops at the left end
+        # (newest first: depth-first execution keeps the live-task count
+        # small), thieves pop at the right end (oldest first).
+        self.queue: deque[Task] = deque()
         self.state = "idle"  # idle | waking | busy
         self.current: Task | None = None
         self.stats = WorkerProbe()
@@ -110,6 +119,9 @@ class HpxRuntime(SchedulerBackend):
         self._cleanup_ns = p.cleanup_ns
         self._lifo = p.local_queue_discipline == "lifo"
         self._stack0_ns = p.stack_alloc_ns(0)  # default-stack allocation cost
+        # Workers in the "idle" state: while none is, runnable work
+        # wakes nobody and the spawn and wake paths skip the kick.
+        self._idle = len(self.workers)
         # Hyper-threading: number of workers currently computing per
         # physical core (two sharing a core each run slower).
         self._core_compute_count: dict[int, int] = {}
@@ -137,6 +149,7 @@ class HpxRuntime(SchedulerBackend):
             w.enabled = enable
             if enable and not was_enabled and w.state == "idle":
                 w.state = "waking"
+                self._idle -= 1
                 self.engine.call_later(self._notify_ns, self._worker_scan, w)
 
     @property
@@ -145,11 +158,9 @@ class HpxRuntime(SchedulerBackend):
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> SimFuture:
         """Stage a root task on worker 0; returns its future."""
-        task = self._make_task(
-            fn, args, LaunchPolicy.ASYNC, parent=None, home_socket=self.workers[0].socket
-        )
+        task = self._make_task(fn, args, _ASYNC, None, self.workers[0].socket)
         task.staged_at = self.engine.now
-        self.workers[0].queue.push_head(task)
+        self.workers[0].queue.appendleft(task)
         self._kick_for_work(self.workers[0])
         return task.future
 
@@ -233,30 +244,33 @@ class HpxRuntime(SchedulerBackend):
         fn: Callable[..., Any],
         args: tuple,
         policy: LaunchPolicy,
-        *,
         parent: Task | None,
         home_socket: int,
         stack_bytes: int = 0,
     ) -> Task:
+        now = self.engine.now
+        tid = self._next_tid
+        self._next_tid = tid + 1
         task = Task(
-            self._next_tid,
+            tid,
             fn,
             args,
             policy,
-            parent_tid=parent.tid if parent else None,
-            home_socket=home_socket,
-            stack_bytes=stack_bytes,
-            created_at=self.engine.now,
+            None if parent is None else parent.tid,
+            home_socket,
+            stack_bytes,
+            now,
         )
-        self._next_tid += 1
         stats = self.stats
         stats.tasks_created += 1
         live = stats.live_tasks + 1
         stats.live_tasks = live
         if live > stats.peak_live_tasks:
             stats.peak_live_tasks = live
-        self._live[task.tid] = task
-        self.probes.emit(self.engine.now, "create", task, None)
+        self._live[tid] = task
+        trace = self.probes.trace
+        if trace is not None:
+            trace(now, "create", task, None)
         return task
 
     def _kick_for_work(self, preferred: _Worker) -> None:
@@ -274,22 +288,19 @@ class HpxRuntime(SchedulerBackend):
         if target is None:
             return
         target.state = "waking"
+        self._idle -= 1
         self.engine.call_later(self._notify_ns, self._worker_scan, target)
 
     # ------------------------------------------------------------------
     # worker loop
     # ------------------------------------------------------------------
 
-    # -- accounting: charge *ns* to a task's exec or overhead time ---------
+    # -- accounting: a charge books *ns* to the task's and its worker's
+    # exec or overhead time (inline on the per-event paths) -------------
 
     def _charge_exec(self, w: _Worker, task: Task, ns: int) -> None:
         task.exec_ns += ns
         w.stats.exec_ns += ns
-        w.stats.busy_ns += ns
-
-    def _charge_overhead(self, w: _Worker, task: Task, ns: int) -> None:
-        task.overhead_ns += ns
-        w.stats.overhead_ns += ns
         w.stats.busy_ns += ns
 
     def _qpi_delay(self, w: _Worker) -> int:
@@ -330,39 +341,43 @@ class HpxRuntime(SchedulerBackend):
                 w.victims = victims
 
     def _worker_scan(self, w: _Worker) -> None:
-        """Find work: own queue head, then steal; go idle if none."""
+        """Find work: own queue's newest task, then steal; go idle if none."""
         if w.state == "busy":
             return  # a racing wake-up; the worker is already running
         if not w.enabled:
             w.state = "idle"
+            self._idle += 1
             # Throttled away: any work staged here must remain reachable.
-            if len(w.queue):
+            if w.queue:
                 self._kick_for_work(w)
             return
-        task = w.queue.pop_head()
+        task = w.queue.popleft() if w.queue else None
         overhead = self._dequeue_ns
         if task is None:
+            stats = w.stats
             for vi in w.victims:
                 victim = self.workers[vi]
-                w.stats.steals_attempted += 1
-                task = victim.queue.steal_tail()
-                if task is not None:
-                    w.stats.steals_ok += 1
+                stats.steals_attempted += 1
+                if victim.queue:
+                    task = victim.queue.pop()
+                    stats.steals_ok += 1
                     if victim.socket != w.socket:
-                        w.stats.steals_cross_socket += 1
+                        stats.steals_cross_socket += 1
                         overhead = self.params.steal_cross_socket_ns
                     else:
                         overhead = self.params.steal_same_socket_ns
                     break
         if task is None:
             w.state = "idle"
+            self._idle += 1
             return
         w.state = "busy"
         self._activate(w, task, overhead)
 
     def _activate(self, w: _Worker, task: Task, overhead_ns: int) -> None:
         """Context-switch into *task* and start driving its body."""
-        overhead = overhead_ns + self._context_switch_ns + self.instrument_ns
+        probes = self.probes
+        overhead = overhead_ns + self._context_switch_ns + probes.instrument_ns
         if task.phases == 0:
             sb = task.stack_bytes
             overhead += self._stack0_ns if sb == 0 else self.params.stack_alloc_ns(sb)
@@ -370,23 +385,33 @@ class HpxRuntime(SchedulerBackend):
             overhead += self.params.cross_socket_activation_ns
         if self._spans_sockets:
             overhead += self._qpi_delay(w)
+        now = self.engine.now
+        stats = self.stats
         if task.staged_at is not None:
-            self.stats.pending_wait_ns += self.engine.now - task.staged_at
-            self.stats.pending_waits += 1
+            stats.pending_wait_ns += now - task.staged_at
+            stats.pending_waits += 1
             task.staged_at = None
-        task.state = TaskState.ACTIVE
+        task.state = _ACTIVE
         task.phases += 1
-        self.stats.phases += 1
-        self._charge_overhead(w, task, overhead)
+        stats.phases += 1
+        task.overhead_ns += overhead
+        wstats = w.stats
+        wstats.overhead_ns += overhead
+        wstats.busy_ns += overhead
         w.current = task
-        self.probes.emit(self.engine.now, "activate", task, w.index)
+        if probes.trace is not None:
+            probes.trace(now, "activate", task, w.index)
         send = task.pending_send
         task.pending_send = None
         self.engine.call_later(overhead, self._step, w, task, send)
 
     def _after_task(self, w: _Worker) -> None:
-        """The worker just finished/suspended a task; look for the next."""
+        """The worker just finished/suspended a task; run its newest, or scan."""
         w.current = None
+        if w.queue and w.enabled:
+            w.state = "busy"
+            self._activate(w, w.queue.popleft(), self._dequeue_ns)
+            return
         w.state = "waking"
         self._worker_scan(w)
 
@@ -405,14 +430,16 @@ class HpxRuntime(SchedulerBackend):
             if task.home_socket != w.socket and work.membytes > 0
             else 0.0
         )
-        sharing = self._core_compute_count.get(w.core_index, 0)
+        core = w.core_index
+        sharing = self._core_compute_count.get(core, 0)
         speed = self.params.smt_slowdown if sharing else 1.0
-        self._core_compute_count[w.core_index] = sharing + 1
-        ticket = self.machine.segment_begin(
-            w.core_index, work, cross_socket_fraction=cross, speed_factor=speed
-        )
+        self._core_compute_count[core] = sharing + 1
+        ticket = self.machine.segment_begin(core, work, cross, speed)
         duration = ticket.duration_ns
-        self._charge_exec(w, task, duration)
+        task.exec_ns += duration
+        stats = w.stats
+        stats.exec_ns += duration
+        stats.busy_ns += duration
         self.engine.call_later(duration, self._finish_compute, w, task, ticket, work)
 
     def _finish_compute(self, w: _Worker, task: Task, ticket: Any, work: Work) -> None:
@@ -429,25 +456,19 @@ class HpxRuntime(SchedulerBackend):
         cost = self._task_create_ns
         if self._spans_sockets:
             cost += self._qpi_delay(w)
-        child = self._make_task(
-            effect.fn,
-            effect.args,
-            policy,
-            parent=task,
-            home_socket=w.socket,
-            stack_bytes=effect.stack_bytes,
-        )
+        child = self._make_task(effect.fn, effect.args, policy, task, w.socket, effect.stack_bytes)
         if policy is _ASYNC or policy is _FORK:
             cost += self._enqueue_ns
             child.staged_at = self.engine.now
             if policy is _FORK or self._lifo:
                 # Child at the hot end: the owner executes depth-first
                 # (fork additionally implies it runs next on this core).
-                w.queue.push_head(child)
+                w.queue.appendleft(child)
             else:
                 # FIFO ablation: breadth-first execution order.
-                w.queue.push_tail(child)
-            self._kick_for_work(w)
+                w.queue.append(child)
+            if self._idle:
+                self._kick_for_work(w)
         elif policy is _SYNC:
             # Execute inline: chain the child now, resume the parent with
             # its (then ready) future, matching the other launch policies.
@@ -455,14 +476,16 @@ class HpxRuntime(SchedulerBackend):
             self._run_inline(w, task, child, lambda fut: self._wake(self._fulfil_worker, task, fut))
             return
         # DEFERRED: not staged; runs at first wait on its future.
-        self._charge_exec(w, task, cost)
+        task.exec_ns += cost
+        w.stats.exec_ns += cost
+        w.stats.busy_ns += cost
         self.engine.call_later(cost, self._step, w, task, child.future)
 
     def _run_inline(
         self, w: _Worker, parent: Task, child: Task, resume: Callable[[SimFuture], None]
     ) -> None:
         """Run *child* now on *w*; ``resume(future)`` continues *parent*."""
-        child.state = TaskState.PENDING
+        child.state = _PENDING
         self._suspend(w, parent)
         child.future.on_ready(resume)
         self._activate(w, child, 0)
@@ -481,9 +504,9 @@ class HpxRuntime(SchedulerBackend):
         """Re-issue an AwaitAll after an inline deferred child completed."""
         task.pending_send = None
         worker = self._fulfil_worker or self.workers[0]
-        if task.state is TaskState.SUSPENDED:
+        if task.state is _SUSPENDED:
             self.stats.suspended_tasks -= 1
-        task.state = TaskState.ACTIVE
+        task.state = _ACTIVE
         # Dispatch directly: the task is still positioned at its AwaitAll.
         self.do_await_all(worker, task, AwaitAll(futures=futures))
 
@@ -491,7 +514,9 @@ class HpxRuntime(SchedulerBackend):
 
     def _block(self, w: _Worker, task: Task) -> None:
         cost = self._suspend_ns
-        self._charge_overhead(w, task, cost)
+        task.overhead_ns += cost
+        w.stats.overhead_ns += cost
+        w.stats.busy_ns += cost
         self._suspend(w, task)
         self.engine.call_later(cost, self._after_task, w)
 
@@ -501,21 +526,27 @@ class HpxRuntime(SchedulerBackend):
         if w is None:
             w = self.workers[0]
         task.pending_send = send_value
-        if task.state is TaskState.SUSPENDED:
+        if task.state is _SUSPENDED:
             self.stats.suspended_tasks -= 1
-        task.state = TaskState.PENDING
-        task.staged_at = self.engine.now
-        w.queue.push_head(task)
-        self.probes.emit(self.engine.now, "resume", task, w.index)
-        self._kick_for_work(w)
+        task.state = _PENDING
+        now = self.engine.now
+        task.staged_at = now
+        w.queue.appendleft(task)
+        trace = self.probes.trace
+        if trace is not None:
+            trace(now, "resume", task, w.index)
+        if self._idle:
+            self._kick_for_work(w)
 
     def do_yield(self, w: _Worker, task: Task, effect: YieldNow) -> None:
         cost = self._context_switch_ns
-        self._charge_overhead(w, task, cost)
-        task.state = TaskState.PENDING
+        task.overhead_ns += cost
+        w.stats.overhead_ns += cost
+        w.stats.busy_ns += cost
+        task.state = _PENDING
         task.pending_send = None
         task.staged_at = self.engine.now
-        w.queue.push_tail(task)
+        w.queue.append(task)
         self.probes.emit(self.engine.now, "suspend", task, w.index)
         self.engine.call_later(cost, self._after_task, w)
 
@@ -523,8 +554,10 @@ class HpxRuntime(SchedulerBackend):
 
     def _cleanup(self, w: _Worker, task: Task) -> int:
         cost = self._cleanup_ns
-        self._charge_overhead(w, task, cost)
-        task.state = TaskState.TERMINATED
+        task.overhead_ns += cost
+        w.stats.overhead_ns += cost
+        w.stats.busy_ns += cost
+        task.state = _TERMINATED
         # Totals are booked once per task, at retirement.
         stats = self.stats
         stats.exec_ns += task.exec_ns

@@ -27,6 +27,12 @@ class TaskState(enum.Enum):
     TERMINATED = "terminated"
 
 
+# Hot-path aliases: one global load per task instead of two.
+_DEFERRED = TaskState.DEFERRED
+_PENDING = TaskState.PENDING
+_POLICY_DEFERRED = LaunchPolicy.DEFERRED
+
+
 class Task:
     """One lightweight HPX thread."""
 
@@ -56,7 +62,6 @@ class Task:
         fn: Callable[..., Any],
         args: tuple,
         policy: LaunchPolicy,
-        *,
         parent_tid: int | None,
         home_socket: int,
         stack_bytes: int = 0,
@@ -67,8 +72,8 @@ class Task:
         self.fn = fn
         self.args = args
         self.policy = policy
-        self.future = SimFuture(producer_task=self)
-        self.state = (TaskState.DEFERRED if policy is LaunchPolicy.DEFERRED else TaskState.PENDING)
+        self.future = SimFuture(self)
+        self.state = _DEFERRED if policy is _POLICY_DEFERRED else _PENDING
         self.parent_tid = parent_tid
         self.home_socket = home_socket
         self.stack_bytes = stack_bytes

@@ -38,9 +38,6 @@ class Machine:
 
     # -- queries ---------------------------------------------------------
 
-    def core(self, index: int) -> Core:
-        return self.cores[index]
-
     def l3_pressure_factor(self, socket: int, extra_ws: int) -> float:
         """Traffic inflation once concurrent working sets overflow the L3."""
         return self.resources.l3_pressure_factor(socket, extra_ws)
@@ -54,7 +51,6 @@ class Machine:
         self,
         core_index: int,
         work: Work,
-        *,
         cross_socket_fraction: float = 0.0,
         speed_factor: float = 1.0,
     ) -> SegmentTicket:
@@ -65,10 +61,7 @@ class Machine:
         used by the kernel model for time-slicing dilation).
         """
         return self.resources.segment_begin(
-            self.cores[core_index],
-            work,
-            cross_socket_fraction=cross_socket_fraction,
-            speed_factor=speed_factor,
+            self.cores[core_index], work, cross_socket_fraction, speed_factor
         )
 
     def segment_end(self, ticket: SegmentTicket, work: Work) -> None:

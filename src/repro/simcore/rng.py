@@ -14,13 +14,13 @@ import numpy as np
 
 
 def derive_seed(root_seed: int, *keys: object) -> int:
-    """Derive a 64-bit child seed from *root_seed* and a key path."""
-    digest = hashlib.blake2b(digest_size=8)
-    digest.update(str(root_seed).encode())
-    for key in keys:
-        digest.update(b"/")
-        digest.update(repr(key).encode())
-    return int.from_bytes(digest.digest(), "little")
+    """Derive a 64-bit child seed from *root_seed* and a key path.
+
+    The seed is the 8-byte BLAKE2b digest of ``str(root_seed)`` and the
+    ``repr`` of every key, joined by ``/``.
+    """
+    path = "/".join([str(root_seed), *map(repr, keys)])
+    return int.from_bytes(hashlib.blake2b(path.encode(), digest_size=8).digest(), "little")
 
 
 def derive_rng(root_seed: int, *keys: object) -> np.random.Generator:

@@ -18,9 +18,10 @@ export path the paper describes:
   :class:`~repro.counters.query.PeriodicQuery` for interval sampling,
   or by a single end-of-run call;
 - **bounded buffering with drop accounting** — the in-memory frame
-  retains at most ``buffer_limit`` samples; overflow is *counted*
-  (``dropped``), never silent, while streaming sinks still receive
-  every record;
+  retains at most ``buffer_limit`` samples (or one whole evaluation,
+  when that is larger) and always ends with the latest evaluation;
+  overflow is *counted* (``dropped``), never silent, while streaming
+  sinks still receive every record;
 - **pluggable sinks** — CSV, JSON-lines, Chrome-trace, in-memory
   frames, or anything implementing ``emit(sample)`` / ``close()``.
 """
@@ -178,14 +179,16 @@ class TelemetryPipeline:
             for (name, instance, unit), value in zip(self._plan, values)
         ]
         self.samples_recorded += len(batch)
+        # A full frame evicts its newest samples to keep this evaluation
+        # whole: ``frame.totals()`` is then a finished run's final one.
+        retained = self.frame.samples
+        overflow = len(retained) + len(batch) - self.buffer_limit
+        if overflow > 0:
+            evicted = min(overflow, len(retained))
+            del retained[len(retained) - evicted :]
+            self.dropped += evicted
+        retained.extend(batch)
         for sample in batch:
-            # Bounded retention: the frame never exceeds buffer_limit;
-            # overflow is accounted, and streaming sinks still get
-            # every record (they don't buffer).
-            if len(self.frame) < self.buffer_limit:
-                self.frame.emit(sample)
-            else:
-                self.dropped += 1
             for sink in self.sinks:
                 sink.emit(sample)
         return batch

@@ -32,6 +32,14 @@ def test_rng_streams_independent():
     assert not (a == b).all()
 
 
+def test_seeds_are_pinned():
+    # Every UTS tree shape, health arrival and steal order derives from
+    # these digests: a change to the derivation moves every fixture.
+    assert derive_seed(20160523, "uts", 12345) == 16749789406023888468
+    assert derive_seed(0xABAD1DEA, "steal-order", 3) == 1519099399091738162
+    assert derive_seed(7, "health", 4, 5, "refer") == 12149909802971178948
+
+
 def test_seed_is_64_bit():
     seed = derive_seed(123, "k")
     assert 0 <= seed < 2**64

@@ -1,7 +1,5 @@
 """TelemetryPipeline: resolution, sampling, buffering, sink fan-out."""
 
-import io
-
 import pytest
 
 from repro.telemetry.frame import TelemetryFrame
@@ -61,6 +59,33 @@ def test_buffer_limit_drops_are_accounted(registry):
     assert pipe.dropped == 2  # ... with drop accounting
     assert pipe.samples_recorded == 5
     assert len(sink) == 5  # streaming sinks still see everything
+
+
+def test_full_buffer_keeps_the_newest_evaluation(registry, hpx4):
+    pipe = TelemetryPipeline(
+        registry, ["/runtime/uptime", "/threads/count/cumulative"], buffer_limit=5
+    )
+    evaluations = []
+    for n in range(2, 6):
+        hpx4.run_to_completion(fib_body, n)
+        evaluations.append([v.value for v in pipe.sample()])
+    # The first evaluation, one sample of the second, then the newest
+    # evaluation in place of the third.
+    assert len(pipe.frame) == 5
+    assert evaluations[-1] != evaluations[-2]
+    assert pipe.frame.totals() == dict(zip(pipe.names(), evaluations[-1]))
+    assert pipe.dropped == 3
+    assert pipe.samples_recorded == 8
+
+
+def test_evaluation_larger_than_the_buffer_is_kept_whole(registry):
+    pipe = TelemetryPipeline(
+        registry, ["/runtime/uptime", "/threads/count/cumulative"], buffer_limit=1
+    )
+    pipe.sample()
+    pipe.sample()
+    assert len(pipe.frame) == 2
+    assert pipe.dropped == 2
 
 
 def test_sink_fan_out(registry):

@@ -19,6 +19,25 @@ def test_run_result_carries_frame_and_totals():
     assert result.counters == result.telemetry.totals()
 
 
+def test_full_buffer_keeps_the_final_evaluation():
+    """Periodic samples overflow a small buffer; the final evaluation
+    still ends the frame, on the result and through an artifact."""
+    from repro.campaign.artifact import run_result_from_dict, run_result_to_dict
+    from repro.campaign.spec import Cell
+
+    result = Session(runtime="hpx", cores=1).run(
+        WorkloadSpec.parse("fib:n=14"),
+        telemetry=TelemetryConfig(interval_ns=50_000, buffer_limit=20),
+    )
+    name = "/threads{locality#0/total}/count/cumulative"
+    assert result.counters[name] == 1269
+    assert len(result.telemetry) <= 20
+    assert result.telemetry.totals() == result.counters
+    cell = Cell(benchmark="fib", runtime="hpx", cores=1, sample=0, seed=0)
+    restored = run_result_from_dict(cell, run_result_to_dict(result))
+    assert restored.counters == result.counters
+
+
 def test_collect_counters_false_means_no_frame():
     result = Session(runtime="hpx", cores=2).run(
         WorkloadSpec.parse("fib"), params={"n": 10}, collect_counters=False

@@ -1,11 +1,15 @@
 """Command-line interface."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 #: A committed schema-3 artifact holding fib and sort cells only.
@@ -679,3 +683,64 @@ def test_user_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     assert "error: " in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# -- a reader that closes stdout early -------------------------------------------
+
+
+def _cli_process(argv, stdout):
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def test_reader_closing_after_one_line_ends_quietly():
+    """``repro ... | head -1`` on output larger than the pipe buffer."""
+    proc = _cli_process(
+        [
+            "counters",
+            "query",
+            "/threads{locality#0/worker-thread#*}/count/cumulative",
+            "--benchmark",
+            "fib",
+            "--param",
+            "n=16",
+            "--cores",
+            "4",
+            "--interval",
+            "0.001",
+            "--format",
+            "jsonl",
+        ],
+        subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["counters", "list"], ["figure", "fig4", "--artifact", str(SMOKE_BASELINE)]],
+    ids=["counters-list", "figure-fig4"],
+)
+def test_reader_gone_before_output_ends_quietly(argv):
+    """Output that fits the buffer fails at the final flush instead."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process(argv, write_end)
+    finally:
+        os.close(write_end)
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr

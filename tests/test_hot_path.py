@@ -1,0 +1,134 @@
+"""The exact engine's hot path: a call budget and no cyclic garbage.
+
+Wall time on a shared machine is noisy; the number of Python calls the
+simulator makes per golden run is not.  ``BUDGETS`` holds each golden
+run's count of calls into ``repro`` code during ``Engine.run`` (a
+warmed-up second run, Python 3.11).  A change that makes the hot path
+do more work per event fails here; an intended increase raises the
+budget in the same change and says why in CHANGES.md.  Python 3.10 runs
+the same frames, and 3.12 inlines comprehensions (PEP 709), so neither
+counts more.
+
+A retired task must be freed by reference counting, not left for the
+cyclic collector: the garbage test runs under ``gc.DEBUG_SAVEALL`` and
+finds no task in what the collector reclaims.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.api import Session, WorkloadSpec
+from repro.simcore.events import Engine
+from repro.simcore.record import load_stream
+from tests.fixtures.generate_golden import GOLDEN_RUNS
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+
+#: Calls into repro code during Engine.run, per golden run.
+BUDGETS = {
+    "fib_hpx": 161_385,
+    "uts_hpx": 23_486,
+    "health_hpx": 40_371,
+    "fib_std": 32_057,
+    "health_std": 11_605,
+}
+
+
+def _run_golden(name: str, engine_factory=Engine):
+    benchmark, runtime, cores, params, collect = GOLDEN_RUNS[name]
+    session = Session(runtime=runtime, cores=cores, engine_factory=engine_factory)
+    return session.run(WorkloadSpec.parse(benchmark), params=params, collect_counters=collect)
+
+
+def _count_calls(name: str) -> tuple[int, int]:
+    """(calls into repro code during Engine.run, engine events) of one run."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(REPRO_DIR):
+            calls += 1
+
+    class CountingEngine(Engine):
+        def run(self, until=None):
+            sys.setprofile(profile)
+            try:
+                super().run(until)
+            finally:
+                sys.setprofile(None)
+
+    result = _run_golden(name, CountingEngine)
+    return calls, result.engine_events
+
+
+def count_golden_calls() -> dict[str, tuple[int, int]]:
+    """Warm up on every golden run, then count each one once more."""
+    for name in GOLDEN_RUNS:  # imports, caches, lazy set-up
+        _run_golden(name)
+    return {name: _count_calls(name) for name in GOLDEN_RUNS}
+
+
+@pytest.fixture(scope="module")
+def call_counts() -> dict[str, tuple[int, int]]:
+    # A fresh interpreter: memos that earlier tests filled (the effect
+    # cache behind ``ctx.compute`` stops adding keys once full) would
+    # change the count.
+    paths = [Path(repro.__file__).resolve().parent.parent, FIXTURES.parent.parent]
+    probe = "import json, tests.test_hot_path as t; print(json.dumps(t.count_golden_calls()))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths))),
+    )
+    return {name: (calls, events) for name, (calls, events) in json.loads(out.stdout).items()}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_hot_path_call_budget(call_counts, name):
+    calls, events = call_counts[name]
+    fixture = load_stream(FIXTURES / f"{name}.stream.json.gz")
+    assert events == fixture["engine_events"]
+    assert calls <= BUDGETS[name], (
+        f"{name}: {calls} calls into repro during Engine.run "
+        f"({calls / events:.2f} per event), budget {BUDGETS[name]}"
+    )
+
+
+@pytest.mark.parametrize(
+    ("runtime", "workload", "futures_kept"),
+    [
+        ("hpx", "fib:n=16", 0),
+        # The std runtime keeps its root future for the abort path.
+        ("std", "fib:n=12", 1),
+    ],
+)
+def test_retired_tasks_leave_no_cyclic_garbage(runtime, workload, futures_kept):
+    session = Session(runtime=runtime, cores=4)
+    spec = WorkloadSpec.parse(workload)
+    session.run(spec)  # warm up
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        session.run(spec)
+        gc.collect()
+        kinds = Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert kinds["Task"] == 0
+    assert kinds["OSThread"] == 0
+    assert kinds["SimFuture"] <= futures_kept

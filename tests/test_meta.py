@@ -47,6 +47,26 @@ def test_third_party_imports_are_declared_dependencies():
     assert not undeclared, f"imports missing from [project] dependencies: {undeclared}"
 
 
+def test_import_leaves_scipy_out():
+    """scipy serves one kernel (sparselu) and is imported at its first
+    use, so ``import repro.api`` does not pay for it."""
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    probe = "import sys, repro.api; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_public_api_surface():
     assert callable(repro.Session)
     assert not hasattr(repro, "run_benchmark")  # the deprecated shim is gone
