@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.api import Session, WorkloadSpec
-from repro.experiments.config import ExperimentConfig, default_std_params
+from repro.api import RunSpec, Session
+from repro.experiments.config import default_std_params
 
 from conftest import run_once
 
@@ -23,13 +23,10 @@ PROBES = ("fib", "nqueens", "health", "uts", "sort", "alignment", "round")
 
 def _failures(thread_budget: int) -> set[str]:
     base = default_std_params()
-    config = ExperimentConfig(
-        std=replace(base, ram_budget_bytes=thread_budget * base.thread_commit_bytes)
-    )
-    session = Session(runtime="std", cores=20, config=config)
+    costs = replace(base, ram_budget_bytes=thread_budget * base.thread_commit_bytes)
     failed = set()
     for name in PROBES:
-        result = session.run(WorkloadSpec.parse(name))
+        result = Session().run(RunSpec(name, runtime="std", cores=20, costs=costs))
         if result.aborted:
             failed.add(name)
     return failed

@@ -8,17 +8,15 @@ counters are queried this overhead can go up to 16%."
 
 from __future__ import annotations
 
-from repro.api import Session, WorkloadSpec
+from repro.api import RunSpec, Session
 from repro.experiments.config import PAPI_COUNTERS, SOFTWARE_COUNTERS
 
 from conftest import run_once
 
 
 def _overhead(name: str, cores: int, specs) -> float:
-    session = Session(runtime="hpx", cores=cores)
-    spec = WorkloadSpec.parse(name)
-    plain = session.run(spec, collect_counters=False)
-    counted = session.run(spec, counters=specs)
+    plain = Session().run(RunSpec(name, cores=cores, counters=()))
+    counted = Session().run(RunSpec(name, cores=cores, counters=specs))
     return (counted.exec_time_ns - plain.exec_time_ns) / plain.exec_time_ns * 100
 
 

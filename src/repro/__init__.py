@@ -39,13 +39,14 @@ Quickstart::
 """
 
 from repro._version import __version__
-from repro.api import Session, TelemetryConfig
+from repro.api import RunSpec, Session, TelemetryConfig
 from repro.experiments.runner import RunResult
 from repro.inncabs.suite import available_benchmarks, get_benchmark
 from repro.workloads import WorkloadSpec, available_workloads, get_workload
 
 __all__ = [
     "__version__",
+    "RunSpec",
     "Session",
     "TelemetryConfig",
     "RunResult",

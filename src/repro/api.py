@@ -1,71 +1,228 @@
-"""One-call session facade — the front door of the reproduction.
+"""One run description, one executor — the front door of the reproduction.
 
-Wires an engine, a simulated machine, a runtime, and the counter stack
-together behind two calls::
+A frozen :class:`RunSpec` holds every input that can change a byte of
+one run's result.  ``Session.run``'s keywords, campaign cells, ``POST
+/runs`` bodies and the CLI all build one, validate it and key it the
+same way, and :meth:`Session.run` executes it::
 
-    from repro.api import Session, WorkloadSpec
+    from repro.api import Session, TelemetryConfig, WorkloadSpec
 
     session = Session(runtime="hpx", cores=8)
     result = session.run(
-        WorkloadSpec.parse("fib"), counters=["/threads{locality#0/total}/idle-rate"]
+        WorkloadSpec.parse("fib"),
+        telemetry=TelemetryConfig(counters=("/threads{locality#0/total}/idle-rate",)),
     )
     print(result.exec_time_ms, result.counters)
 
-A :class:`Session` fixes the *environment* (platform, runtime kind,
-default core count, runtime parameters, event-engine factory); each
-:meth:`Session.run` executes one benchmark on a fresh engine and
-machine, so runs never share simulated state and remain bit-for-bit
-deterministic.
-
-Both runtimes implement :class:`repro.exec.backend.SchedulerBackend`,
-so the run path is the same for either: build the backend, attach the
-counter stack to its probe bus, run the engine, read the results.
+A :class:`Session` fixes the environment (runtime, default core count,
+platform) and the event-engine factory; each run executes on a fresh
+engine and machine, so runs never share simulated state and remain
+bit-for-bit deterministic.  Both runtimes implement
+:class:`repro.exec.backend.SchedulerBackend`, so the run path is the
+same for either: build the backend, attach the counter stack to its
+probe bus, run the engine, read the results.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Callable, Mapping, Sequence
+import functools
+import hashlib
+from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
+from typing import Any, Callable, Mapping
 
 from repro.counters.base import CounterEnvironment
-from repro.counters.providers import build_registry
+from repro.counters.names import parse_counter_name
+from repro.counters.providers import build_registry, provider_identity
 from repro.exec.cohort import CohortEngine
 from repro.exec.errors import DeadlockError
 from repro.exec.modes import CohortIneligibleError, ExecutionMode, resolve_mode
-from repro.experiments.config import DEFAULT_COUNTERS, ExperimentConfig
+from repro.experiments.config import DEFAULT_COUNTERS, default_std_params
 from repro.experiments.runner import RunResult
 from repro.inncabs.base import effective_locality_factor
+from repro.kernel.config import StdParams
 from repro.kernel.scheduler import StdRuntime
 from repro.papi.hw import PapiSubstrate
+from repro.platform.presets import default_platform, resolve_platform
 from repro.platform.spec import PlatformSpec
 from repro.profiler.builder import ProfileBuilder, ProfileConfig
 from repro.profiler.whatif import (
     BodyRewriter,
     WhatIfResult,
+    WhatIfSpec,
     predict_makespan_ns,
     resolve_body,
 )
+from repro.runtime.config import HpxParams
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
+from repro.simcore.topology import check_workers
 from repro.telemetry.pipeline import DEFAULT_BUFFER_LIMIT, TelemetryConfig, TelemetryPipeline
 from repro.workloads import WorkloadSpec, as_workload_spec, get_workload
 
-__all__ = ["ProfileConfig", "Session", "RunResult", "TelemetryConfig", "WorkloadSpec"]
+__all__ = ["ProfileConfig", "RunResult", "RunSpec", "Session", "TelemetryConfig", "WorkloadSpec"]
 
-#: Accepted runtime names.  ``"kernel"`` is an alias for the
-#: ``std::async`` thread-per-task model (it runs on kernel threads).
-_RUNTIME_ALIASES = {"hpx": "hpx", "std": "std", "kernel": "std"}
+#: The runtime kinds: the HPX-style task runtime and ``std::async``.
+RUNTIMES = ("hpx", "std")
+
+
+@functools.cache
+def source_digest() -> str:
+    """SHA-256 over every ``repro/**/*.py`` source, computed once per process.
+
+    Part of every :meth:`RunSpec.key`: any edit to the simulator's
+    source is a new key, so a cached result never outlives the code
+    that produced it.
+    """
+    root = Path(__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """Every input that can change a byte of one run's result.
+
+    ``params`` are the workload's fully overlaid parameter overrides,
+    seed included; a ``mode`` among them moves to the ``mode`` field,
+    which wins when both are given.  ``costs`` is the cost model of the
+    run's runtime (``None``: that runtime's default).  ``counters=None``
+    collects the paper's set and ``()`` turns instrumentation off;
+    ``interval_ns`` also samples them periodically, in-band, into a
+    buffer of ``buffer_limit`` samples.  ``profile`` attaches the causal
+    profiler, and each ``what_if`` experiment replays the run with one
+    body's work cost cut; a ``/profiler`` counter or a what-if implies
+    ``profile=True``.
+    """
+
+    workload: str
+    params: Mapping[str, Any] = field(default_factory=dict)
+    runtime: str = "hpx"
+    cores: int = 1
+    platform: PlatformSpec = field(default_factory=default_platform)
+    costs: HpxParams | StdParams | None = None
+    mode: str | ExecutionMode | None = None
+    counters: tuple[str, ...] | None = None
+    interval_ns: int | None = None
+    buffer_limit: int = DEFAULT_BUFFER_LIMIT
+    profile: bool = False
+    what_if: tuple[WhatIfSpec, ...] = ()
+
+    def __post_init__(self) -> None:
+        params = dict(self.params)
+        param_mode = params.pop("mode", None)
+        set_ = object.__setattr__
+        set_(self, "params", params)
+        set_(self, "mode", resolve_mode(param_mode if self.mode is None else self.mode).value)
+        set_(self, "platform", resolve_platform(self.platform))
+        if self.costs is None:
+            set_(self, "costs", HpxParams() if self.runtime == "hpx" else default_std_params())
+        if self.counters is not None:
+            set_(self, "counters", tuple(self.counters))
+        set_(self, "what_if", tuple(self.what_if))
+        if self.what_if or any(c.startswith("/profiler") for c in self.counters or ()):
+            set_(self, "profile", True)
+
+    def validate(self) -> None:
+        """Refuse a run that can only fail, before any simulation state exists.
+
+        Checks the runtime and its cost model, the cores against the
+        platform, the workload and its parameters (seed included), the
+        mode with cohort eligibility, the profile-versus-cohort rule and
+        the counter-name grammar.  Unknown presets fail earlier, where
+        the parameters are overlaid.  Builds no counter registry: every
+        registry build scans the installed entry points.  Raises
+        :class:`ValueError`.
+        """
+        if self.runtime not in RUNTIMES:
+            raise ValueError(f"unknown runtime {self.runtime!r}; expected one of {RUNTIMES}")
+        if type(self.costs) is not (HpxParams if self.runtime == "hpx" else StdParams):
+            raise ValueError(
+                f"{type(self.costs).__name__} is not the cost model of runtime {self.runtime!r}"
+            )
+        if not isinstance(self.cores, int) or isinstance(self.cores, bool) or self.cores < 1:
+            raise ValueError(f"cores must be a positive integer, got {self.cores!r}")
+        check_workers(self.platform, self.cores)
+        seed = self.params.get("seed")
+        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        try:
+            bench = get_workload(self.workload).benchmark
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+        merged = bench.params_with_defaults(self.params)
+        if self.mode == ExecutionMode.COHORT.value:
+            if self.profile:
+                raise CohortIneligibleError(
+                    "causal profiling and what-if replays are exact-mode only: cohort "
+                    "runs collapse task populations and have no per-task DAG to "
+                    "profile or rewrite; run with mode='exact'"
+                )
+            if bench.cohort_plan(merged) is None:
+                raise CohortIneligibleError(
+                    f"workload {self.workload!r} declares no cohort plan for these "
+                    "parameters; run it in exact mode"
+                )
+        for name in self.counters or ():
+            parse_counter_name(name)
+        if self.interval_ns is not None:
+            if self.interval_ns <= 0:
+                raise ValueError("interval_ns must be positive when given")
+            if self.counters == ():
+                raise ValueError("periodic queries need counters; counters=() turns them off")
+        if self.buffer_limit < 1:
+            raise ValueError("buffer_limit must be >= 1")
+
+    def to_json(self) -> dict[str, Any]:
+        """The JSON form (plain dicts, lists and scalars)."""
+        return {
+            "workload": self.workload,
+            "params": dict(self.params),
+            "runtime": self.runtime,
+            "cores": self.cores,
+            "platform": self.platform.to_json_dict(),
+            "costs": asdict(self.costs),
+            "mode": self.mode,
+            "counters": None if self.counters is None else list(self.counters),
+            "interval_ns": self.interval_ns,
+            "buffer_limit": self.buffer_limit,
+            "profile": self.profile,
+            "what_if": [[w.body, w.speedup_pct] for w in self.what_if],
+        }
+
+    def key(self) -> str:
+        """Content-addressed result-cache key of this run.
+
+        A SHA-256 over :meth:`to_json`, the counter-provider identity
+        of the workload (built-ins, the workload's own providers and
+        the installed entry points: what a run can collect) and
+        :func:`source_digest`.
+        """
+        from repro.campaign.spec import stable_hash
+
+        return stable_hash(
+            {
+                "run": self.to_json(),
+                "counter_providers": list(provider_identity(workload=self.workload)),
+                "source": source_digest(),
+            }
+        )
 
 
 class Session:
-    """A configured simulation environment; ``run()`` executes benchmarks.
+    """A configured simulation environment; ``run()`` executes runs.
 
     Parameters
     ----------
     runtime:
         ``"hpx"`` for the HPX-style user-level task runtime, ``"std"``
-        (alias ``"kernel"``) for the ``std::async`` kernel-thread model.
+        for the ``std::async`` kernel-thread model.
     cores:
         Default worker/core count for :meth:`run` (overridable per run).
     platform:
@@ -73,20 +230,12 @@ class Session:
         a platform file (``.toml``/``.json``), or a
         :class:`~repro.platform.spec.PlatformSpec`.  Defaults to the
         paper's Table III node (``"ivybridge-2x10"``).
-    config:
-        A full :class:`ExperimentConfig` to start from instead of the
-        defaults: the runtime cost models (``hpx``/``std``) come from
-        here.  ``platform`` still overrides its platform when given.
     engine_factory:
         Zero-argument callable building the discrete-event engine for
         each run.  Defaults to :class:`repro.simcore.events.Engine`;
         the engine-identity tests pass the legacy heap engine (a test
         oracle) here, and a :class:`repro.simcore.record.RecordingEngine`
         captures a run's event stream this way.
-    telemetry:
-        Default :class:`~repro.telemetry.pipeline.TelemetryConfig` for
-        every :meth:`run`: counter set, periodic sampling interval,
-        sinks and buffering.  Overridable per run.
     """
 
     def __init__(
@@ -95,161 +244,147 @@ class Session:
         runtime: str = "hpx",
         cores: int = 1,
         platform: PlatformSpec | str | None = None,
-        config: ExperimentConfig | None = None,
         engine_factory: Callable[[], Any] | None = None,
-        telemetry: TelemetryConfig | None = None,
     ) -> None:
-        canonical = _RUNTIME_ALIASES.get(runtime)
-        if canonical is None:
-            expected = ", ".join(sorted(_RUNTIME_ALIASES))
-            raise ValueError(f"unknown runtime {runtime!r}; expected one of {expected}")
-        if cores < 1:
-            raise ValueError(f"cores must be >= 1, got {cores}")
-        self.runtime = canonical
+        if runtime not in RUNTIMES:
+            raise ValueError(f"unknown runtime {runtime!r}; expected one of {RUNTIMES}")
+        self.runtime = runtime
         self.cores = cores
-        base = config or ExperimentConfig()
-        self.config = base if platform is None else replace(base, platform=platform)
+        self.platform = resolve_platform(platform)
         self.engine_factory: Callable[[], Any] = engine_factory or Engine
-        self.telemetry = telemetry
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Session(runtime={self.runtime!r}, cores={self.cores})"
 
     # ------------------------------------------------------------------
 
-    def run(
+    def spec(
         self,
-        benchmark: WorkloadSpec,
+        workload: WorkloadSpec,
         *,
         params: Mapping[str, Any] | None = None,
         cores: int | None = None,
         mode: str | ExecutionMode | None = None,
-        counters: Sequence[str] | None = None,
-        collect_counters: bool = True,
-        keep_result: bool = False,
-        query_sink: Any = None,
         telemetry: TelemetryConfig | None = None,
         profile: ProfileConfig | bool | None = None,
-        work_rewriter: Callable[[Any, Any], Any] | None = None,
+    ) -> RunSpec:
+        """The :class:`RunSpec` that :meth:`run` executes for these arguments.
+
+        ``params=`` overlays the parameters embedded in *workload*; the
+        session supplies the runtime (with its default cost model), the
+        platform and the default core count.
+        """
+        workload = as_workload_spec(workload)
+        tele = telemetry if telemetry is not None else TelemetryConfig()
+        prof = ProfileConfig.coerce(profile)
+        return RunSpec(
+            workload=workload.name,
+            params={**workload.params, **(params or {})},
+            runtime=self.runtime,
+            cores=self.cores if cores is None else cores,
+            platform=self.platform,
+            mode=mode,
+            counters=tele.counters,
+            interval_ns=tele.interval_ns,
+            buffer_limit=tele.buffer_limit,
+            profile=prof is not None,
+            what_if=prof.what_if if prof is not None else (),
+        )
+
+    def run(
+        self,
+        workload: WorkloadSpec | RunSpec,
+        *,
+        params: Mapping[str, Any] | None = None,
+        cores: int | None = None,
+        mode: str | ExecutionMode | None = None,
+        telemetry: TelemetryConfig | None = None,
+        profile: ProfileConfig | bool | None = None,
+        keep_result: bool = False,
+        on_sample: Callable[[list[Any]], None] | None = None,
+        _rewrite: BodyRewriter | None = None,
     ) -> RunResult:
         """Run one workload to completion; returns a :class:`RunResult`.
 
-        ``benchmark`` is a :class:`~repro.workloads.WorkloadSpec` (its
-        canonical string spelling — ``"taskbench:shape=fft,width=8"``
-        — parses to one via ``WorkloadSpec.parse``).  The workload is
-        resolved through the :mod:`repro.workloads` registry;
-        ``params=`` overlays the spec's own parameters.
-
-        ``mode`` selects the execution mode (``"exact"`` — the default
-        discrete-event path — or ``"cohort"`` — the mesoscale engine;
-        see :mod:`repro.exec.modes`).  It can equally travel as a
-        ``mode`` workload parameter; the keyword wins when both are
-        given.  Cohort mode requires the workload to declare a cohort
-        plan, else :class:`~repro.exec.modes.CohortIneligibleError` is
-        raised before any simulation state is built.
-
-        ``counters`` is a sequence of counter-name specs to collect
-        (defaults to the paper's software + PAPI set).  Counters read
-        the backend's probe bus, so they work on both runtimes.
-        ``collect_counters=False`` disables instrumentation entirely
-        (the Section V-C overhead experiment measures exactly this
-        difference).
+        *workload* is a :class:`RunSpec`, which describes the whole run,
+        or a :class:`~repro.workloads.WorkloadSpec` that :meth:`spec`
+        turns into one with the other arguments: ``params=`` overlays
+        the spec's own parameters, ``mode`` (``"exact"`` or
+        ``"cohort"``, see :mod:`repro.exec.modes`) wins over a ``mode``
+        parameter, ``telemetry`` selects the counters, sampling
+        interval and buffer, and ``profile`` attaches the causal
+        profiler (a :class:`~repro.profiler.builder.ProfileConfig`, or
+        ``True``).  The run is validated before any simulation state
+        is built.
 
         Every counter reading flows through one
-        :class:`~repro.telemetry.pipeline.TelemetryPipeline`
-        (``telemetry=`` overrides the session's default config): the
-        result carries the full sample frame as ``result.telemetry``
-        and its final totals as the ``result.counters`` dict, and
-        configured sinks (CSV, JSONL, Chrome-trace, ...) stream every
-        sample as it is recorded.  ``TelemetryConfig.interval_ns``
-        additionally samples the counters on a fixed interval during
-        the run; ``query_sink`` is called with each of those periodic
-        evaluations (a list of
-        :class:`~repro.counters.types.CounterValue`), as
-        ``--hpx:print-counter-interval`` prints them.
+        :class:`~repro.telemetry.pipeline.TelemetryPipeline`: the result
+        carries the sample frame as ``result.telemetry`` and its final
+        totals as ``result.counters``.  Observers change neither the run
+        nor its key: the telemetry sinks stream every sample,
+        ``on_sample`` receives each periodic evaluation (a list of
+        :class:`~repro.counters.types.CounterValue`, as
+        ``--hpx:print-counter-interval`` prints them), ``keep_result``
+        keeps the workload's return value on ``result.result``.
 
-        ``profile`` attaches the causal profiler
-        (:class:`~repro.profiler.builder.ProfileConfig`, or ``True``
-        for its defaults): the result carries a
-        :class:`~repro.profiler.report.RunProfile` as
-        ``result.profile`` (critical path, per-body flat profile,
-        logical parallelism), the ``/profiler{...}`` counters become
-        available, and any ``what_if`` experiments are validated by
-        replaying the run with rewritten work costs.  Requesting a
-        ``/profiler`` counter implies ``profile=True``.  Profiling and
-        ``work_rewriter`` are exact-mode only — cohort runs collapse
-        task populations and have no per-task DAG — and raise
-        :class:`~repro.exec.modes.CohortIneligibleError` under
-        ``mode="cohort"``.  Note a profiled run is *not* bit-identical
-        to an unprofiled one (each trace event charges instrumentation,
-        like the recorder), which is why what-if replays profile too.
+        A profiled run carries a
+        :class:`~repro.profiler.report.RunProfile` as ``result.profile``
+        and each what-if experiment is validated by replaying the run
+        through this method with rewritten work costs.  A profiled run
+        is *not* bit-identical to an unprofiled one (each trace event
+        charges instrumentation), which is why the replays profile too.
         """
-        config = self.config
-        tele = telemetry if telemetry is not None else self.telemetry
-        ncores = self.cores if cores is None else cores
-        workload = as_workload_spec(benchmark)
-        bench = get_workload(workload.name).benchmark
-        root_fn, root_args, merged = workload.build(params)
-        exec_mode = resolve_mode(mode if mode is not None else merged.get("mode"))
-
-        profile_cfg = ProfileConfig.coerce(profile)
-        if profile_cfg is None and collect_counters:
-            # Asking for a /profiler counter implies profiling.
-            specs_requested = counters
-            if specs_requested is None and tele is not None:
-                specs_requested = tele.counters
-            if specs_requested and any(s.startswith("/profiler") for s in specs_requested):
-                profile_cfg = ProfileConfig()
-        if exec_mode is ExecutionMode.COHORT and (
-            profile_cfg is not None or work_rewriter is not None
-        ):
-            raise CohortIneligibleError(
-                "causal profiling and what-if replays are exact-mode only: cohort "
-                "runs collapse task populations and have no per-task DAG to "
-                "profile or rewrite; run with mode='exact'"
-            )
-
-        plan = None
-        if exec_mode is ExecutionMode.COHORT:
-            plan = bench.cohort_plan(merged)
-            if plan is None:
-                raise CohortIneligibleError(
-                    f"workload {workload.name!r} declares no cohort plan for these "
-                    "parameters; run it in exact mode"
+        if isinstance(workload, RunSpec):
+            if any(arg is not None for arg in (params, cores, mode, telemetry, profile)):
+                raise TypeError(
+                    "a RunSpec describes the whole run: pass params, cores, mode, "
+                    "telemetry and profile through it"
                 )
+            spec, sinks, keep_events = workload, (), False
+        else:
+            spec = self.spec(
+                workload,
+                params=params,
+                cores=cores,
+                mode=mode,
+                telemetry=telemetry,
+                profile=profile,
+            )
+            sinks = telemetry.sinks if telemetry is not None else ()
+            keep_events = isinstance(profile, ProfileConfig) and profile.keep_events
+        spec.validate()
+        ncores = spec.cores
+        bench = get_workload(spec.workload).benchmark
+        root_fn, root_args, merged = WorkloadSpec(spec.workload).build(spec.params)
+        plan = bench.cohort_plan(merged) if spec.mode == ExecutionMode.COHORT.value else None
 
         engine = self.engine_factory()
-        machine = Machine(config.platform)
-        out = RunResult(
-            benchmark=workload.name,
-            runtime=self.runtime,
-            cores=ncores,
-            mode=exec_mode.value,
-        )
+        machine = Machine(spec.platform)
+        out = RunResult(benchmark=spec.workload, runtime=spec.runtime, cores=ncores, mode=spec.mode)
 
         rt: Any
-        if self.runtime == "hpx":
+        if spec.runtime == "hpx":
             rt = HpxRuntime(
                 engine,
                 machine,
                 num_workers=ncores,
-                params=config.hpx,
+                params=spec.costs,
                 locality_traffic_factor=effective_locality_factor(
                     bench.info.hpx_locality_factor, ncores
                 ),
             )
         else:
-            rt = StdRuntime(engine, machine, num_workers=ncores, params=config.std)
+            rt = StdRuntime(engine, machine, num_workers=ncores, params=spec.costs)
 
         builder: ProfileBuilder | None = None
-        if profile_cfg is not None:
-            builder = ProfileBuilder(rt, keep_events=profile_cfg.keep_events)
+        if spec.profile:
+            builder = ProfileBuilder(rt, keep_events=keep_events)
             builder.attach()
-        if work_rewriter is not None:
-            rt.set_compute_rewriter(work_rewriter)
+        if _rewrite is not None:
+            rt.set_compute_rewriter(_rewrite)
 
         pipeline: TelemetryPipeline | None = None
-        if collect_counters:
+        if spec.counters != ():
             env = CounterEnvironment(
                 engine=engine,
                 runtime=rt,
@@ -257,36 +392,26 @@ class Session:
                 papi=PapiSubstrate(machine),
                 profiler=builder,
             )
-            registry = build_registry(env, workload=workload.name)
-            specs = counters
-            if specs is None and tele is not None:
-                specs = tele.counters
+            registry = build_registry(env, workload=spec.workload)
             pipeline = TelemetryPipeline(
                 registry,
-                specs or DEFAULT_COUNTERS,
-                run_id=(
-                    tele.run_id
-                    if tele is not None and tele.run_id
-                    else f"{workload.name}/{self.runtime}/c{ncores}"
-                ),
-                sinks=tele.sinks if tele is not None else (),
-                buffer_limit=tele.buffer_limit if tele is not None else DEFAULT_BUFFER_LIMIT,
+                DEFAULT_COUNTERS if spec.counters is None else spec.counters,
+                run_id=f"{spec.workload}/{spec.runtime}/c{ncores}",
+                sinks=sinks,
+                buffer_limit=spec.buffer_limit,
             )
             pipeline.start()
             pipeline.reset()
-            if tele is not None and tele.interval_ns is not None:
+            if spec.interval_ns is not None:
                 from repro.counters.query import PeriodicQuery
 
                 PeriodicQuery(
                     pipeline,
                     engine=engine,
                     runtime=rt,
-                    interval_ns=tele.interval_ns,
-                    sink=query_sink,
-                    in_band=tele.in_band,
+                    interval_ns=spec.interval_ns,
+                    sink=on_sample,
                 ).start()
-        elif tele is not None and tele.interval_ns is not None:
-            raise ValueError("periodic queries need collect_counters=True")
 
         if plan is not None:
             future = CohortEngine(rt, machine).submit(plan)
@@ -309,8 +434,8 @@ class Session:
                 builder.detach()
                 # Partial profile up to the abort; no what-if replays.
                 out.profile = builder.finalize(
-                    workload=workload.canonical(),
-                    runtime=self.runtime,
+                    workload=_profile_label(spec),
+                    runtime=spec.runtime,
                     cores=ncores,
                     makespan_ns=engine.now,
                 )
@@ -339,76 +464,44 @@ class Session:
 
         if builder is not None:
             builder.detach()
-            experiments: list[WhatIfResult] = []
-            if profile_cfg is not None and profile_cfg.what_if:
-                experiments = self._run_what_ifs(
-                    profile_cfg,
-                    builder,
-                    baseline=out,
-                    benchmark=workload,
-                    params=params,
-                    cores=ncores,
-                    counters=counters,
-                    collect_counters=collect_counters,
-                    telemetry=tele,
-                )
             out.profile = builder.finalize(
-                workload=workload.canonical(),
-                runtime=self.runtime,
+                workload=_profile_label(spec),
+                runtime=spec.runtime,
                 cores=ncores,
                 makespan_ns=out.exec_time_ns,
-                what_if=tuple(experiments),
+                what_if=tuple(self._run_what_ifs(spec, builder, out)),
             )
         return out
 
     def _run_what_ifs(
-        self,
-        profile_cfg: ProfileConfig,
-        builder: ProfileBuilder,
-        *,
-        baseline: RunResult,
-        benchmark: WorkloadSpec,
-        params: Mapping[str, Any] | None,
-        cores: int,
-        counters: Sequence[str] | None,
-        collect_counters: bool,
-        telemetry: TelemetryConfig | None,
+        self, spec: RunSpec, builder: ProfileBuilder, baseline: RunResult
     ) -> list[WhatIfResult]:
         """Validate each what-if experiment with a cost-rewritten replay.
 
-        The replay runs under *identical* instrumentation (profiler
-        attached, same counters, same query interval) so the 0 %
-        experiment is bit-identical to the baseline; only external
-        telemetry sinks are stripped, to avoid emitting the replay's
-        samples into the baseline's outputs.
+        The replay runs the same :class:`RunSpec` (profiler attached,
+        same counters, same query interval) without the experiments, so
+        the 0 % experiment is bit-identical to the baseline; it has no
+        observers, so none of its samples reach the baseline's outputs.
         """
-        replay_tele = replace(telemetry, sinks=()) if telemetry is not None else None
+        if not spec.what_if:
+            return []
+        replay_spec = replace(spec, what_if=())
         base = builder.analysis()
         bodies = set(builder.body_names())
         results: list[WhatIfResult] = []
-        for spec in profile_cfg.what_if:
-            body = resolve_body(spec.body, bodies)
-            scaled = builder.scaled_analysis(body, spec.factor)
-            rewriter = BodyRewriter(body, spec.factor)
-            replay = self.run(
-                benchmark,
-                params=params,
-                cores=cores,
-                mode=ExecutionMode.EXACT,
-                counters=counters,
-                collect_counters=collect_counters,
-                telemetry=replay_tele,
-                profile=ProfileConfig(),  # same perturbation, no nested what-ifs
-                work_rewriter=rewriter,
-            )
+        for experiment in spec.what_if:
+            body = resolve_body(experiment.body, bodies)
+            scaled = builder.scaled_analysis(body, experiment.factor)
+            rewriter = BodyRewriter(body, experiment.factor)
+            replay = self.run(replay_spec, _rewrite=rewriter)
             results.append(
                 WhatIfResult(
                     body=body,
-                    speedup_pct=spec.speedup_pct,
+                    speedup_pct=experiment.speedup_pct,
                     baseline_makespan_ns=baseline.exec_time_ns,
                     predicted_makespan_ns=predict_makespan_ns(
                         baseline_makespan_ns=baseline.exec_time_ns,
-                        cores=cores,
+                        cores=spec.cores,
                         base_work_ns=base.work_ns,
                         base_span_ns=base.span_ns,
                         scaled_work_ns=scaled.work_ns,
@@ -421,3 +514,9 @@ class Session:
                 )
             )
         return results
+
+
+def _profile_label(spec: RunSpec) -> str:
+    """The workload spelling a profile reports: its parameters, bar the seed."""
+    params = {k: v for k, v in spec.params.items() if k != "seed"}
+    return WorkloadSpec(spec.workload, params).canonical()

@@ -30,11 +30,10 @@ from repro.campaign.compare import (
     render_compare,
 )
 from repro.campaign.engine import CampaignRun, CampaignStats, run_campaign
-from repro.campaign.spec import CACHE_KEY_VERSION, CampaignSpec, Cell, cell_cache_key
+from repro.campaign.spec import CampaignSpec, Cell, cell_cache_key
 
 __all__ = [
     "ARTIFACT_SCHEMA",
-    "CACHE_KEY_VERSION",
     "CampaignArtifact",
     "CampaignRun",
     "CampaignSpec",

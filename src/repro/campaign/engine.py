@@ -49,17 +49,8 @@ class CampaignRun:
 def execute_cell(spec: CampaignSpec, cell: Cell) -> dict[str, Any]:
     """Run one cell to completion; the process-pool worker entry point."""
     from repro.api import Session
-    from repro.workloads import WorkloadSpec
 
-    session = Session(runtime=cell.runtime, cores=cell.cores, config=spec.experiment_config(cell))
-    result = session.run(
-        WorkloadSpec.parse(cell.benchmark),
-        params=spec.cell_params(cell),
-        counters=spec.counter_specs,
-        collect_counters=spec.collect_counters,
-        profile=spec.profile or None,
-    )
-    return run_result_to_dict(result)
+    return run_result_to_dict(Session().run(spec.run_spec(cell)))
 
 
 def run_campaign(

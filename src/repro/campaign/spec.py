@@ -7,14 +7,15 @@ model, runtime cost models, benchmark inputs, root seed).  The spec is
 the single source of truth from which
 
 - the engine enumerates :class:`Cell`\\ s (one simulation run each),
-- the cache derives a content-addressed key per cell, and
+- each cell lowers to the :class:`~repro.api.RunSpec` that describes
+  its run (:meth:`CampaignSpec.run_spec`), whose key is the cell's
+  cache key, and
 - the artifact records how its data was produced.
 
-Cache keys are a SHA-256 over a canonical JSON encoding of everything
-that determines a cell's result — including the package version, so a
-code release invalidates cached results — and deliberately exclude
-matrix shape (which benchmarks/core counts ran alongside), so growing
-a campaign reuses every cell already computed.
+Construction validates every run the matrix holds, so a spec that
+could only fail when a cell runs is refused up front.  Cache keys
+deliberately exclude matrix shape (which benchmarks/core counts ran
+alongside), so growing a campaign reuses every cell already computed.
 """
 
 from __future__ import annotations
@@ -25,33 +26,17 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro._version import __version__
-from repro.experiments.config import DEFAULT_SAMPLES, QUICK_CORE_COUNTS, ExperimentConfig
+from repro.api import RUNTIMES, RunSpec
+from repro.experiments.config import (
+    DEFAULT_SAMPLES,
+    QUICK_CORE_COUNTS,
+    ExperimentConfig,
+    default_std_params,
+)
 from repro.kernel.config import StdParams
 from repro.platform.presets import default_platform, resolve_platform
 from repro.platform.spec import PlatformSpec
 from repro.runtime.config import HpxParams
-
-#: Bump to invalidate every cached cell (cache layout / semantics change).
-#: v4: payloads carry telemetry sample rows; platform specs grew
-#: ``counter_query_cost_ns``.
-#: v5: cells name workloads (``WorkloadSpec`` canonical strings) — the
-#: key hashes the parsed workload name with its parameters folded into
-#: ``params``, so every spelling of one workload shares one entry.
-#: v6: the key folds in the counter-provider identity (built-ins,
-#: workload-attached providers, installed entry points) — a new plugin
-#: or workload provider can change which counters a run collects, so
-#: it must invalidate the cell.
-#: v7: the execution-mode architecture landed (``mode`` is a workload
-#: param reaching the key through ``cell_params``); results also
-#: persist the mode per cell, so pre-mode payloads must not satisfy
-#: post-mode lookups.
-#: v8: the causal profiler landed — ``builtin.profiler`` joined the
-#: provider chain (changing ``provider_identity``) and cells may run
-#: profiled (``CampaignSpec.profile`` reaches the key), whose per-event
-#: instrumentation charge perturbs every result.
-CACHE_KEY_VERSION = 8
-
-RUNTIMES = ("hpx", "std")
 
 
 def canonical_json(obj: Any) -> str:
@@ -110,25 +95,27 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         from repro.workloads import WorkloadSpec
 
-        # Normalize every entry to the canonical WorkloadSpec spelling
-        # (validating the name and parameter keys up front), so cells,
-        # artifacts and cache keys never see spelling variants.
-        normalized = []
-        for entry in self.benchmarks:
-            workload = entry if isinstance(entry, WorkloadSpec) else WorkloadSpec.parse(entry)
-            workload.validate()
-            normalized.append(workload.canonical())
-        object.__setattr__(self, "benchmarks", tuple(normalized))
-        object.__setattr__(self, "platform", resolve_platform(self.platform))
-        if self.std is None:
-            from repro.experiments.config import default_std_params
-
-            object.__setattr__(self, "std", default_std_params())
-        for runtime in self.runtimes:
-            if runtime not in RUNTIMES:
-                raise ValueError(f"unknown runtime {runtime!r}; expected one of {RUNTIMES}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        object.__setattr__(self, "platform", resolve_platform(self.platform))
+        if self.std is None:
+            object.__setattr__(self, "std", default_std_params())
+        try:
+            # Normalize every entry to the canonical WorkloadSpec
+            # spelling, so cells, artifacts and cache keys never see
+            # spelling variants; then validate every run of the matrix.
+            normalized = []
+            for entry in self.benchmarks:
+                workload = entry if isinstance(entry, WorkloadSpec) else WorkloadSpec.parse(entry)
+                workload.validate()
+                normalized.append(workload.canonical())
+            object.__setattr__(self, "benchmarks", tuple(normalized))
+            for benchmark in self.benchmarks:
+                for runtime in self.runtimes:
+                    for cores in self.core_counts:
+                        self.run_spec(Cell(benchmark, runtime, cores, 0, self.seed)).validate()
+        except KeyError as exc:  # an unknown workload or preset name
+            raise ValueError(exc.args[0]) from None
 
     @classmethod
     def from_config(
@@ -158,18 +145,6 @@ class CampaignSpec:
             std=config.std,
             collect_counters=collect_counters,
             counter_specs=tuple(counter_specs) if counter_specs is not None else None,
-        )
-
-    def experiment_config(self, cell: Cell) -> ExperimentConfig:
-        """The single-run :class:`ExperimentConfig` behind *cell*."""
-        assert self.std is not None
-        return ExperimentConfig(
-            platform=self.platform,
-            hpx=self.hpx,
-            std=self.std,
-            samples=1,
-            core_counts=(cell.cores,),
-            seed=cell.seed,
         )
 
     def cells(self) -> Iterator[Cell]:
@@ -205,6 +180,21 @@ class CampaignSpec:
             preset=self.preset,
             params=self.params,
             seed=cell.seed,
+        )
+
+    def run_spec(self, cell: Cell) -> RunSpec:
+        """The :class:`~repro.api.RunSpec` of *cell*'s run."""
+        from repro.workloads import WorkloadSpec
+
+        return RunSpec(
+            workload=WorkloadSpec.parse(cell.benchmark).name,
+            params=self.cell_params(cell),
+            runtime=cell.runtime,
+            cores=cell.cores,
+            platform=self.platform,
+            costs=self.hpx if cell.runtime == "hpx" else self.std,
+            counters=(self.counter_specs or None) if self.collect_counters else (),
+            profile=self.profile,
         )
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -251,46 +241,11 @@ class CampaignSpec:
 
 
 def cell_cache_key(spec: CampaignSpec, cell: Cell) -> str:
-    """Content-addressed cache key for one cell.
+    """Content-addressed cache key for one cell: its run's :meth:`~repro.api.RunSpec.key`.
 
-    Includes every input that determines the cell's result: the
-    resolved benchmark parameters, the full platform spec (two cells
-    differing only in platform hash differently), the cost model of
-    the *cell's own* runtime (an ``hpx`` cell is not invalidated by a
-    ``std::async`` recalibration and vice versa), the counter
-    configuration (counters instrument both runtimes), the counter
-    *provider* identity (built-ins, the workload's own providers, and
-    installed entry-point plugins — what is available to collect), the
-    package version, and :data:`CACHE_KEY_VERSION`.
-
-    The payload's ``benchmark`` is the parsed workload *name* alone —
-    parameters embedded in the cell's canonical spelling are already
-    folded into ``params`` by :meth:`CampaignSpec.cell_params` — so
-    ``taskbench:shape=fft`` in a campaign matrix and ``{"benchmark":
+    The run names the parsed workload with every parameter overlaid,
+    so ``taskbench:shape=fft`` in a campaign matrix and ``{"benchmark":
     "taskbench", "params": {"shape": "fft"}}`` over the serve API hash
     to the same entry.
     """
-    from repro.counters.providers import provider_identity
-    from repro.workloads import WorkloadSpec
-
-    assert spec.std is not None
-    workload_name = WorkloadSpec.parse(cell.benchmark).name
-    payload: dict[str, Any] = {
-        "cache_key_version": CACHE_KEY_VERSION,
-        "code_version": __version__,
-        "benchmark": workload_name,
-        "runtime": cell.runtime,
-        "cores": cell.cores,
-        "seed": cell.seed,
-        "params": spec.cell_params(cell),
-        "platform": spec.platform.to_json_dict(),
-        "collect_counters": spec.collect_counters,
-        "counter_specs": list(spec.counter_specs) if spec.counter_specs else None,
-        "counter_providers": list(provider_identity(workload=workload_name)),
-        "profile": spec.profile,
-    }
-    if cell.runtime == "hpx":
-        payload["hpx"] = asdict(spec.hpx)
-    else:
-        payload["std"] = asdict(spec.std)
-    return stable_hash(payload)
+    return spec.run_spec(cell).key()

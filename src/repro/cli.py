@@ -44,22 +44,18 @@ and exit status 2.  Errors from a running simulation
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from typing import Any, Callable, Sequence
+from pathlib import Path
+from typing import IO, Any, Callable, Iterator, Sequence
 
-from repro.api import Session
-from repro.campaign.spec import RUNTIMES
+from repro.api import RUNTIMES, Session
 from repro.counters.base import CounterEnvironment
 from repro.counters.types import CounterValue
 from repro.exec.modes import EXECUTION_MODES
-from repro.experiments.config import (
-    DEFAULT_COUNTERS,
-    DEFAULT_SAMPLES,
-    QUICK_CORE_COUNTS,
-    ExperimentConfig,
-)
+from repro.experiments.config import DEFAULT_SAMPLES, QUICK_CORE_COUNTS, ExperimentConfig
 from repro.experiments.figures import (
     BANDWIDTH_FIGURES,
     EXEC_TIME_FIGURES,
@@ -84,7 +80,6 @@ from repro.profiler import parse_what_if
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
-from repro.simcore.topology import check_workers
 from repro.telemetry import CsvSink, JsonLinesSink, TelemetryConfig
 from repro.workloads import WorkloadSpec, overlay_params, parse_param
 
@@ -249,14 +244,26 @@ def _workload(args: argparse.Namespace, text: str | None = None) -> WorkloadSpec
     return workload
 
 
-def _check_cores(args: argparse.Namespace) -> None:
-    """Reject core counts the command's platform cannot bind, before it runs."""
-    counts = [getattr(args, "cores", None), *getattr(args, "cores_list", ())]
-    counts = [cores for cores in counts if cores is not None]
-    if counts:
-        platform = resolve_platform(getattr(args, "platform", None))
-        for cores in counts:
-            check_workers(platform, cores)
+@contextlib.contextmanager
+def _output(path: str | os.PathLike) -> Iterator[IO[str]]:
+    """Write one output file: create its directory, open it, then say ``wrote PATH``.
+
+    The announcement goes to stderr, so it never mixes with data on stdout.
+    """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
+    print(f"wrote {path}", file=sys.stderr)
+
+
+def _destination(path: str | None) -> contextlib.AbstractContextManager[IO[str]]:
+    """:func:`_output` for *path*, else stdout (borrowed, left open)."""
+    return _output(path) if path else contextlib.nullcontext(sys.stdout)
+
+
+def _session(args: argparse.Namespace) -> Session:
+    """The session of a one-workload command."""
+    return Session(runtime=args.runtime, cores=args.cores, platform=args.platform)
 
 
 def _load(what: str, load: Callable[[str], Any], path: str) -> Any:
@@ -322,20 +329,15 @@ def cmd_counters_list(args: argparse.Namespace) -> int:
 
 def cmd_counters_query(args: argparse.Namespace) -> int:
     workload = _workload(args, args.benchmark)
-    specs = tuple(args.specs) if args.specs else DEFAULT_COUNTERS
-    # A path destination is owned by the sink (the pipeline closes it
-    # when the run finishes); stdout is borrowed and only flushed.
-    dest: Any = args.out if args.out else sys.stdout
-    sink = (CsvSink if args.format == "csv" else JsonLinesSink)(dest)
-    session = Session(runtime=args.runtime, cores=args.cores, platform=args.platform)
-    result = session.run(
-        workload,
-        telemetry=TelemetryConfig(
-            counters=specs,
-            interval_ns=None if args.interval is None else round(args.interval * 1e6),
-            sinks=(sink,),
-        ),
-    )
+    interval_ns = None if args.interval is None else round(args.interval * 1e6)
+    with _destination(args.out) as dest:
+        sink = (CsvSink if args.format == "csv" else JsonLinesSink)(dest)
+        result = _session(args).run(
+            workload,
+            telemetry=TelemetryConfig(
+                counters=tuple(args.specs) or None, interval_ns=interval_ns, sinks=(sink,)
+            ),
+        )
     if result.aborted:
         print(f"{args.benchmark} [{args.runtime}]: ABORT: {result.abort_reason}", file=sys.stderr)
         return 1
@@ -343,8 +345,7 @@ def cmd_counters_query(args: argparse.Namespace) -> int:
     print(
         f"{args.benchmark} [{args.runtime}, {args.cores} cores]: "
         f"{result.exec_time_ms:.3f} ms, {len(frame)} samples over "
-        f"{len(frame.names())} counters"
-        + (f" -> {args.out}" if args.out else ""),
+        f"{len(frame.names())} counters",
         file=sys.stderr,
     )
     return 0 if result.verified else 1
@@ -389,30 +390,19 @@ def format_counter_values(values: Sequence[CounterValue]) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    specs = tuple(args.print_counter) if args.print_counter else DEFAULT_COUNTERS
     workload = _workload(args)
     interval = args.print_counter_interval
-    telemetry = TelemetryConfig(interval_ns=None if interval is None else round(interval * 1e6))
-    destination = None
-    sink = None
-    if interval is not None:
-        if args.print_counter_destination:
-            destination = open(args.print_counter_destination, "w")
-
-        def sink(rows, _dest=destination):
-            print(format_counter_values(rows), file=_dest)
-    try:
-        session = Session(runtime=args.runtime, cores=args.cores, platform=args.platform)
-        result = session.run(
+    telemetry = TelemetryConfig(
+        counters=() if args.no_counters else tuple(args.print_counter) or None,
+        interval_ns=None if interval is None else round(interval * 1e6),
+    )
+    # Interval samples go to the destination as they are taken.
+    with _destination(args.print_counter_destination if interval is not None else None) as dest:
+        result = _session(args).run(
             workload,
-            counters=specs,
-            collect_counters=not args.no_counters,
             telemetry=telemetry,
-            query_sink=sink,
+            on_sample=lambda rows: print(format_counter_values(rows), file=dest),
         )
-    finally:
-        if destination is not None:
-            destination.close()
     if result.aborted:
         print(f"{workload.name} [{args.runtime}, {args.cores} cores]: ABORT")
         print(f"  {result.abort_reason}")
@@ -433,12 +423,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.profiler import ProfileConfig
 
     workload = _workload(args)
-    keep_events = args.chrome_out is not None
-    session = Session(runtime=args.runtime, cores=args.cores, platform=args.platform)
-    result = session.run(
+    result = _session(args).run(
         workload,
-        collect_counters=args.counters,
-        profile=ProfileConfig(what_if=tuple(args.what_if), keep_events=keep_events),
+        telemetry=TelemetryConfig(counters=None if args.counters else ()),
+        profile=ProfileConfig(what_if=tuple(args.what_if), keep_events=args.chrome_out is not None),
     )
     profile = result.profile
     if result.aborted:
@@ -450,10 +438,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
         return 1
     print(profile.render(top=args.top))
     if args.json:
-        with open(args.json, "w") as fh:
+        with _output(args.json) as fh:
             json.dump(profile.to_json_dict(include_series=True), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"\nwrote {args.json}")
     if args.chrome_out:
         from repro.telemetry.sample import Sample
         from repro.trace.export import to_chrome_trace
@@ -469,10 +456,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
             )
             for p in profile.parallelism.points
         ]
-        with open(args.chrome_out, "w") as fh:
+        with _output(args.chrome_out) as fh:
             fh.write(to_chrome_trace(list(profile.events or ()), telemetry=series))
             fh.write("\n")
-        print(f"wrote {args.chrome_out}")
     return 0 if result.verified else 1
 
 
@@ -544,25 +530,21 @@ def cmd_taskbench(args: argparse.Namespace) -> int:
         )
     if args.out:
         payload = {"results": [r.to_json_dict() for r in results]}
-        with open(args.out, "w") as fh:
+        with _output(args.out) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"wrote {args.out}")
     if args.samples_out:
-        from repro.telemetry import JsonLinesSink
-
-        sink = JsonLinesSink(args.samples_out)
-        for result in results:
-            for sample in result.to_samples():
-                sink.emit(sample)
-        sink.close()
-        print(f"wrote {args.samples_out}")
+        with _output(args.samples_out) as fh:
+            sink = JsonLinesSink(fh)
+            for result in results:
+                for sample in result.to_samples():
+                    sink.emit(sample)
+            sink.close()
     return 0 if all(r.metg_ns is not None for r in results) else 1
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    from pathlib import Path
 
     from repro.serve.quotas import QuotaConfig
     from repro.serve.server import ServerConfig, serve_forever
@@ -593,8 +575,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.campaign.cache import ResultCache
     from repro.campaign.engine import run_campaign
     from repro.campaign.spec import CampaignSpec
@@ -602,8 +582,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     workloads = tuple(args.benchmarks or []) + tuple(args.workloads or [])
     if not workloads:
         workloads = tuple(available_benchmarks())
-    for text in workloads:  # every name, preset and parameter, before any cell runs
-        _workload(args, text)
     params = dict(args.param)
     if args.mode is not None:
         params["mode"] = args.mode
@@ -636,20 +614,17 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         progress = show_progress
 
     run = run_campaign(spec, jobs=args.jobs, cache=cache, progress=progress)
-    out = Path(args.out) if args.out else Path("results/campaigns") / f"{spec.spec_id()}.json"
-    run.artifact.save(out)
     s = run.stats
     print(
         f"campaign {spec.spec_id()}: {s.total} cells | cache hits {s.cache_hits} "
         f"({s.hit_rate:.0%}) | executed {s.executed} | aborted {s.aborted}"
     )
-    print(f"wrote {out}")
+    with _output(args.out or f"results/campaigns/{spec.spec_id()}.json") as fh:
+        fh.write(run.artifact.to_json() + "\n")
     return 0
 
 
 def cmd_bench_serve(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.experiments.bench_serve import compare_to_baseline, render, run_bench_serve
 
     baseline = None
@@ -666,8 +641,8 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
     payload = result.to_dict()
     print(render(payload))
     if args.out:
-        result.save(args.out)
-        print(f"\nwrote {args.out}")
+        with _output(args.out) as fh:
+            fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     if baseline is None:
         return 0
     failures = compare_to_baseline(payload, baseline, threshold=args.threshold)
@@ -724,8 +699,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.experiments.generate import generate_all
 
     generate_all(Path(args.outdir), samples=args.samples, jobs=args.jobs, cache_dir=args.cache_dir)
@@ -1011,7 +984,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_cores(args)
         status = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return status

@@ -24,7 +24,6 @@ event-core replay gate's new÷legacy ratio.
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import tempfile
 import time
@@ -159,9 +158,6 @@ class LoadResult:
             "wall_over_ideal": self.wall_seconds / ideal if ideal else math.nan,
             "server_stats": dict(self.server_stats),
         }
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n")
 
 
 def is_bench_serve_payload(payload: Any) -> bool:

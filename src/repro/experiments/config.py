@@ -58,10 +58,6 @@ PAPI_COUNTERS = (
 DEFAULT_COUNTERS = SOFTWARE_COUNTERS + PAPI_COUNTERS
 
 
-def default_hpx_params() -> HpxParams:
-    return HpxParams()
-
-
 def default_std_params() -> StdParams:
     """Kernel-model parameters with the scaled memory budget."""
     base = StdParams()
@@ -75,7 +71,7 @@ class ExperimentConfig:
     """Everything one experiment needs to be reproducible."""
 
     platform: PlatformSpec = field(default_factory=default_platform)
-    hpx: HpxParams = field(default_factory=default_hpx_params)
+    hpx: HpxParams = field(default_factory=HpxParams)
     std: StdParams = field(default_factory=default_std_params)
     samples: int = DEFAULT_SAMPLES
     core_counts: tuple[int, ...] = QUICK_CORE_COUNTS

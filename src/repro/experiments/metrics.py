@@ -31,7 +31,7 @@ IDLE_RATE = "/threads{locality#0/total}/idle-rate"
 def _counters(run: Any) -> dict[str, float]:
     counters = getattr(run, "counters", None)
     if not counters:
-        raise ValueError("no counters on this result — run with collect_counters=True")
+        raise ValueError("no counters on this result — collect them (counters=() turns them off)")
     return counters
 
 

@@ -8,10 +8,9 @@ from typing import Any, Mapping, Sequence
 from repro.experiments import metrics
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import run_strong_scaling
-from repro.api import Session
+from repro.api import RunSpec, Session
 from repro.inncabs.suite import available_benchmarks, get_benchmark
 from repro.tools import HPCTOOLKIT, TAU, ToolOutcome, ToolRunResult, run_with_tool
-from repro.workloads import WorkloadSpec
 
 
 def classify_granularity(task_duration_us: float) -> str:
@@ -54,7 +53,9 @@ def table1(
     config = config or ExperimentConfig()
     rows = []
     for name in benchmarks or available_benchmarks():
-        base = Session(runtime="std", cores=cores, config=config).run(WorkloadSpec.parse(name))
+        base = Session().run(
+            RunSpec(name, runtime="std", cores=cores, platform=config.platform, costs=config.std)
+        )
         rows.append(
             Table1Row(
                 benchmark=name,

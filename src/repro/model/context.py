@@ -15,8 +15,10 @@ from repro.model.effects import Await, AwaitAll, Compute, Lock, Spawn, Unlock, Y
 from repro.model.work import Work
 
 # Shared effects for the common ``ctx.compute(cpu_ns, membytes=...)`` call
-# shape (see TaskContext.compute).  Keyed by (cpu_ns, membytes).
+# shape (see TaskContext.compute).  Keyed by (cpu_ns, membytes); emptied
+# when full, so a long-lived process keeps caching its current workload.
 _COMPUTE_CACHE: dict[tuple[Work | int, int], Compute] = {}
+_COMPUTE_CACHE_MAX = 1024
 
 
 class TaskContext:
@@ -92,8 +94,9 @@ class TaskContext:
             if cached is not None:
                 return cached
             effect = Compute(work=Work(cpu_ns=int(work), membytes=membytes))
-            if len(_COMPUTE_CACHE) < 1024:
-                _COMPUTE_CACHE[key] = effect
+            if len(_COMPUTE_CACHE) >= _COMPUTE_CACHE_MAX:
+                _COMPUTE_CACHE.clear()
+            _COMPUTE_CACHE[key] = effect
             return effect
         if isinstance(work, Work):  # Work subclass: honour it verbatim
             return Compute(work=work)

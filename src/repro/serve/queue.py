@@ -1,11 +1,11 @@
 """Run requests, run records, and the admission-controlled queue.
 
-A :class:`RunRequest` is the JSON body of ``POST /runs`` validated into
-the exact shape of one campaign cell: it lowers to a single-cell
+A :class:`RunRequest` is the JSON body of ``POST /runs`` in the exact
+shape of one campaign cell: it lowers to a single-cell
 :class:`~repro.campaign.spec.CampaignSpec` plus its
-:class:`~repro.campaign.spec.Cell`, and its cache key *is*
-:func:`repro.campaign.spec.cell_cache_key` over that pair.  That makes
-the server's shared :class:`~repro.campaign.cache.ResultCache`
+:class:`~repro.campaign.spec.Cell`, whose :class:`~repro.api.RunSpec`
+validates the run and whose key is the cache key.  That makes the
+server's shared :class:`~repro.campaign.cache.ResultCache`
 interchangeable with campaign caches: a run executed by the server is
 a cache hit for ``repro campaign`` and vice versa.
 
@@ -18,20 +18,15 @@ from __future__ import annotations
 
 import asyncio
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
 
 from repro.campaign.spec import CampaignSpec, Cell, cell_cache_key
-from repro.platform.presets import resolve_platform
-from repro.platform.spec import PlatformSpec
-from repro.workloads import WorkloadSpec, available_workloads, get_workload
+from repro.workloads import WorkloadSpec, available_workloads
 
 #: Root seed applied when a request does not pin one (the paper default
 #: used by campaigns, so unseeded server runs hit campaign cells).
 DEFAULT_SEED = 20160523
-
-_PRESETS = ("small", "default", "large", "paper")
-_RUNTIMES = ("hpx", "std")
 
 
 class RunState(str, enum.Enum):
@@ -62,6 +57,12 @@ class RunRequest:
 
     @classmethod
     def from_json(cls, obj: Any) -> "RunRequest":
+        """Parse and validate a body; :class:`BadRequest` names the problem.
+
+        This checks the wire format; the run itself is validated by
+        lowering it to its :class:`~repro.api.RunSpec`, so a request
+        that could only fail in a worker is refused here.
+        """
         if not isinstance(obj, dict):
             raise BadRequest("request body must be a JSON object")
         unknown = set(obj) - {
@@ -81,29 +82,10 @@ class RunRequest:
         params = obj.get("params", {})
         if not isinstance(params, dict):
             raise BadRequest("params must be a JSON object")
-        mode = obj.get("mode")
-        if mode is not None:
-            # Execution mode travels as a workload param so it reaches
-            # the cell cache key; the top-level field is sugar.
-            from repro.exec.modes import resolve_mode
-
-            try:
-                params = {**params, "mode": resolve_mode(mode).value}
-            except (ValueError, TypeError) as exc:
-                raise BadRequest(f"bad mode: {exc}") from exc
+        if obj.get("mode") is not None:
+            # The top-level field is sugar for the ``mode`` workload param.
+            params = {**params, "mode": obj["mode"]}
         benchmark, params = cls._resolve_workload(obj, params)
-        runtime = obj.get("runtime", "hpx")
-        if runtime not in _RUNTIMES:
-            raise BadRequest(f"unknown runtime {runtime!r}; expected one of {_RUNTIMES}")
-        cores = obj.get("cores", 1)
-        if not isinstance(cores, int) or isinstance(cores, bool) or cores < 1:
-            raise BadRequest(f"cores must be a positive integer, got {cores!r}")
-        preset = obj.get("preset", "default")
-        if preset not in _PRESETS:
-            raise BadRequest(f"unknown preset {preset!r}; expected one of {_PRESETS}")
-        seed = obj.get("seed", DEFAULT_SEED)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise BadRequest(f"seed must be an integer, got {seed!r}")
         platform = obj.get("platform")
         if platform is not None:
             from repro.platform.presets import platform_names
@@ -116,16 +98,18 @@ class RunRequest:
         collect = obj.get("collect_counters", True)
         if not isinstance(collect, bool):
             raise BadRequest("collect_counters must be a boolean")
-        return cls(
+        request = cls(
             benchmark=benchmark,
-            runtime=runtime,
-            cores=cores,
-            preset=preset,
-            params=dict(params),
-            seed=seed,
+            runtime=obj.get("runtime", "hpx"),
+            cores=obj.get("cores", 1),
+            preset=obj.get("preset", "default"),
+            params=params,
+            seed=obj.get("seed", DEFAULT_SEED),
             platform=platform,
             collect_counters=collect,
         )
+        request.to_cell()  # validates the run
+        return request
 
     @staticmethod
     def _resolve_workload(obj: Mapping[str, Any], params: dict) -> tuple[str, dict]:
@@ -134,10 +118,10 @@ class RunRequest:
         ``workload`` accepts the canonical string spelling
         (``"taskbench:shape=fft"``) or the JSON object form
         (``{"name": ..., "params": {...}}``); ``benchmark`` is the
-        legacy bare-name field.  Either way the name is validated
-        against the workload registry — the error lists every
-        registered workload — and the request's ``params`` overlay the
-        spec's embedded ones.
+        legacy bare-name field.  Either way the name is checked against
+        the workload registry — the error lists every registered
+        workload — and the request's ``params`` overlay the spec's
+        embedded ones.
         """
         workload = obj.get("workload")
         benchmark = obj.get("benchmark")
@@ -160,49 +144,36 @@ class RunRequest:
         if not isinstance(benchmark, str) or benchmark not in available_workloads():
             known = ", ".join(available_workloads())
             raise BadRequest(f"unknown workload {benchmark!r}; expected one of: {known}")
-        try:
-            get_workload(benchmark).benchmark.params_with_defaults(params)
-        except ValueError as exc:
-            raise BadRequest(str(exc)) from exc
         return benchmark, dict(params)
 
-    def resolve_platform(self) -> PlatformSpec:
-        try:
-            return resolve_platform(self.platform)
-        except Exception as exc:
-            raise BadRequest(f"cannot resolve platform {self.platform!r}: {exc}") from exc
-
     def to_cell(self) -> tuple[CampaignSpec, Cell]:
-        """Lower to the single-cell campaign this run is equivalent to."""
-        spec = CampaignSpec(
-            benchmarks=(self.benchmark,),
-            runtimes=(self.runtime,),
-            core_counts=(self.cores,),
-            samples=1,
-            seed=self.seed,
-            preset=self.preset,
-            params=dict(self.params),
-            platform=self.resolve_platform(),
-            collect_counters=self.collect_counters,
-        )
+        """Lower to the single-cell campaign this run is equivalent to.
+
+        Constructing the campaign validates the run; its failures are
+        :class:`BadRequest`\\ s.
+        """
+        try:
+            spec = CampaignSpec(
+                benchmarks=(self.benchmark,),
+                runtimes=(self.runtime,),
+                core_counts=(self.cores,),
+                samples=1,
+                seed=self.seed,
+                preset=self.preset,
+                params=dict(self.params),
+                platform=self.platform,
+                collect_counters=self.collect_counters,
+            )
+        except (ValueError, TypeError) as exc:
+            raise BadRequest(str(exc)) from exc
         return spec, next(spec.cells())
 
     def cache_key(self) -> str:
         """Content-addressed key — identical to the campaign cell's."""
-        spec, cell = self.to_cell()
-        return cell_cache_key(spec, cell)
+        return cell_cache_key(*self.to_cell())
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "benchmark": self.benchmark,
-            "runtime": self.runtime,
-            "cores": self.cores,
-            "preset": self.preset,
-            "params": dict(self.params),
-            "seed": self.seed,
-            "platform": self.platform,
-            "collect_counters": self.collect_counters,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -24,7 +24,7 @@ probe point, streamable through any telemetry sink.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro.inncabs.base import DEFAULT_SEED
 from repro.telemetry.sample import Sample
@@ -147,6 +147,7 @@ def _evaluate(
     cores: int,
 ) -> MetgProbe:
     """Run the graph once at *grain_ns* and compute its efficiency."""
+    from repro.telemetry import TelemetryConfig
     from repro.workloads import WorkloadSpec
 
     result = session.run(
@@ -162,7 +163,7 @@ def _evaluate(
                 "seed": seed,
             },
         ),
-        counters=(TASK_COUNT_COUNTER,),
+        telemetry=TelemetryConfig(counters=(TASK_COUNT_COUNTER,)),
     )
     if result.aborted:
         return MetgProbe(

@@ -47,21 +47,21 @@ DEFAULT_BUFFER_LIMIT = 65_536
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """Declarative telemetry wiring for :class:`repro.api.Session`.
+    """Declarative telemetry wiring for :meth:`repro.api.Session.run`.
 
-    ``counters=None`` means the session's default set (the paper's
-    software + PAPI counters); ``interval_ns`` enables periodic
-    sampling during the run (in-band by default, i.e. each sample costs
-    simulated scheduler time); ``sinks`` receive every sample as it is
-    recorded.
+    ``counters=None`` means the paper's software + PAPI counters and
+    ``()`` means none; ``interval_ns`` enables periodic sampling during
+    the run (in-band: each sample costs simulated scheduler time);
+    ``buffer_limit`` bounds the in-memory frame.  These three are part
+    of the run's :class:`~repro.api.RunSpec`.  ``sinks`` only watch:
+    they receive every sample as it is recorded, and stay out of the
+    run's key.
     """
 
     counters: tuple[str, ...] | None = None
     interval_ns: int | None = None
-    in_band: bool = True
     sinks: tuple[Any, ...] = ()
     buffer_limit: int = DEFAULT_BUFFER_LIMIT
-    run_id: str = ""
 
     def __post_init__(self) -> None:
         if self.interval_ns is not None and self.interval_ns <= 0:

@@ -36,12 +36,31 @@ def test_cells_enumerated_in_canonical_order():
 
 
 def test_cell_params_overlay_preset_and_seed():
-    spec = make_spec(preset="small", params={"cutoff": 99})
+    spec = make_spec(benchmarks=("fib",), preset="small", params={"leaf_ns": 99})
     cell = next(iter(spec.cells()))
     params = spec.cell_params(cell)
     assert params["n"] == 12  # fib small preset
-    assert params["cutoff"] == 99  # explicit override wins
+    assert params["leaf_ns"] == 99  # explicit override wins
     assert params["seed"] == cell.seed
+
+
+#: Specs whose runs could only fail, by what makes them fail.
+REFUSED = {
+    "cores-0": {"core_counts": (0,)},
+    "cores-64": {"core_counts": (64,)},
+    "param-nn": {"params": {"nn": 3}},
+    "mode-bogus": {"params": {"mode": "bogus"}},
+    "preset-bogus": {"preset": "bogus"},
+    "seed-x": {"seed": "x"},
+    "profile-cohort": {"profile": True, "params": {"mode": "cohort"}},
+}
+
+
+@pytest.mark.parametrize("overrides", REFUSED.values(), ids=REFUSED.keys())
+def test_runs_that_can_only_fail_are_refused_at_construction(overrides):
+    """Every run of the matrix is validated before any cell is keyed or run."""
+    with pytest.raises(ValueError):
+        make_spec(**{"benchmarks": ("fib",), **overrides})
 
 
 def test_unknown_runtime_rejected():

@@ -11,8 +11,11 @@ import random
 
 import pytest
 
-from repro.api import Session
+from repro.api import Session, TelemetryConfig
 from repro.workloads import WorkloadSpec
+
+#: Runs without counter instrumentation.
+NO_COUNTERS = TelemetryConfig(counters=())
 
 #: Documented worst-case relative error on time-like totals (exec time,
 #: cumulative exec/overhead ns).  Measured: hpx fib -15%, std fib -5%,
@@ -38,8 +41,8 @@ def _close(a, b, rtol=TIME_RTOL):
 @pytest.mark.parametrize("runtime", ["hpx", "std"])
 @pytest.mark.parametrize("n", [10, 12])
 def test_fib_counts_match_exactly(runtime, n):
-    exact = _run(f"fib:n={n}", runtime, 4, "exact", collect_counters=False)
-    cohort = _run(f"fib:n={n}", runtime, 4, "cohort", collect_counters=False)
+    exact = _run(f"fib:n={n}", runtime, 4, "exact", telemetry=NO_COUNTERS)
+    cohort = _run(f"fib:n={n}", runtime, 4, "cohort", telemetry=NO_COUNTERS)
     assert cohort.verified and exact.verified
     assert cohort.tasks_created == exact.tasks_created
     assert cohort.tasks_executed == exact.tasks_executed
@@ -51,14 +54,14 @@ def test_fib_counts_match_exactly(runtime, n):
 def test_fib_hpx_peak_live_matches_exactly():
     # The hpx live-population model is calibrated against the exact
     # engine's lazy depth-first admission: workers x (depth - 2).
-    exact = _run("fib:n=12", "hpx", 8, "exact", collect_counters=False)
-    cohort = _run("fib:n=12", "hpx", 8, "cohort", collect_counters=False)
+    exact = _run("fib:n=12", "hpx", 8, "exact", telemetry=NO_COUNTERS)
+    cohort = _run("fib:n=12", "hpx", 8, "cohort", telemetry=NO_COUNTERS)
     assert cohort.peak_live_tasks == exact.peak_live_tasks
 
 
 def test_fib_std_peak_live_within_bound():
-    exact = _run("fib:n=12", "std", 4, "exact", collect_counters=False)
-    cohort = _run("fib:n=12", "std", 4, "cohort", collect_counters=False)
+    exact = _run("fib:n=12", "std", 4, "exact", telemetry=NO_COUNTERS)
+    cohort = _run("fib:n=12", "std", 4, "cohort", telemetry=NO_COUNTERS)
     assert _close(cohort.peak_live_tasks, exact.peak_live_tasks, rtol=0.15)
 
 
@@ -92,8 +95,8 @@ def test_fib_counter_totals_within_bounds():
 @pytest.mark.parametrize("n,cutoff", [(8, 3), (10, 4)])
 def test_nqueens_counts_match_exactly(runtime, n, cutoff):
     spec = f"nqueens:n={n},cutoff={cutoff}"
-    exact = _run(spec, runtime, 4, "exact", collect_counters=False)
-    cohort = _run(spec, runtime, 4, "cohort", collect_counters=False)
+    exact = _run(spec, runtime, 4, "exact", telemetry=NO_COUNTERS)
+    cohort = _run(spec, runtime, 4, "cohort", telemetry=NO_COUNTERS)
     assert cohort.verified and exact.verified
     assert cohort.tasks_created == exact.tasks_created
     assert cohort.tasks_executed == exact.tasks_executed
@@ -121,15 +124,15 @@ def test_nqueens_without_known_solution_is_ineligible():
     # n=13 is outside the known-solutions table, so the plan's result
     # could not be exact; the workload must refuse a cohort run.
     with pytest.raises(CohortIneligibleError):
-        _run("nqueens:n=13,cutoff=3", "hpx", 4, "cohort", collect_counters=False)
+        _run("nqueens:n=13,cutoff=3", "hpx", 4, "cohort", telemetry=NO_COUNTERS)
 
 
 # -- abort parity: the std thread explosion ---------------------------------
 
 
 def test_std_stack_exhaustion_aborts_in_both_modes():
-    exact = _run("fib:n=19", "std", 4, "exact", collect_counters=False)
-    cohort = _run("fib:n=19", "std", 4, "cohort", collect_counters=False)
+    exact = _run("fib:n=19", "std", 4, "exact", telemetry=NO_COUNTERS)
+    cohort = _run("fib:n=19", "std", 4, "cohort", telemetry=NO_COUNTERS)
     assert exact.aborted and cohort.aborted
     assert cohort.peak_live_tasks == exact.peak_live_tasks
     assert cohort.abort_reason.startswith("thread stacks exhausted memory")
@@ -160,8 +163,8 @@ def test_random_homogeneous_dags_agree(config):
         "taskbench:shape=trivial,width={width},steps={steps},"
         "grain_ns={grain_ns},membytes={membytes}".format(**config)
     )
-    exact = _run(spec, config["runtime"], config["cores"], "exact", collect_counters=False)
-    cohort = _run(spec, config["runtime"], config["cores"], "cohort", collect_counters=False)
+    exact = _run(spec, config["runtime"], config["cores"], "exact", telemetry=NO_COUNTERS)
+    cohort = _run(spec, config["runtime"], config["cores"], "cohort", telemetry=NO_COUNTERS)
     assert exact.verified and cohort.verified
     assert cohort.tasks_created == exact.tasks_created
     assert cohort.tasks_executed == exact.tasks_executed
@@ -191,7 +194,7 @@ def test_paper_scale_fib_completes_instantly():
     import time
 
     t0 = time.monotonic()
-    result = _run("fib:n=40", "hpx", 20, "cohort", collect_counters=False)
+    result = _run("fib:n=40", "hpx", 20, "cohort", telemetry=NO_COUNTERS)
     elapsed = time.monotonic() - t0
     assert result.verified
     assert result.tasks_executed == 331_160_281  # 2*F(41) - 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Session
+from repro.api import Session, TelemetryConfig
 from repro.exec.modes import (
     EXECUTION_MODES,
     CohortIneligibleError,
@@ -10,6 +10,9 @@ from repro.exec.modes import (
     resolve_mode,
 )
 from repro.workloads import WorkloadSpec
+
+#: Runs without counter instrumentation.
+NO_COUNTERS = TelemetryConfig(counters=())
 
 
 # -- resolve_mode ------------------------------------------------------------
@@ -47,7 +50,7 @@ def test_mode_param_is_validated_at_merge_time():
 
 def test_mode_param_selects_the_engine():
     session = Session(runtime="hpx", cores=2)
-    result = session.run(WorkloadSpec.parse("fib:n=8,mode=cohort"), collect_counters=False)
+    result = session.run(WorkloadSpec.parse("fib:n=8,mode=cohort"), telemetry=NO_COUNTERS)
     assert result.mode == "cohort"
     assert result.verified
 
@@ -57,14 +60,14 @@ def test_mode_keyword_wins_over_param():
     result = session.run(
         WorkloadSpec.parse("fib:n=8,mode=cohort"),
         mode="exact",
-        collect_counters=False,
+        telemetry=NO_COUNTERS,
     )
     assert result.mode == "exact"
 
 
 def test_default_runs_are_exact():
     session = Session(runtime="hpx", cores=2)
-    result = session.run(WorkloadSpec.parse("fib:n=8"), collect_counters=False)
+    result = session.run(WorkloadSpec.parse("fib:n=8"), telemetry=NO_COUNTERS)
     assert result.mode == "exact"
 
 
@@ -90,7 +93,7 @@ def test_taskbench_trivial_shape_is_eligible():
     result = session.run(
         WorkloadSpec.parse("taskbench:shape=trivial,width=8,steps=4"),
         mode="cohort",
-        collect_counters=False,
+        telemetry=NO_COUNTERS,
     )
     assert result.mode == "cohort"
     assert result.verified

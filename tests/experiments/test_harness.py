@@ -104,10 +104,9 @@ def test_runner_periodic_query_samples():
 def test_runner_query_requires_counters():
     from repro.api import Session, TelemetryConfig, WorkloadSpec
 
-    with pytest.raises(ValueError, match="collect_counters"):
+    with pytest.raises(ValueError, match="periodic queries need counters"):
         Session(runtime="hpx").run(
             WorkloadSpec.parse("fib"),
             params={"n": 8},
-            collect_counters=False,
-            telemetry=TelemetryConfig(interval_ns=1000),
+            telemetry=TelemetryConfig(counters=(), interval_ns=1000),
         )

@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.api import Session, WorkloadSpec
+from repro.api import Session, TelemetryConfig, WorkloadSpec
 from repro.experiments import metrics
 from repro.experiments.analysis import analyze, karp_flatt, knee, parallel_efficiency
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import ScalingCurve, ScalingPoint, run_strong_scaling
+
+#: Runs without counter instrumentation.
+NO_COUNTERS = TelemetryConfig(counters=())
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +46,9 @@ def test_bandwidth(fib_run):
 
 
 def test_metrics_validation(fib_run):
-    bare = Session(runtime="std", cores=2).run(WorkloadSpec.parse("fib"), params={"n": 10}, collect_counters=False)
+    bare = Session(runtime="std", cores=2).run(
+        WorkloadSpec.parse("fib"), params={"n": 10}, telemetry=NO_COUNTERS
+    )
     with pytest.raises(ValueError, match="counters"):
         metrics.task_duration_us(bare)
     with pytest.raises(ValueError, match="cores"):

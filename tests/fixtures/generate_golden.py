@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.api import Session, WorkloadSpec
+from repro.api import Session, TelemetryConfig, WorkloadSpec
 from repro.simcore.record import RecordingEngine, save_stream
 
 FIXTURES = Path(__file__).resolve().parent
@@ -40,7 +40,11 @@ def record_run(name: str) -> tuple[RecordingEngine, dict]:
     benchmark, runtime, cores, params, collect = GOLDEN_RUNS[name]
     recorder = RecordingEngine()
     session = Session(runtime=runtime, cores=cores, engine_factory=lambda: recorder)
-    result = session.run(WorkloadSpec.parse(benchmark), params=params, collect_counters=collect)
+    result = session.run(
+        WorkloadSpec.parse(benchmark),
+        params=params,
+        telemetry=TelemetryConfig(counters=None if collect else ()),
+    )
     meta = {
         "name": name,
         "benchmark": benchmark,

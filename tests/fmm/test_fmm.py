@@ -14,11 +14,12 @@ from pathlib import Path
 import pytest
 
 import repro.fmm
-from repro.api import Session, WorkloadSpec
+from repro.api import Session, TelemetryConfig, WorkloadSpec
 from repro.fmm import VARIANTS, FmmBenchmark, variant_for_core
 from repro.platform.presets import get_platform
 
 VARIANT_COUNTERS = [f"/fmm{{locality#0/total}}/p2p-subgrids@{v}" for v in VARIANTS]
+VARIANT_TELEMETRY = TelemetryConfig(counters=VARIANT_COUNTERS)
 
 
 def _variant_values(result) -> dict[str, float]:
@@ -52,7 +53,7 @@ def test_variant_for_core_homogeneous_is_vectorized():
 
 def test_hybrid_run_splits_variants_per_core_type():
     session = Session(runtime="hpx", cores=12, platform="hybrid-4p8e")
-    result = session.run(WorkloadSpec.parse("fmm"), counters=VARIANT_COUNTERS)
+    result = session.run(WorkloadSpec.parse("fmm"), telemetry=VARIANT_TELEMETRY)
     assert result.verified
     values = _variant_values(result)
     # 48 subgrids over 12 driver batches: 4 P-core batches x 4 subgrids
@@ -65,7 +66,7 @@ def test_hybrid_run_splits_variants_per_core_type():
 
 def test_homogeneous_run_is_all_vectorized():
     session = Session(runtime="hpx", cores=4)
-    result = session.run(WorkloadSpec.parse("fmm:subgrids=20"), counters=VARIANT_COUNTERS)
+    result = session.run(WorkloadSpec.parse("fmm:subgrids=20"), telemetry=VARIANT_TELEMETRY)
     assert result.verified
     values = _variant_values(result)
     assert values["vectorized"] == 20.0
@@ -74,7 +75,7 @@ def test_homogeneous_run_is_all_vectorized():
 
 def test_std_runtime_runs_fmm_too():
     session = Session(runtime="std", cores=2)
-    result = session.run(WorkloadSpec.parse("fmm:subgrids=8"), counters=VARIANT_COUNTERS)
+    result = session.run(WorkloadSpec.parse("fmm:subgrids=8"), telemetry=VARIANT_TELEMETRY)
     assert result.verified
     assert _variant_values(result)["vectorized"] == 8.0
 
@@ -83,7 +84,7 @@ def test_multipole_counter_and_verify():
     session = Session(runtime="hpx", cores=4)
     result = session.run(
         WorkloadSpec.parse("fmm:subgrids=12,neighbors=7"),
-        counters=["/fmm{locality#0/total}/multipole-evals"],
+        telemetry=TelemetryConfig(counters=("/fmm{locality#0/total}/multipole-evals",)),
         keep_result=True,
     )
     assert result.verified
@@ -96,8 +97,8 @@ def test_back_to_back_runs_read_per_run_deltas():
     module-level counters accumulate across runs in one process."""
     session = Session(runtime="hpx", cores=4)
     spec = WorkloadSpec.parse("fmm:subgrids=12")
-    first = session.run(spec, counters=VARIANT_COUNTERS)
-    second = session.run(spec, counters=VARIANT_COUNTERS)
+    first = session.run(spec, telemetry=VARIANT_TELEMETRY)
+    second = session.run(spec, telemetry=VARIANT_TELEMETRY)
     assert _variant_values(first) == _variant_values(second)
 
 

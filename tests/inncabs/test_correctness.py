@@ -6,7 +6,10 @@ runtime, core count or scheduling order.
 
 import pytest
 
-from repro.api import Session, WorkloadSpec
+from repro.api import Session, TelemetryConfig, WorkloadSpec
+
+#: Runs without counter instrumentation.
+NO_COUNTERS = TelemetryConfig(counters=())
 
 SMALL_PARAMS = {
     "alignment": {"nseq": 5, "seqlen": 60},
@@ -70,6 +73,6 @@ def test_counter_lookup_error_lists_names():
 def test_collect_counters_false_is_faster():
     session = Session(runtime="hpx", cores=1)
     with_counters = session.run(WorkloadSpec.parse("fib"), params={"n": 12})
-    without = session.run(WorkloadSpec.parse("fib"), params={"n": 12}, collect_counters=False)
+    without = session.run(WorkloadSpec.parse("fib"), params={"n": 12}, telemetry=NO_COUNTERS)
     assert without.counters == {}
     assert without.exec_time_ns < with_counters.exec_time_ns

@@ -61,6 +61,16 @@ def test_compute_accepts_raw_ns(ctx):
     assert effect.work == Work(cpu_ns=1500, membytes=64)
 
 
+def test_compute_cache_keeps_caching_when_full(ctx, monkeypatch):
+    """A process that has seen many other demands still shares effects."""
+    from repro.model import context
+
+    monkeypatch.setattr(context, "_COMPUTE_CACHE", {})
+    for cpu_ns in range(10_000, 10_000 + 1024):
+        ctx.compute(cpu_ns, membytes=64)
+    assert ctx.compute(7, membytes=64) is ctx.compute(7, membytes=64)
+
+
 def test_compute_kwargs_forwarded(ctx):
     effect = ctx.compute(10, working_set=999)
     assert effect.work.working_set == 999

@@ -13,9 +13,12 @@ SPECS = (
 )
 
 
-def _run(spec="fib:n=12", counters=SPECS, **kwargs):
+def _run(spec="fib:n=12", counters=SPECS, interval_ns=None):
     session = Session(runtime="hpx", cores=4)
-    return session.run(WorkloadSpec.parse(spec), counters=list(counters), **kwargs)
+    return session.run(
+        WorkloadSpec.parse(spec),
+        telemetry=TelemetryConfig(counters=counters, interval_ns=interval_ns),
+    )
 
 
 def test_requesting_profiler_counters_implies_profiling():
@@ -61,7 +64,7 @@ def test_unknown_body_parameter_reads_zero():
 
 
 def test_profiler_counters_ride_periodic_queries():
-    result = _run(telemetry=TelemetryConfig(interval_ns=100_000))
+    result = _run(interval_ns=100_000)
     # Periodic rows before the final evaluation at the end of the run.
     *periodic, final = result.telemetry.series("/profiler{locality#0/total}/work-ns")
     assert periodic

@@ -16,17 +16,20 @@ configuration space:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Session
+from repro.api import Session, TelemetryConfig
 from repro.profiler import ProfileConfig
 from repro.profiler.whatif import WhatIfSpec
 from repro.workloads import WorkloadSpec
+
+#: Runs without counter instrumentation.
+NO_COUNTERS = TelemetryConfig(counters=())
 
 
 def _profile(spec: str, cores: int, what_if=()):
     session = Session(runtime="hpx", cores=cores)
     return session.run(
         WorkloadSpec.parse(spec),
-        collect_counters=False,
+        telemetry=NO_COUNTERS,
         profile=ProfileConfig(what_if=tuple(what_if)),
     )
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api import Session
+from repro.api import Session, TelemetryConfig
 from repro.exec.modes import CohortIneligibleError
 from repro.profiler import ProfileBuilder, ProfileConfig, TraceRecorder, build_profile
 from repro.profiler.whatif import WhatIfSpec
@@ -15,6 +15,9 @@ from repro.workloads import WorkloadSpec
 
 from tests.conftest import fib_body
 from tests.trace.dag_oracle import build_task_dag, work_span
+
+#: Runs without counter instrumentation.
+NO_COUNTERS = TelemetryConfig(counters=())
 
 
 def profiled(body, *args, cores=4, keep_events=False):
@@ -98,7 +101,7 @@ def test_parallelism_points_are_well_formed():
 
 def _run(spec, *, cores=4, **kwargs):
     session = Session(runtime="hpx", cores=cores)
-    return session.run(WorkloadSpec.parse(spec), collect_counters=False, **kwargs)
+    return session.run(WorkloadSpec.parse(spec), telemetry=NO_COUNTERS, **kwargs)
 
 
 def test_session_profile_reports_the_run():
@@ -145,13 +148,6 @@ def test_profile_keep_events_feeds_chrome_export():
 def test_cohort_mode_rejects_profiling():
     with pytest.raises(CohortIneligibleError):
         _run("fib:n=12", mode="cohort", profile=True)
-
-
-def test_cohort_mode_rejects_work_rewriter():
-    from repro.profiler.whatif import BodyRewriter
-
-    with pytest.raises(CohortIneligibleError):
-        _run("fib:n=12", mode="cohort", work_rewriter=BodyRewriter("_fib_task", 0.5))
 
 
 # -- what-if experiments -----------------------------------------------------

@@ -55,6 +55,10 @@ def test_minimal_request_defaults():
         ({"benchmark": "fib", "platform": "/etc/passwd"}, "unknown platform"),
         ({"benchmark": "fib", "collect_counters": 1}, "collect_counters"),
         ({"benchmark": "fib", "frobnicate": 1}, "unknown fields"),
+        # Runs that could only fail in a worker are refused up front.
+        ({"benchmark": "fib", "cores": 64}, "bindable cores"),
+        ({"workload": "fib:n=5", "cores": 21}, "bindable cores"),
+        ({"workload": "sort", "mode": "cohort"}, "no cohort plan"),
     ],
 )
 def test_invalid_bodies_name_the_problem(body, fragment):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Session
+from repro.api import Session, TelemetryConfig
 from repro.taskbench import TaskBenchBenchmark, build_graph, graph_checksum
 from repro.workloads import WorkloadSpec
 
@@ -15,11 +15,12 @@ COUNTERS = (
     "/threads{locality#0/total}/count/created",
     "/taskbench{locality#0/total}/efficiency",
 )
+TELEMETRY = TelemetryConfig(counters=COUNTERS)
 
 
 @pytest.mark.parametrize("runtime", ["hpx", "std"])
 def test_runs_verified_on_both_runtimes(runtime):
-    result = Session(runtime=runtime, cores=4).run(SPEC, counters=COUNTERS)
+    result = Session(runtime=runtime, cores=4).run(SPEC, telemetry=TELEMETRY)
     assert result.verified
     # 32 node tasks plus the driver, regardless of the backend.
     assert result.counters["/threads{locality#0/total}/count/cumulative"] == 33
@@ -30,7 +31,7 @@ def test_runs_verified_on_both_runtimes(runtime):
 def test_counter_parity_hpx_vs_std():
     """The same graph reports identical task counts through either backend."""
     by_runtime = {
-        runtime: Session(runtime=runtime, cores=4).run(SPEC, counters=COUNTERS)
+        runtime: Session(runtime=runtime, cores=4).run(SPEC, telemetry=TELEMETRY)
         for runtime in ("hpx", "std")
     }
     for name in COUNTERS[:2]:  # task counts; efficiency legitimately differs

@@ -40,35 +40,10 @@ def test_full_buffer_keeps_the_final_evaluation():
 
 def test_collect_counters_false_means_no_frame():
     result = Session(runtime="hpx", cores=2).run(
-        WorkloadSpec.parse("fib"), params={"n": 10}, collect_counters=False
+        WorkloadSpec.parse("fib"), params={"n": 10}, telemetry=TelemetryConfig(counters=())
     )
     assert result.telemetry is None
     assert result.counters == {}
-
-
-def test_session_level_telemetry_config_applies_to_runs():
-    sink = TelemetryFrame()
-    session = Session(
-        runtime="hpx",
-        cores=2,
-        telemetry=TelemetryConfig(counters=("/runtime/uptime",), sinks=(sink,), run_id="sess"),
-    )
-    result = session.run(WorkloadSpec.parse("fib"), params={"n": 10})
-    assert result.telemetry.names() == ["/runtime{locality#0/total}/uptime"]
-    assert len(sink) == 1
-    assert sink.samples[0].run_id == "sess"
-
-
-def test_per_run_telemetry_overrides_session_default():
-    session = Session(
-        runtime="hpx", cores=2, telemetry=TelemetryConfig(counters=("/runtime/uptime",))
-    )
-    result = session.run(
-        WorkloadSpec.parse("fib"),
-        params={"n": 10},
-        telemetry=TelemetryConfig(counters=("/threads/count/cumulative",)),
-    )
-    assert result.telemetry.names() == ["/threads{locality#0/total}/count/cumulative"]
 
 
 def test_interval_sampling_streams_to_sinks():
@@ -98,12 +73,11 @@ def test_default_run_id_identifies_the_run():
 
 
 def test_query_interval_requires_counters():
-    with pytest.raises(ValueError, match="collect_counters"):
+    with pytest.raises(ValueError, match="periodic queries need counters"):
         Session(runtime="hpx").run(
             WorkloadSpec.parse("fib"),
             params={"n": 8},
-            collect_counters=False,
-            telemetry=TelemetryConfig(interval_ns=ms(1)),
+            telemetry=TelemetryConfig(counters=(), interval_ns=ms(1)),
         )
 
 
@@ -115,7 +89,9 @@ def test_wildcard_query_acceptance_on_every_preset(platform):
     result = session.run(
         WorkloadSpec.parse("fib"),
         params={"n": 10},
-        counters=("/threads{locality#0/worker-thread#*}/time/average",),
+        telemetry=TelemetryConfig(
+            counters=("/threads{locality#0/worker-thread#*}/time/average",)
+        ),
     )
     assert not result.aborted
     assert result.telemetry.names() == [

@@ -639,6 +639,33 @@ def test_figure_unreadable_artifact_errors(capsys, tmp_path):
     assert "artifact: artifact is missing required key 'spec'" in capsys.readouterr().err
 
 
+TINY_TASKBENCH = ["taskbench", "--shape", "trivial", "--width", "4", "--steps", "2", "--cores", "2"]
+TINY_CAMPAIGN = ["campaign", "--benchmarks", "fib", "--runtimes", "hpx", "--cores-list", "1"]
+
+#: Every command option that writes a file, pointed into a missing directory.
+OUTPUT_FILES = {
+    "profile --json": ["profile", "fib:n=10", "--json", "new/p.json"],
+    "profile --chrome-out": ["profile", "fib:n=10", "--chrome-out", "new/trace.json"],
+    "taskbench --out": [*TINY_TASKBENCH, "--runtime", "hpx", "--out", "new/t.json"],
+    "taskbench --samples-out": [*TINY_TASKBENCH, "--samples-out", "new/s.jsonl"],
+    "counters query --out": ["counters", "query", "--param", "n=8", "--out", "new/c.csv"],
+    "run --print-counter-destination": [
+        *["run", "fib", "--param", "n=13", "--print-counter-interval", "0.5"],
+        *["--print-counter-destination", "new/i.csv"],
+    ],
+    "campaign --out": [*TINY_CAMPAIGN, "--preset", "small", "--no-cache", "--out", "new/a.json"],
+}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_FILES.values(), ids=OUTPUT_FILES.keys())
+def test_output_files_create_their_directory(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    path = argv[-1]
+    assert (tmp_path / path).stat().st_size > 0
+    assert f"wrote {path}" in capsys.readouterr().err
+
+
 USER_ERRORS = [
     # core counts the platform (default: ivybridge-2x10, 20 cores) cannot bind
     ["run", "fib", "--cores", "64"],

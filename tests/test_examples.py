@@ -1,11 +1,15 @@
 """Every example script runs end to end and prints what it promises."""
 
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import repro
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 
 
 def run_example(name: str, *args: str) -> str:
@@ -64,3 +68,31 @@ def test_work_span_analysis():
     out = run_example("work_span_analysis.py", "fib")
     assert "avg parallelism" in out
     assert "Brent's bound holds" in out
+
+
+def _python_block(doc: str, marker: str) -> str:
+    """The first ```python block of *doc* that contains *marker*."""
+    for block in re.findall(r"```python\n(.*?)```", (ROOT / doc).read_text(), re.S):
+        if marker in block:
+            return block
+    raise AssertionError(f"no python block containing {marker!r} in {doc}")
+
+
+def test_documented_python_runs(tmp_path):
+    """README's Quickstart and the telemetry and profiler API examples run as written."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for doc, marker in (
+        ("README.md", 'Session(runtime="std", cores=4)'),
+        ("docs/telemetry.md", "TelemetryConfig("),
+        ("docs/profiler.md", "ProfileConfig("),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-c", _python_block(doc, marker)],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, f"{doc}: {result.stderr[-2000:]}"

@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.api import Session, WorkloadSpec
+from repro.api import Session, TelemetryConfig, WorkloadSpec
 from repro.simcore.events import Engine
 from repro.simcore.record import load_stream
 from tests.fixtures.generate_golden import GOLDEN_RUNS
@@ -48,7 +48,11 @@ BUDGETS = {
 def _run_golden(name: str, engine_factory=Engine):
     benchmark, runtime, cores, params, collect = GOLDEN_RUNS[name]
     session = Session(runtime=runtime, cores=cores, engine_factory=engine_factory)
-    return session.run(WorkloadSpec.parse(benchmark), params=params, collect_counters=collect)
+    return session.run(
+        WorkloadSpec.parse(benchmark),
+        params=params,
+        telemetry=TelemetryConfig(counters=None if collect else ()),
+    )
 
 
 def _count_calls(name: str) -> tuple[int, int]:

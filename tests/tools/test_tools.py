@@ -1,9 +1,12 @@
 """External-tool models (Table I)."""
 
 
-from repro.api import Session, WorkloadSpec
+from repro.api import Session, TelemetryConfig, WorkloadSpec
 from repro.tools import HPCTOOLKIT, TAU, ToolOutcome, run_with_tool
 from repro.tools.tau import tau_with_table
+
+#: Runs without counter instrumentation.
+NO_COUNTERS = TelemetryConfig(counters=())
 
 
 def test_tau_thread_table_default():
@@ -24,7 +27,7 @@ def test_tau_completes_within_table():
 
 def test_tau_overhead_is_large():
     base = Session(runtime="std", cores=4).run(
-        WorkloadSpec.parse("fib"), params={"n": 8}, collect_counters=False
+        WorkloadSpec.parse("fib"), params={"n": 8}, telemetry=NO_COUNTERS
     )
     instrumented = run_with_tool("fib", TAU, cores=4, params={"n": 8})
     overhead = instrumented.overhead_percent(base.exec_time_ns)
@@ -46,7 +49,7 @@ def test_hpctoolkit_no_table_limit():
 
 def test_hpctoolkit_huge_overhead():
     base = Session(runtime="std", cores=4).run(
-        WorkloadSpec.parse("strassen"), params={"n": 64, "cutoff": 16}, collect_counters=False
+        WorkloadSpec.parse("strassen"), params={"n": 64, "cutoff": 16}, telemetry=NO_COUNTERS
     )
     result = run_with_tool("strassen", HPCTOOLKIT, cores=4, params={"n": 64, "cutoff": 16})
     assert result.outcome is ToolOutcome.COMPLETED
@@ -70,7 +73,7 @@ def test_hpx_counters_beat_tools_on_same_metrics():
     """The paper's core argument: the runtime's own counters collect the
     data the tools crash trying to collect, at ~1% perturbation."""
     session = Session(runtime="hpx", cores=4)
-    plain = session.run(WorkloadSpec.parse("fib"), params={"n": 14}, collect_counters=False)
+    plain = session.run(WorkloadSpec.parse("fib"), params={"n": 14}, telemetry=NO_COUNTERS)
     counted = session.run(WorkloadSpec.parse("fib"), params={"n": 14})
     perturbation = (counted.exec_time_ns - plain.exec_time_ns) / plain.exec_time_ns
     assert perturbation < 0.35  # vs TAU/HPCT: crash or >300%

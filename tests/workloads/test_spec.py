@@ -110,18 +110,18 @@ def test_as_workload_spec_rejects_non_specs(bad):
 
 
 def test_session_run_rejects_bare_string():
-    from repro.api import Session
+    from repro.api import Session, TelemetryConfig
 
     session = Session(runtime="hpx", cores=1)
     with pytest.raises(TypeError, match="WorkloadSpec.parse"):
-        session.run("fib", params={"n": 6}, collect_counters=False)
+        session.run("fib", params={"n": 6}, telemetry=TelemetryConfig(counters=()))
 
 
 def test_session_run_accepts_spec():
-    from repro.api import Session
+    from repro.api import Session, TelemetryConfig
 
     session = Session(runtime="hpx", cores=1)
-    result = session.run(WorkloadSpec.parse("fib:n=6"), collect_counters=False)
+    result = session.run(WorkloadSpec.parse("fib:n=6"), telemetry=TelemetryConfig(counters=()))
     assert result.verified
 
 
