@@ -11,25 +11,32 @@ is a deterministic simulation, so repeating it buys nothing but time.
 
 from __future__ import annotations
 
-import pytest
+from typing import Sequence
 
-from repro.experiments.config import ExperimentConfig
-
-#: Core grid used by the scaling figures (the paper uses 1..20 in 2s).
-FIGURE_CORES = (1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
-
-#: Cheaper grid for the heavy full-suite tables.
-TABLE_CORES = (1, 2, 4, 8, 10, 16, 20)
+from repro.api import RUNTIMES
+from repro.campaign.artifact import CampaignArtifact
+from repro.campaign.engine import run_campaign
+from repro.campaign.spec import CampaignSpec
+from repro.experiments.config import PAPER_CORE_COUNTS
 
 
-@pytest.fixture(scope="session")
-def figure_config() -> ExperimentConfig:
-    return ExperimentConfig(samples=1, core_counts=FIGURE_CORES)
+def experiment(
+    benchmarks: Sequence[str],
+    runtimes: Sequence[str] = RUNTIMES,
+    core_counts: Sequence[int] = PAPER_CORE_COUNTS,
+) -> CampaignArtifact:
+    """The paper's experiment over *benchmarks* x *runtimes*, one sample per point.
 
-
-@pytest.fixture(scope="session")
-def table_config() -> ExperimentConfig:
-    return ExperimentConfig(samples=1, core_counts=TABLE_CORES)
+    Figures use the paper's 1..20 grid; the heavy full-suite Table V
+    passes the cheaper ``QUICK_CORE_COUNTS``.
+    """
+    spec = CampaignSpec(
+        benchmarks=tuple(benchmarks),
+        runtimes=tuple(runtimes),
+        core_counts=tuple(core_counts),
+        samples=1,
+    )
+    return run_campaign(spec).artifact
 
 
 def run_once(benchmark, fn, *args, **kwargs):

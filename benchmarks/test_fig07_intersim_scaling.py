@@ -10,11 +10,11 @@ from __future__ import annotations
 from repro.experiments.figures import execution_time_figure
 from repro.experiments.report import render_execution_time_figure
 
-from conftest import run_once
+from conftest import experiment, run_once
 
 
-def test_fig7_intersim(benchmark, figure_config):
-    fig = run_once(benchmark, execution_time_figure, "fig7", config=figure_config)
+def test_fig7_intersim(benchmark):
+    fig = execution_time_figure("fig7", run_once(benchmark, experiment, ["intersim"]))
     print()
     print(render_execution_time_figure(fig))
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 from repro.experiments.figures import overhead_figure
 from repro.experiments.report import render_overhead_figure
 
-from conftest import run_once
+from conftest import experiment, run_once
 
 
-def test_fig8_alignment_overheads(benchmark, figure_config):
-    fig = run_once(benchmark, overhead_figure, "fig8", config=figure_config)
+def test_fig8_alignment_overheads(benchmark):
+    fig = overhead_figure("fig8", run_once(benchmark, experiment, ["alignment"], ["hpx"]))
     print()
     print(render_overhead_figure(fig))
 

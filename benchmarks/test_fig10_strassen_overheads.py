@@ -9,11 +9,11 @@ from __future__ import annotations
 from repro.experiments.figures import overhead_figure
 from repro.experiments.report import render_overhead_figure
 
-from conftest import run_once
+from conftest import experiment, run_once
 
 
-def test_fig10_strassen_overheads(benchmark, figure_config):
-    fig = run_once(benchmark, overhead_figure, "fig10", config=figure_config)
+def test_fig10_strassen_overheads(benchmark):
+    fig = overhead_figure("fig10", run_once(benchmark, experiment, ["strassen"], ["hpx"]))
     print()
     print(render_overhead_figure(fig))
 

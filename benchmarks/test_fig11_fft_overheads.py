@@ -10,15 +10,15 @@ from __future__ import annotations
 from repro.experiments.figures import overhead_figure
 from repro.experiments.report import render_overhead_figure
 
-from conftest import run_once
+from conftest import experiment, run_once
 
 
 def _at(fig, cores):
     return fig.cores.index(cores)
 
 
-def test_fig11_fft_overheads(benchmark, figure_config):
-    fig = run_once(benchmark, overhead_figure, "fig11", config=figure_config)
+def test_fig11_fft_overheads(benchmark):
+    fig = overhead_figure("fig11", run_once(benchmark, experiment, ["fft"], ["hpx"]))
     print()
     print(render_overhead_figure(fig))
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 from repro.experiments.figures import bandwidth_figure
 from repro.experiments.report import render_bandwidth_figure
 
-from conftest import run_once
+from conftest import experiment, run_once
 
 
-def test_fig13_alignment_bandwidth(benchmark, figure_config):
-    fig = run_once(benchmark, bandwidth_figure, "fig13", config=figure_config)
+def test_fig13_alignment_bandwidth(benchmark):
+    fig = bandwidth_figure("fig13", run_once(benchmark, experiment, ["alignment"], ["hpx"]))
     print()
     print(render_bandwidth_figure(fig))
 

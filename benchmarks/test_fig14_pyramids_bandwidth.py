@@ -11,11 +11,11 @@ from __future__ import annotations
 from repro.experiments.figures import bandwidth_figure
 from repro.experiments.report import render_bandwidth_figure
 
-from conftest import run_once
+from conftest import experiment, run_once
 
 
-def test_fig14_pyramids_bandwidth(benchmark, figure_config):
-    fig = run_once(benchmark, bandwidth_figure, "fig14", config=figure_config)
+def test_fig14_pyramids_bandwidth(benchmark):
+    fig = bandwidth_figure("fig14", run_once(benchmark, experiment, ["pyramids"], ["hpx"]))
     print()
     print(render_bandwidth_figure(fig))
 

@@ -13,10 +13,12 @@ Checks, for all fourteen benchmarks:
 from __future__ import annotations
 
 from repro.api import Session, WorkloadSpec
+from repro.experiments.config import QUICK_CORE_COUNTS
 from repro.experiments.tables import table5
 from repro.experiments.report import render_table5
+from repro.inncabs.suite import available_benchmarks
 
-from conftest import run_once
+from conftest import experiment, run_once
 
 _OVERHEAD = "/threads{locality#0/total}/time/average-overhead"
 
@@ -25,8 +27,9 @@ def base_class(granularity: str) -> str:
     return granularity.split("/")[-1].strip()
 
 
-def test_table5(benchmark, table_config):
-    rows = run_once(benchmark, table5, config=table_config)
+def test_table5(benchmark):
+    suite = run_once(benchmark, experiment, available_benchmarks(), core_counts=QUICK_CORE_COUNTS)
+    rows = table5(suite)
     print()
     print(render_table5(rows))
 

@@ -11,8 +11,7 @@ scale), or `uts` (very fine: the Standard version aborts).
 
 import argparse
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import run_strong_scaling
+from repro.campaign import CampaignSpec, run_campaign
 from repro.inncabs.suite import available_benchmarks
 
 
@@ -24,13 +23,14 @@ def main() -> None:
     args = parser.parse_args()
 
     core_counts = tuple(int(c) for c in args.cores.split(","))
-    config = ExperimentConfig(samples=args.samples, core_counts=core_counts)
+    spec = CampaignSpec(benchmarks=(args.benchmark,), core_counts=core_counts, samples=args.samples)
 
     print(f"strong scaling: {args.benchmark} "
           f"(cores {core_counts}, {args.samples} sample(s), medians)\n")
+    artifact = run_campaign(spec).artifact
     curves = {
-        "HPX": run_strong_scaling(args.benchmark, "hpx", config=config),
-        "C++11 std": run_strong_scaling(args.benchmark, "std", config=config),
+        "HPX": artifact.curve(args.benchmark, "hpx"),
+        "C++11 std": artifact.curve(args.benchmark, "std"),
     }
 
     header = f"{'cores':>5s}"

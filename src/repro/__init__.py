@@ -27,8 +27,11 @@ The package provides:
 - :mod:`repro.tools` — models of the TAU and HPCToolkit external tools
   used for Table I.
 - :mod:`repro.apex` — an APEX-style introspection / adaptation layer.
-- :mod:`repro.experiments` — the strong-scaling harness and the
-  generators for every table and figure in the paper.
+- :mod:`repro.campaign` — the experiment matrix (``CampaignSpec``), its
+  process-parallel engine, result cache and versioned artifacts.
+- :mod:`repro.experiments` — strong-scaling curves and the generators
+  for every table and figure in the paper, read from a campaign
+  artifact.
 
 Quickstart::
 

@@ -39,8 +39,10 @@ from repro.telemetry.frame import TelemetryFrame
 #: with the full telemetry sample stream (``telemetry`` rows); schema 3
 #: added the per-cell ``profile`` summary (the
 #: :meth:`~repro.profiler.report.RunProfile.to_json_dict` form) and the
-#: spec's ``profile`` flag.
-ARTIFACT_SCHEMA = 3
+#: spec's ``profile`` flag; schema 4 replaced the spec's
+#: ``collect_counters``/``counter_specs`` pair with one ``counters`` list
+#: (``null``: the paper's set, ``[]``: off).
+ARTIFACT_SCHEMA = 4
 
 #: RunResult fields persisted per cell (``result`` is not serializable
 #: and is deliberately dropped).  ``telemetry`` is stored

@@ -3,14 +3,16 @@
 A :class:`CampaignSpec` is the declarative form of the paper's
 experiment matrix: which benchmarks, which runtimes, which core counts,
 how many samples, and every parameter that influences a run (machine
-model, runtime cost models, benchmark inputs, root seed).  The spec is
-the single source of truth from which
+model, runtime cost models, benchmark inputs, counter set, root seed).
+It is the one description of an experiment, the single source of
+truth from which
 
 - the engine enumerates :class:`Cell`\\ s (one simulation run each),
 - each cell lowers to the :class:`~repro.api.RunSpec` that describes
   its run (:meth:`CampaignSpec.run_spec`), whose key is the cell's
   cache key, and
-- the artifact records how its data was produced.
+- the artifact records how its data was produced; every table and
+  figure reads its curves from an artifact.
 
 Construction validates every run the matrix holds, so a spec that
 could only fail when a cell runs is refused up front.  Cache keys
@@ -23,16 +25,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping
 
 from repro._version import __version__
 from repro.api import RUNTIMES, RunSpec
-from repro.experiments.config import (
-    DEFAULT_SAMPLES,
-    QUICK_CORE_COUNTS,
-    ExperimentConfig,
-    default_std_params,
-)
+from repro.experiments.config import DEFAULT_SAMPLES, QUICK_CORE_COUNTS, default_std_params
 from repro.kernel.config import StdParams
 from repro.platform.presets import default_platform, resolve_platform
 from repro.platform.spec import PlatformSpec
@@ -84,8 +81,10 @@ class CampaignSpec:
     platform: PlatformSpec = field(default_factory=default_platform)
     hpx: HpxParams = field(default_factory=HpxParams)
     std: StdParams | None = None  # None: the scaled-budget default
-    collect_counters: bool = True
-    counter_specs: tuple[str, ...] | None = None  # None: the paper's set
+    #: Counter names every cell collects, as :class:`~repro.api.RunSpec`
+    #: takes them: ``None`` is the paper's set and ``()`` turns
+    #: instrumentation off.
+    counters: tuple[str, ...] | None = None
     #: Attach the causal profiler to every cell; the run results then
     #: carry a profile summary (critical path, work/span, parallelism).
     #: Profiling charges per-event instrumentation, so profiled cells
@@ -100,6 +99,8 @@ class CampaignSpec:
         object.__setattr__(self, "platform", resolve_platform(self.platform))
         if self.std is None:
             object.__setattr__(self, "std", default_std_params())
+        if self.counters is not None:
+            object.__setattr__(self, "counters", tuple(self.counters))
         try:
             # Normalize every entry to the canonical WorkloadSpec
             # spelling, so cells, artifacts and cache keys never see
@@ -117,42 +118,11 @@ class CampaignSpec:
         except KeyError as exc:  # an unknown workload or preset name
             raise ValueError(exc.args[0]) from None
 
-    @classmethod
-    def from_config(
-        cls,
-        config: ExperimentConfig,
-        *,
-        benchmarks: Sequence[str],
-        runtimes: Sequence[str] = RUNTIMES,
-        core_counts: Sequence[int] | None = None,
-        samples: int | None = None,
-        params: Mapping[str, Any] | None = None,
-        preset: str = "default",
-        collect_counters: bool = True,
-        counter_specs: Sequence[str] | None = None,
-    ) -> "CampaignSpec":
-        """Build a spec from an :class:`ExperimentConfig` (the harness path)."""
-        return cls(
-            benchmarks=tuple(benchmarks),
-            runtimes=tuple(runtimes),
-            core_counts=tuple(core_counts if core_counts is not None else config.core_counts),
-            samples=samples if samples is not None else config.samples,
-            seed=config.seed,
-            preset=preset,
-            params=dict(params or {}),
-            platform=config.platform,
-            hpx=config.hpx,
-            std=config.std,
-            collect_counters=collect_counters,
-            counter_specs=tuple(counter_specs) if counter_specs is not None else None,
-        )
-
     def cells(self) -> Iterator[Cell]:
         """Enumerate the matrix in canonical (deterministic) order.
 
-        Seeds vary per sample exactly as the serial harness always did
-        (``seed + sample``), so campaign results are bit-compatible
-        with historical serial runs.
+        Seeds vary per sample (``seed + sample``), so a point's samples
+        differ and their median is meaningful.
         """
         for benchmark in self.benchmarks:
             for runtime in self.runtimes:
@@ -193,7 +163,7 @@ class CampaignSpec:
             cores=cell.cores,
             platform=self.platform,
             costs=self.hpx if cell.runtime == "hpx" else self.std,
-            counters=(self.counter_specs or None) if self.collect_counters else (),
+            counters=self.counters,
             profile=self.profile,
         )
 
@@ -210,8 +180,7 @@ class CampaignSpec:
             "platform": self.platform.to_json_dict(),
             "hpx": asdict(self.hpx),
             "std": asdict(self.std),
-            "collect_counters": self.collect_counters,
-            "counter_specs": list(self.counter_specs) if self.counter_specs else None,
+            "counters": None if self.counters is None else list(self.counters),
             "profile": self.profile,
         }
 
@@ -228,10 +197,7 @@ class CampaignSpec:
             platform=PlatformSpec.from_json_dict(data["platform"]),
             hpx=HpxParams(**data["hpx"]),
             std=StdParams(**data["std"]),
-            collect_counters=data["collect_counters"],
-            counter_specs=(
-                tuple(data["counter_specs"]) if data["counter_specs"] is not None else None
-            ),
+            counters=data["counters"],
             profile=data["profile"],
         )
 

@@ -55,7 +55,7 @@ from repro.api import RUNTIMES, Session
 from repro.counters.base import CounterEnvironment
 from repro.counters.types import CounterValue
 from repro.exec.modes import EXECUTION_MODES
-from repro.experiments.config import DEFAULT_SAMPLES, QUICK_CORE_COUNTS, ExperimentConfig
+from repro.experiments.config import DEFAULT_SAMPLES, QUICK_CORE_COUNTS
 from repro.experiments.figures import (
     BANDWIDTH_FIGURES,
     EXEC_TIME_FIGURES,
@@ -594,7 +594,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         preset=args.preset,
         params=params,
         platform=args.platform,
-        collect_counters=not args.no_counters,
+        counters=() if args.no_counters else None,
         profile=args.profile,
     )
     cache = None
@@ -671,28 +671,48 @@ def cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
+def _experiment(
+    args: argparse.Namespace, benchmarks: Sequence[str], runtimes: Sequence[str]
+) -> Any:
+    """The artifact of a fresh campaign over *benchmarks* x *runtimes*, never cached.
+
+    ``--cores-list``, ``--samples`` and ``--jobs`` shape it; everything
+    else is a :class:`~repro.campaign.spec.CampaignSpec` default.
+    """
+    from repro.campaign.engine import run_campaign
+    from repro.campaign.spec import CampaignSpec
+
+    spec = CampaignSpec(
+        benchmarks=tuple(benchmarks),
+        runtimes=tuple(runtimes),
+        core_counts=args.cores_list,
+        samples=args.samples,
+    )
+    return run_campaign(spec, jobs=args.jobs).artifact
+
+
 def cmd_table5(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(samples=args.samples, core_counts=args.cores_list)
-    rows = table5(benchmarks=args.benchmarks or None, config=config, jobs=args.jobs)
-    print(render_table5(rows))
+    artifact = _experiment(args, args.benchmarks or available_benchmarks(), RUNTIMES)
+    print(render_table5(table5(artifact)))
     return 0
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(samples=args.samples, core_counts=args.cores_list)
-    artifact = _load_artifact(args.artifact) if args.artifact is not None else None
-    kwargs: dict[str, Any] = {"config": config, "artifact": artifact, "jobs": args.jobs}
+    if args.artifact is not None:
+        artifact = _load_artifact(args.artifact)
+    else:
+        # Figures 1-7 compare both runtimes; 8-14 read the HPX counters.
+        runtimes = RUNTIMES if args.figure in EXEC_TIME_FIGURES else ("hpx",)
+        artifact = _experiment(args, [FIGURES[args.figure]], runtimes)
     try:
         if args.figure in EXEC_TIME_FIGURES:
-            text = render_execution_time_figure(execution_time_figure(args.figure, **kwargs))
+            text = render_execution_time_figure(execution_time_figure(args.figure, artifact))
         elif args.figure in OVERHEAD_FIGURES:
-            text = render_overhead_figure(overhead_figure(args.figure, **kwargs))
+            text = render_overhead_figure(overhead_figure(args.figure, artifact))
         else:
-            text = render_bandwidth_figure(bandwidth_figure(args.figure, **kwargs))
+            text = render_bandwidth_figure(bandwidth_figure(args.figure, artifact))
     except KeyError as exc:
-        if artifact is None:
-            raise
-        # CampaignArtifact.curve: the artifact lacks the figure's cells.
+        # CampaignArtifact.curve: a loaded artifact lacks the figure's cells.
         raise ValueError(exc.args[0]) from None
     print(text)
     return 0

@@ -473,7 +473,9 @@ class AppCounterSet:
             decl = self._decls.get(key)
             if decl is None:
                 declared = ", ".join(
-                    self._describe(d) for d in self._decls.values() if d.counter_name == counter_name
+                    self._describe(d)
+                    for d in self._decls.values()
+                    if d.counter_name == counter_name
                 )
                 raise CounterNameError(
                     f"{name}: provider {self.name!r} declares no such instance/parameters "

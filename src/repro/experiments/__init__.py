@@ -1,32 +1,27 @@
-"""Experiment harness: strong-scaling runner, tables and figures.
+"""Experiments: the paper's protocol, tables and figures.
 
+One experiment is one :class:`~repro.campaign.spec.CampaignSpec`, run
+by :func:`~repro.campaign.engine.run_campaign`; every table and figure
+reads the resulting :class:`~repro.campaign.artifact.CampaignArtifact`.
 One module per concern:
 
-- :mod:`repro.experiments.config` — the paper's platform (Table III)
-  and protocol constants;
+- :mod:`repro.experiments.config` — the paper's platform (Table III),
+  core grids and protocol constants;
 - :mod:`repro.experiments.runner` — the :class:`RunResult` record of
   one benchmark run (executed by :class:`repro.api.Session`);
-- :mod:`repro.experiments.harness` — strong scaling with per-sample
-  counter evaluation and medians;
+- :mod:`repro.experiments.harness` — strong-scaling curves: medians of
+  each core count's samples;
 - :mod:`repro.experiments.tables` — Table I and Table V generators;
 - :mod:`repro.experiments.figures` — series for Figures 1-14;
 - :mod:`repro.experiments.report` — plain-text rendering.
 """
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import (
-    ScalingCurve,
-    ScalingPoint,
-    aggregate_point,
-    run_strong_scaling,
-)
+from repro.experiments.harness import ScalingCurve, ScalingPoint, aggregate_point
 from repro.experiments.runner import RunResult
 
 __all__ = [
-    "ExperimentConfig",
     "RunResult",
     "ScalingCurve",
     "ScalingPoint",
     "aggregate_point",
-    "run_strong_scaling",
 ]

@@ -1,10 +1,11 @@
-"""Experiment configuration: the paper's platform and protocol.
+"""The paper's platform and protocol constants.
 
 Table III platform (Hermione node): dual-socket Intel Ivy Bridge
 E5-2670v2, 10 cores/socket @ 2.5 GHz, 25 MB shared L3 per socket,
 62 GiB RAM, hyper-threading disabled.  Threads pinned sockets-first
 (``--hpx:bind`` / ``taskset``); launch policy ``async``; 20 samples per
-experiment with medians reported.
+experiment with medians reported.  One experiment is one
+:class:`~repro.campaign.spec.CampaignSpec`; its defaults come from here.
 
 **Scaled memory budget.**  The paper's failing benchmarks die at
 80,000–97,000 live pthreads (~62 GiB of committed thread state).  Our
@@ -18,24 +19,18 @@ absolute numbers shrink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.kernel.config import StdParams
-from repro.platform.presets import default_platform, resolve_platform
-from repro.platform.spec import PlatformSpec
-from repro.runtime.config import HpxParams
 
 #: Live threads at which the scaled std::async model aborts.
 SCALED_THREAD_LIMIT = 3_000
 
-#: Core counts used for the strong-scaling figures (paper: 1..20).
+#: Core grid of the strong-scaling figures (paper: 1..20 in 2s).
 PAPER_CORE_COUNTS = (1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
 
-#: A cheaper grid for quick runs/tests.
+#: A cheaper grid: Table V, and every campaign that names none.
 QUICK_CORE_COUNTS = (1, 2, 4, 8, 10, 16, 20)
 
-#: Samples per experiment (paper: 20; medians reported).
-PAPER_SAMPLES = 20
+#: Samples per point unless a campaign names its own (paper: 20).
 DEFAULT_SAMPLES = 3
 
 #: The software counters of Section V-C.
@@ -64,19 +59,3 @@ def default_std_params() -> StdParams:
     return StdParams(
         ram_budget_bytes=SCALED_THREAD_LIMIT * base.thread_commit_bytes,
     )
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything one experiment needs to be reproducible."""
-
-    platform: PlatformSpec = field(default_factory=default_platform)
-    hpx: HpxParams = field(default_factory=HpxParams)
-    std: StdParams = field(default_factory=default_std_params)
-    samples: int = DEFAULT_SAMPLES
-    core_counts: tuple[int, ...] = QUICK_CORE_COUNTS
-    seed: int = 20160523
-
-    def __post_init__(self) -> None:
-        # A preset name or platform file resolves to its spec.
-        object.__setattr__(self, "platform", resolve_platform(self.platform))

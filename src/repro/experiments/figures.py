@@ -9,26 +9,22 @@
   Pyramids — (ALL_DATA_RD + DEMAND_CODE_RD + DEMAND_RFO) x 64 B /
   execution time, exactly the paper's formula.
 
-Each generator returns plain dataclasses of series so callers (benches,
-CLI, notebooks) can print or plot without re-running.
-
-Every generator accepts an ``artifact`` (a
-:class:`~repro.campaign.artifact.CampaignArtifact`): when given, the
-curves are read from the artifact's cached cells instead of re-running
-the simulations, so a figure regenerates in milliseconds from a
-campaign file.  Without an artifact the curves still flow through the
-same campaign engine via :func:`run_strong_scaling` (``jobs`` fans the
-matrix out over a process pool).
+Every generator reads its curves from a campaign artifact (a
+:class:`~repro.campaign.artifact.CampaignArtifact`) and returns plain
+dataclasses of series, so callers (benches, CLI, notebooks) can print
+or plot without re-running.  Figures 1-7 read the benchmark's ``hpx``
+and ``std`` curves, Figures 8-14 its ``hpx`` curve; fresh numbers come
+from building a :class:`~repro.campaign.spec.CampaignSpec` and running
+it with :func:`~repro.campaign.engine.run_campaign`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from repro.experiments import metrics
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import ScalingCurve, run_strong_scaling
+from repro.experiments.harness import ScalingCurve
 
 if TYPE_CHECKING:
     from repro.campaign.artifact import CampaignArtifact
@@ -123,78 +119,18 @@ class BandwidthFigure:
         return list(zip(self.cores, self.bandwidth_gbs))
 
 
-def _curve(
-    benchmark: str,
-    runtime: str,
-    *,
-    artifact: "CampaignArtifact | None",
-    config: ExperimentConfig | None,
-    params: Mapping[str, Any] | None,
-    core_counts: Sequence[int] | None,
-    samples: int | None,
-    jobs: int,
-) -> ScalingCurve:
-    """One curve, from a campaign artifact or a (campaign-backed) run."""
-    if artifact is not None:
-        return artifact.curve(benchmark, runtime)
-    return run_strong_scaling(
-        benchmark,
-        runtime,
-        config=config,
-        params=params,
-        core_counts=core_counts,
-        samples=samples,
-        jobs=jobs,
-    )
-
-
-def execution_time_figure(
-    figure: str,
-    *,
-    config: ExperimentConfig | None = None,
-    params: Mapping[str, Any] | None = None,
-    core_counts: Sequence[int] | None = None,
-    samples: int | None = None,
-    artifact: "CampaignArtifact | None" = None,
-    jobs: int = 1,
-) -> ExecutionTimeFigure:
-    """Regenerate one of Figures 1-7."""
+def execution_time_figure(figure: str, artifact: "CampaignArtifact") -> ExecutionTimeFigure:
+    """Regenerate one of Figures 1-7 from *artifact*."""
     benchmark = _lookup(EXEC_TIME_FIGURES, figure)
-    kwargs = dict(
-        artifact=artifact,
-        config=config,
-        params=params,
-        core_counts=core_counts,
-        samples=samples,
-        jobs=jobs,
-    )
-    hpx = _curve(benchmark, "hpx", **kwargs)
-    std = _curve(benchmark, "std", **kwargs)
+    hpx = artifact.curve(benchmark, "hpx")
+    std = artifact.curve(benchmark, "std")
     return ExecutionTimeFigure(figure=figure, benchmark=benchmark, hpx=hpx, std=std)
 
 
-def overhead_figure(
-    figure: str,
-    *,
-    config: ExperimentConfig | None = None,
-    params: Mapping[str, Any] | None = None,
-    core_counts: Sequence[int] | None = None,
-    samples: int | None = None,
-    artifact: "CampaignArtifact | None" = None,
-    jobs: int = 1,
-) -> OverheadFigure:
-    """Regenerate one of Figures 8-12 from the HPX counters."""
+def overhead_figure(figure: str, artifact: "CampaignArtifact") -> OverheadFigure:
+    """Regenerate one of Figures 8-12 from *artifact*'s HPX counters."""
     benchmark = _lookup(OVERHEAD_FIGURES, figure)
-    curve = _curve(
-        benchmark,
-        "hpx",
-        artifact=artifact,
-        config=config,
-        params=params,
-        core_counts=core_counts,
-        samples=samples,
-        jobs=jobs,
-    )
+    curve = artifact.curve(benchmark, "hpx")
     out = OverheadFigure(figure=figure, benchmark=benchmark)
     base = curve.points[0]
     for p in curve.points:
@@ -209,32 +145,14 @@ def overhead_figure(
     return out
 
 
-def bandwidth_figure(
-    figure: str,
-    *,
-    config: ExperimentConfig | None = None,
-    params: Mapping[str, Any] | None = None,
-    core_counts: Sequence[int] | None = None,
-    samples: int | None = None,
-    artifact: "CampaignArtifact | None" = None,
-    jobs: int = 1,
-) -> BandwidthFigure:
-    """Regenerate Figure 13 or 14: offcore bandwidth vs cores.
+def bandwidth_figure(figure: str, artifact: "CampaignArtifact") -> BandwidthFigure:
+    """Regenerate Figure 13 or 14 from *artifact*: offcore bandwidth vs cores.
 
     Bandwidth = (sum of the three offcore request counters) x 64-byte
     cache lines / execution time (Section V-C).
     """
     benchmark = _lookup(BANDWIDTH_FIGURES, figure)
-    curve = _curve(
-        benchmark,
-        "hpx",
-        artifact=artifact,
-        config=config,
-        params=params,
-        core_counts=core_counts,
-        samples=samples,
-        jobs=jobs,
-    )
+    curve = artifact.curve(benchmark, "hpx")
     out = BandwidthFigure(figure=figure, benchmark=benchmark)
     for p in curve.points:
         if p.aborted or p.median_exec_ns <= 0:

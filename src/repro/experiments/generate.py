@@ -23,7 +23,7 @@ from pathlib import Path
 from repro.campaign.cache import ResultCache
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import CampaignSpec
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import PAPER_CORE_COUNTS, QUICK_CORE_COUNTS
 from repro.experiments.figures import (
     BANDWIDTH_FIGURES,
     EXEC_TIME_FIGURES,
@@ -42,9 +42,6 @@ from repro.experiments.report import (
 from repro.experiments.tables import table1, table5
 from repro.inncabs.suite import available_benchmarks
 
-FIGURE_CORES = (1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
-TABLE_CORES = (1, 2, 4, 8, 10, 16, 20)
-
 
 def generate_all(
     outdir: Path,
@@ -55,8 +52,6 @@ def generate_all(
 ) -> dict[str, str]:
     """Regenerate everything; returns {experiment id: rendered text}."""
     outdir.mkdir(parents=True, exist_ok=True)
-    fig_config = ExperimentConfig(samples=samples, core_counts=FIGURE_CORES)
-    table_config = ExperimentConfig(samples=samples, core_counts=TABLE_CORES)
     cache = ResultCache(Path(cache_dir)) if cache_dir is not None else None
     results: dict[str, str] = {}
 
@@ -70,22 +65,26 @@ def generate_all(
         note(f"wrote {key}.txt")
 
     figure_benchmarks = tuple(sorted(set(EXEC_TIME_FIGURES.values())))
-    fig_spec = CampaignSpec.from_config(fig_config, benchmarks=figure_benchmarks)
+    fig_spec = CampaignSpec(
+        benchmarks=figure_benchmarks, core_counts=PAPER_CORE_COUNTS, samples=samples
+    )
     note(f"figure campaign: {sum(1 for _ in fig_spec.cells())} cells (jobs={jobs})")
     fig_artifact = run_campaign(fig_spec, jobs=jobs, cache=cache).artifact
 
-    table_spec = CampaignSpec.from_config(table_config, benchmarks=tuple(available_benchmarks()))
+    table_spec = CampaignSpec(
+        benchmarks=tuple(available_benchmarks()), core_counts=QUICK_CORE_COUNTS, samples=samples
+    )
     note(f"table campaign: {sum(1 for _ in table_spec.cells())} cells (jobs={jobs})")
     table_artifact = run_campaign(table_spec, jobs=jobs, cache=cache).artifact
 
-    emit("table1", render_table1(table1(cores=20, config=table_config)))
-    emit("table5", render_table5(table5(config=table_config, artifact=table_artifact)))
+    emit("table1", render_table1(table1(cores=20)))
+    emit("table5", render_table5(table5(table_artifact)))
     for fig in sorted(EXEC_TIME_FIGURES):
-        emit(fig, render_execution_time_figure(execution_time_figure(fig, artifact=fig_artifact)))
+        emit(fig, render_execution_time_figure(execution_time_figure(fig, fig_artifact)))
     for fig in sorted(OVERHEAD_FIGURES):
-        emit(fig, render_overhead_figure(overhead_figure(fig, artifact=fig_artifact)))
+        emit(fig, render_overhead_figure(overhead_figure(fig, fig_artifact)))
     for fig in sorted(BANDWIDTH_FIGURES):
-        emit(fig, render_bandwidth_figure(bandwidth_figure(fig, artifact=fig_artifact)))
+        emit(fig, render_bandwidth_figure(bandwidth_figure(fig, fig_artifact)))
 
     combined = "\n\n".join(f"===== {key} =====\n{text}" for key, text in sorted(results.items()))
     (outdir / "all_results.txt").write_text(combined + "\n")

@@ -1,4 +1,4 @@
-"""Strong-scaling harness.
+"""Strong-scaling aggregation.
 
 The paper's protocol: increase the core count while holding the
 workload fixed; 20 samples per configuration; medians of execution
@@ -6,24 +6,19 @@ times and of every performance counter (counters are evaluated and
 reset around each sample with the ``hpx::evaluate_active_counters`` /
 ``reset_active_counters`` API).
 
-Since the campaign engine landed, this module is a thin veneer over
-:mod:`repro.campaign`: :func:`run_strong_scaling` describes one
-benchmark/runtime slice as a :class:`~repro.campaign.spec.CampaignSpec`
-and aggregates the resulting cells — the same single path the parallel
-engine, the cached artifacts, and the figures/tables all share.
+A :class:`~repro.campaign.spec.CampaignSpec` describes that experiment
+and :func:`~repro.campaign.engine.run_campaign` runs it; its artifact
+folds each core count's samples with :func:`aggregate_point` into the
+:class:`ScalingCurve`\\ s every figure and table reads.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import Sequence
 
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import RunResult
-
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
-    from repro.campaign.cache import ResultCache
 
 
 @dataclass
@@ -107,8 +102,7 @@ def aggregate_point(cores: int, runs: Sequence[RunResult]) -> ScalingPoint:
     """Fold one core count's samples into a :class:`ScalingPoint`.
 
     Medians of execution time and of every counter, per the paper's
-    protocol.  Shared by the serial harness and the campaign artifact
-    aggregation, so both report identical numbers.
+    protocol.
     """
     aborted = any(r.aborted for r in runs)
     point = ScalingPoint(cores=cores, aborted=aborted)
@@ -123,40 +117,3 @@ def aggregate_point(cores: int, runs: Sequence[RunResult]) -> ScalingPoint:
             name: statistics.median([r.counters[name] for r in runs]) for name in runs[0].counters
         }
     return point
-
-
-def run_strong_scaling(
-    benchmark: str,
-    runtime: str,
-    *,
-    core_counts: Sequence[int] | None = None,
-    samples: int | None = None,
-    params: Mapping[str, Any] | None = None,
-    config: ExperimentConfig | None = None,
-    counter_specs: Sequence[str] | None = None,
-    collect_counters: bool = True,
-    jobs: int = 1,
-    cache: "ResultCache | None" = None,
-) -> ScalingCurve:
-    """The paper's strong-scaling experiment for one benchmark/runtime.
-
-    Runs through the campaign engine: ``jobs`` fans samples/core counts
-    out over a process pool (bit-identical to serial), and ``cache``
-    reuses previously-computed cells.
-    """
-    from repro.campaign.engine import run_campaign
-    from repro.campaign.spec import CampaignSpec
-
-    config = config or ExperimentConfig()
-    spec = CampaignSpec.from_config(
-        config,
-        benchmarks=(benchmark,),
-        runtimes=(runtime,),
-        core_counts=core_counts,
-        samples=samples,
-        params=params,
-        collect_counters=collect_counters,
-        counter_specs=counter_specs,
-    )
-    run = run_campaign(spec, jobs=jobs, cache=cache)
-    return run.artifact.curve(benchmark, runtime)

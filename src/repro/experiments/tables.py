@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.experiments import metrics
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import run_strong_scaling
 from repro.api import RunSpec, Session
 from repro.inncabs.suite import available_benchmarks, get_benchmark
 from repro.tools import HPCTOOLKIT, TAU, ToolOutcome, ToolRunResult, run_with_tool
+from repro.workloads import WorkloadSpec
+
+if TYPE_CHECKING:
+    from repro.campaign.artifact import CampaignArtifact
 
 
 def classify_granularity(task_duration_us: float) -> str:
@@ -43,26 +45,18 @@ class Table1Row:
         return f"{tool_result.exec_time_ms:.0f} ({overhead:.0f}%)"
 
 
-def table1(
-    *,
-    benchmarks: Sequence[str] | None = None,
-    cores: int = 20,
-    config: ExperimentConfig | None = None,
-) -> list[Table1Row]:
+def table1(*, benchmarks: Sequence[str] | None = None, cores: int = 20) -> list[Table1Row]:
     """Regenerate Table I: external tools on the std::async versions."""
-    config = config or ExperimentConfig()
     rows = []
     for name in benchmarks or available_benchmarks():
-        base = Session().run(
-            RunSpec(name, runtime="std", cores=cores, platform=config.platform, costs=config.std)
-        )
+        base = Session().run(RunSpec(name, runtime="std", cores=cores))
         rows.append(
             Table1Row(
                 benchmark=name,
                 baseline_ms=None if base.aborted else base.exec_time_ms,
                 baseline_tasks=base.tasks_created,
-                tau=run_with_tool(name, TAU, cores=cores, config=config),
-                hpctoolkit=run_with_tool(name, HPCTOOLKIT, cores=cores, config=config),
+                tau=run_with_tool(name, TAU, cores=cores),
+                hpctoolkit=run_with_tool(name, HPCTOOLKIT, cores=cores),
             )
         )
     return rows
@@ -85,51 +79,18 @@ class Table5Row:
     paper_scaling_hpx: str
 
 
-def table5(
-    *,
-    benchmarks: Sequence[str] | None = None,
-    core_counts: Sequence[int] | None = None,
-    samples: int | None = None,
-    config: ExperimentConfig | None = None,
-    params: Mapping[str, Mapping[str, Any]] | None = None,
-    artifact: Any = None,  # CampaignArtifact: read curves instead of running
-    jobs: int = 1,
-) -> list[Table5Row]:
-    """Regenerate Table V.
+def table5(artifact: "CampaignArtifact") -> list[Table5Row]:
+    """Regenerate Table V from *artifact*: one row per benchmark of its spec.
 
     Task duration is the ``/threads/time/average`` counter on one core
     (exactly how the paper measured grain size); scaling labels come
-    from the strong-scaling medians of both runtimes.  Pass a campaign
-    ``artifact`` to read the curves from cached cells, or ``jobs`` to
-    fan fresh runs out over a process pool.
+    from the strong-scaling medians of both runtimes.
     """
-    config = config or ExperimentConfig()
     rows = []
-    for name in benchmarks or available_benchmarks():
-        bench = get_benchmark(name)
-        bench_params = (params or {}).get(name)
-        if artifact is not None:
-            hpx = artifact.curve(name, "hpx")
-            std = artifact.curve(name, "std")
-        else:
-            hpx = run_strong_scaling(
-                name,
-                "hpx",
-                config=config,
-                core_counts=core_counts,
-                samples=samples,
-                params=bench_params,
-                jobs=jobs,
-            )
-            std = run_strong_scaling(
-                name,
-                "std",
-                config=config,
-                core_counts=core_counts,
-                samples=samples,
-                params=bench_params,
-                jobs=jobs,
-            )
+    for name in artifact.spec.benchmarks:
+        bench = get_benchmark(WorkloadSpec.parse(name).name)  # "fib:n=12" is a fib row
+        hpx = artifact.curve(name, "hpx")
+        std = artifact.curve(name, "std")
         duration_us = metrics.task_duration_us(hpx.points[0])
         rows.append(
             Table5Row(

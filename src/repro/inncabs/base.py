@@ -27,6 +27,16 @@ from repro.model.population import CohortPlan
 
 DEFAULT_SEED = 20160523  # IPDPS-workshops 2016 vintage
 
+#: The value types a parameter takes, by the type of its default (never
+#: a ``bool``); a ``None`` default is an optional integer (floorplan's
+#: ``task_limit``).  Defaults of other types are not checked.
+PARAM_TYPES: dict[type, tuple[type, ...]] = {
+    int: (int,),
+    float: (int, float),
+    str: (str,),
+    type(None): (int, type(None)),
+}
+
 
 @dataclass(frozen=True)
 class BenchmarkInfo:
@@ -79,6 +89,11 @@ class Benchmark(abc.ABC):
     default_params: Mapping[str, Any] = {}
 
     def params_with_defaults(self, params: Mapping[str, Any] | None) -> dict[str, Any]:
+        """The defaults overlaid with *params*, seed included.
+
+        Raises ``ValueError`` for an unknown name, a bad ``mode`` and a
+        value whose type its default does not take (:data:`PARAM_TYPES`).
+        """
         merged = dict(self.default_params)
         if params:
             # ``seed`` and ``mode`` are harness-level parameters every
@@ -89,6 +104,15 @@ class Benchmark(abc.ABC):
                 raise ValueError(f"unknown parameters for {self.info.name}: {sorted(unknown)}")
             if "mode" in params:
                 resolve_mode(params["mode"])  # reject bad spellings early
+            for name, value in params.items():
+                if name not in self.default_params:
+                    continue  # seed and mode
+                accepted = PARAM_TYPES.get(type(self.default_params[name]))
+                if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
+                    expected = " or ".join(t.__name__ for t in accepted).replace("NoneType", "None")
+                    raise ValueError(
+                        f"parameter {name!r} of {self.info.name} takes {expected}, got {value!r}"
+                    )
             merged.update(params)
         merged.setdefault("seed", DEFAULT_SEED)
         return merged

@@ -162,7 +162,7 @@ class RunRequest:
                 preset=self.preset,
                 params=dict(self.params),
                 platform=self.platform,
-                collect_counters=self.collect_counters,
+                counters=None if self.collect_counters else (),
             )
         except (ValueError, TypeError) as exc:
             raise BadRequest(str(exc)) from exc

@@ -24,10 +24,13 @@ probe point, streamable through any telemetry sink.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.inncabs.base import DEFAULT_SEED
 from repro.telemetry.sample import Sample
+
+if TYPE_CHECKING:
+    from repro.api import RunSpec
 
 __all__ = ["MetgProbe", "MetgResult", "metg_sweep", "TASK_COUNT_COUNTER"]
 
@@ -134,44 +137,19 @@ class MetgResult:
         return samples
 
 
-def _evaluate(
-    session: Any,
-    *,
-    shape: str,
-    width: int,
-    steps: int,
-    grain_ns: int,
-    membytes: int,
-    degree: float,
-    seed: int,
-    cores: int,
-) -> MetgProbe:
-    """Run the graph once at *grain_ns* and compute its efficiency."""
-    from repro.telemetry import TelemetryConfig
-    from repro.workloads import WorkloadSpec
+def _evaluate(spec: "RunSpec") -> MetgProbe:
+    """Run one probe's :class:`~repro.api.RunSpec` and compute its efficiency."""
+    from repro.api import Session
 
-    result = session.run(
-        WorkloadSpec(
-            "taskbench",
-            {
-                "shape": shape,
-                "width": width,
-                "steps": steps,
-                "grain_ns": grain_ns,
-                "membytes": membytes,
-                "degree": degree,
-                "seed": seed,
-            },
-        ),
-        telemetry=TelemetryConfig(counters=(TASK_COUNT_COUNTER,)),
-    )
+    result = Session().run(spec)
+    grain_ns = spec.params["grain_ns"]
     if result.aborted:
         return MetgProbe(
             grain_ns=grain_ns, wall_ns=result.exec_time_ns, tasks=0, efficiency=0.0, aborted=True
         )
     tasks = int(result.counters[TASK_COUNT_COUNTER]) - 1  # exclude the driver
     wall = result.exec_time_ns
-    efficiency = (tasks * grain_ns) / (cores * wall) if wall > 0 else 0.0
+    efficiency = (tasks * grain_ns) / (spec.cores * wall) if wall > 0 else 0.0
     return MetgProbe(grain_ns=grain_ns, wall_ns=wall, tasks=tasks, efficiency=efficiency)
 
 
@@ -188,7 +166,6 @@ def metg_sweep(
     membytes: int = 0,
     degree: float = 3.0,
     grain_start_ns: int = 1024,
-    session: Any = None,
     progress: Callable[[MetgProbe], None] | None = None,
 ) -> MetgResult:
     """Binary-search the smallest grain with efficiency >= ``1 - eps``.
@@ -201,9 +178,11 @@ def metg_sweep(
     over integer nanoseconds and every probe is a deterministic
     simulation, so repeated sweeps are bit-identical.
 
-    A pre-built ``session`` overrides ``runtime``/``cores``/``platform``
-    (they must match); ``progress`` sees every probe as it lands.
+    Each probe is one :class:`~repro.api.RunSpec` run by
+    :meth:`~repro.api.Session.run`; ``progress`` sees every probe as it
+    lands.
     """
+    from repro.api import RunSpec
     from repro.platform.presets import resolve_platform
 
     if not 0.0 < eps < 1.0:
@@ -211,26 +190,30 @@ def metg_sweep(
     if grain_start_ns < 1:
         raise ValueError(f"grain_start_ns must be >= 1, got {grain_start_ns}")
     spec = resolve_platform(platform)
-    if session is None:
-        from repro.api import Session
-
-        session = Session(runtime=runtime, cores=cores, platform=spec)
     target = 1.0 - eps
     probes: dict[int, MetgProbe] = {}
 
     def eff(grain_ns: int) -> float:
         probe = probes.get(grain_ns)
         if probe is None:
+            params = {
+                "shape": shape,
+                "width": width,
+                "steps": steps,
+                "grain_ns": grain_ns,
+                "membytes": membytes,
+                "degree": degree,
+                "seed": seed,
+            }
             probe = _evaluate(
-                session,
-                shape=shape,
-                width=width,
-                steps=steps,
-                grain_ns=grain_ns,
-                membytes=membytes,
-                degree=degree,
-                seed=seed,
-                cores=cores,
+                RunSpec(
+                    "taskbench",
+                    params,
+                    runtime=runtime,
+                    cores=cores,
+                    platform=spec,
+                    counters=(TASK_COUNT_COUNTER,),
+                )
             )
             probes[grain_ns] = probe
             if progress is not None:
@@ -242,7 +225,7 @@ def metg_sweep(
             shape=shape,
             width=width,
             steps=steps,
-            runtime=session.runtime,
+            runtime=runtime,
             cores=cores,
             eps=eps,
             seed=seed,

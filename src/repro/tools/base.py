@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import default_std_params
 from repro.inncabs.suite import get_benchmark
 from repro.kernel.scheduler import StdRuntime
 from repro.kernel.thread import OSThread
@@ -135,17 +135,17 @@ def run_with_tool(
     *,
     cores: int = 20,
     params: Mapping[str, Any] | None = None,
-    config: ExperimentConfig | None = None,
 ) -> ToolRunResult:
-    """Run the std::async *benchmark* under *tool*; one Table I cell."""
-    config = config or ExperimentConfig()
+    """Run the std::async *benchmark* under *tool* on the paper's node; one Table I cell."""
     bench = get_benchmark(benchmark)
     merged = bench.params_with_defaults(params)
     root_fn, root_args = bench.make_root(merged)
 
     engine = Engine()
-    machine = Machine(config.platform)
-    rt = InstrumentedStdRuntime(engine, machine, num_workers=cores, params=config.std, tool=tool)
+    machine = Machine()
+    rt = InstrumentedStdRuntime(
+        engine, machine, num_workers=cores, params=default_std_params(), tool=tool
+    )
     result = ToolRunResult(benchmark=benchmark, tool=tool.name, outcome=ToolOutcome.COMPLETED)
     try:
         future = rt.submit(root_fn, *root_args)

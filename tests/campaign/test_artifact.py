@@ -1,4 +1,4 @@
-"""Artifact format: roundtrip, aggregation, harness equivalence."""
+"""Artifact format: roundtrip, aggregation, schema checks."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ from pathlib import Path
 import pytest
 
 from repro.campaign.artifact import ARTIFACT_SCHEMA, CampaignArtifact
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import run_strong_scaling
 
 RESULTS = Path(__file__).resolve().parents[2] / "results"
 
@@ -51,23 +49,18 @@ def test_truncated_artifact_names_the_missing_key(small_run):
         CampaignArtifact.from_json_dict(data)
 
 
-def test_curves_match_serial_harness(small_spec, small_run):
-    """Artifact aggregation is the harness aggregation, number for number."""
-    config = ExperimentConfig(
-        platform=small_spec.platform,
-        hpx=small_spec.hpx,
-        std=small_spec.std,
-        samples=small_spec.samples,
-        core_counts=small_spec.core_counts,
-        seed=small_spec.seed,
-    )
-    direct = run_strong_scaling("fib", "hpx", params={"n": 12}, config=config)
-    from_artifact = small_run.artifact.curve("fib", "hpx")
-    assert [p.cores for p in from_artifact.points] == [p.cores for p in direct.points]
-    for mine, theirs in zip(from_artifact.points, direct.points):
-        assert mine.median_exec_ns == theirs.median_exec_ns
-        assert mine.exec_samples == theirs.exec_samples
-        assert mine.counters == theirs.counters
+def test_curves_survive_a_json_round_trip(small_run):
+    """An artifact read back from its JSON aggregates to the same curves."""
+    artifact = small_run.artifact
+    reloaded = CampaignArtifact.from_json_dict(json.loads(artifact.to_json()))
+    assert reloaded.curves().keys() == artifact.curves().keys()
+    for key, curve in artifact.curves().items():
+        theirs = reloaded.curves()[key]
+        assert [p.cores for p in theirs.points] == [p.cores for p in curve.points]
+        for mine, back in zip(curve.points, theirs.points):
+            assert back.median_exec_ns == mine.median_exec_ns
+            assert back.exec_samples == mine.exec_samples
+            assert back.counters == mine.counters
 
 
 def test_curve_lookup_error_lists_contents(small_run):
@@ -99,7 +92,7 @@ def test_run_result_round_trips_through_telemetry_rows(small_run):
     assert run_result_to_dict(restored) == dict(cr.result)
 
 
-@pytest.mark.parametrize("schema", [1, 2])
+@pytest.mark.parametrize("schema", [1, 2, 3])
 def test_old_schemas_are_rejected(small_run, schema):
     """Only the current layout loads; the error names both schemas."""
     data = small_run.artifact.to_json_dict()
@@ -110,17 +103,19 @@ def test_old_schemas_are_rejected(small_run, schema):
 
 def test_committed_artifacts_are_current():
     """Every campaign artifact committed under ``results/`` loads with
-    this build, and its stored ``points`` are exactly what its cells
-    aggregate to."""
+    this build, its stored ``points`` are exactly what its cells
+    aggregate to, and saving it again writes the same file."""
     checked = 0
     for path in sorted(RESULTS.rglob("*.json")):
         if "cache" in path.relative_to(RESULTS).parts:
             continue  # local result-cache entries, not artifacts
-        data = json.loads(path.read_text())
+        text = path.read_text()
+        data = json.loads(text)
         if not isinstance(data, dict) or data.get("kind") != "repro-campaign":
             continue
         assert data["schema"] == ARTIFACT_SCHEMA, path
         artifact = CampaignArtifact.from_json_dict(data)
         assert data["points"] == artifact.points_json(), path
+        assert artifact.to_json() + "\n" == text, path
         checked += 1
     assert checked >= 3

@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 from repro.campaign.spec import CampaignSpec, cell_cache_key
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import default_std_params
 from repro.kernel.config import StdParams
 from repro.runtime.config import HpxParams
 
@@ -53,6 +53,7 @@ REFUSED = {
     "preset-bogus": {"preset": "bogus"},
     "seed-x": {"seed": "x"},
     "profile-cohort": {"profile": True, "params": {"mode": "cohort"}},
+    "param-type": {"params": {"n": "abc"}},
 }
 
 
@@ -103,21 +104,26 @@ def test_cache_key_ignores_other_runtimes_params():
     assert cell_cache_key(spec, std_cell) == cell_cache_key(only_hpx_retuned, std_cell)
 
 
-def test_from_config_matches_harness_defaults():
-    config = ExperimentConfig(samples=4, core_counts=(1, 8))
-    spec = CampaignSpec.from_config(config, benchmarks=("uts",), runtimes=("hpx",))
-    assert spec.core_counts == (1, 8)
-    assert spec.samples == 4
-    assert spec.seed == config.seed
-    assert spec.platform == config.platform
-    assert spec.std == config.std  # the scaled-budget StdParams
+def test_default_std_is_the_scaled_budget():
+    assert make_spec().std == default_std_params()
 
 
 def test_json_roundtrip_preserves_identity():
-    spec = make_spec(preset="small", params={"n": 10}, counter_specs=("/runtime/uptime",))
-    clone = CampaignSpec.from_json_dict(spec.to_json_dict())
-    assert clone == spec
-    assert clone.spec_id() == spec.spec_id()
+    for counters in (None, (), ("/runtime/uptime",)):
+        spec = make_spec(preset="small", params={"n": 10}, counters=counters)
+        clone = CampaignSpec.from_json_dict(spec.to_json_dict())
+        assert clone == spec
+        assert clone.spec_id() == spec.spec_id()
+
+
+def test_counters_are_the_cells_counter_set():
+    """``None`` is the paper's set, ``()`` is off, a list names counters."""
+    cell = next(make_spec().cells())
+    assert make_spec().run_spec(cell).counters is None
+    assert make_spec(counters=()).run_spec(cell).counters == ()
+    named = make_spec(counters=["/runtime/uptime"])
+    assert named.counters == ("/runtime/uptime",)
+    assert named.run_spec(cell).counters == ("/runtime/uptime",)
 
 
 def test_cache_key_sensitive_to_platform():
@@ -139,7 +145,6 @@ def test_string_platform_resolves_to_its_spec():
     from repro.platform import get_platform
 
     desktop = get_platform("desktop-1x8")
-    assert ExperimentConfig(platform="desktop-1x8").platform == desktop
     named = CampaignSpec(
         benchmarks=("fib",),
         runtimes=("hpx",),

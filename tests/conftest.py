@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, settings
 
 from repro.counters.base import CounterEnvironment
 from repro.counters.providers import build_registry
-from repro.experiments.config import ExperimentConfig
 from repro.papi.hw import PapiSubstrate
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
@@ -49,12 +48,6 @@ def counter_env(engine: Engine, machine: Machine, hpx4: HpxRuntime) -> CounterEn
 @pytest.fixture
 def registry(counter_env: CounterEnvironment):
     return build_registry(counter_env)
-
-
-@pytest.fixture
-def tiny_config() -> ExperimentConfig:
-    """One sample, few cores: fast experiment configuration for tests."""
-    return ExperimentConfig(samples=1, core_counts=(1, 2, 4))
 
 
 def fib_body(ctx, n: int):

@@ -425,7 +425,7 @@ def test_provider_identity_does_not_import_plugins(monkeypatch):
     assert provider_identity()[-1] == "landmine=boom:BOOM"
 
 
-def test_cache_key_changes_with_provider_chain(monkeypatch, tiny_config):
+def test_cache_key_changes_with_provider_chain(monkeypatch):
     from importlib import metadata
 
     from repro.campaign.spec import CampaignSpec, Cell, cell_cache_key

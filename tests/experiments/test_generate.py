@@ -9,8 +9,8 @@ from repro.experiments import generate
 @pytest.fixture(autouse=True)
 def _tiny_grids(monkeypatch):
     """Shrink the grids so the full generation runs in seconds."""
-    monkeypatch.setattr(generate, "FIGURE_CORES", (1, 2))
-    monkeypatch.setattr(generate, "TABLE_CORES", (1, 2))
+    monkeypatch.setattr(generate, "PAPER_CORE_COUNTS", (1, 2))
+    monkeypatch.setattr(generate, "QUICK_CORE_COUNTS", (1, 2))
 
 
 def test_generate_all_writes_every_experiment(tmp_path):

@@ -1,17 +1,30 @@
-"""Strong-scaling harness: medians, labels, abort handling."""
+"""Strong-scaling curves: medians, labels, abort handling."""
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import ScalingCurve, ScalingPoint, run_strong_scaling
+from repro.campaign.engine import run_campaign
+from repro.campaign.spec import CampaignSpec
+from repro.experiments.harness import ScalingCurve, ScalingPoint
 
 SMALL_FIB = {"n": 12}
 
 
+def fib_scaling(runtime, params, core_counts, samples=1, **fields) -> ScalingCurve:
+    """The strong-scaling curve of one fib campaign on *runtime*."""
+    spec = CampaignSpec(
+        benchmarks=("fib",),
+        runtimes=(runtime,),
+        core_counts=core_counts,
+        samples=samples,
+        params=params,
+        **fields,
+    )
+    return run_campaign(spec).artifact.curve("fib", runtime)
+
+
 @pytest.fixture(scope="module")
 def fib_curve():
-    config = ExperimentConfig(samples=2, core_counts=(1, 2, 4))
-    return run_strong_scaling("fib", "hpx", params=SMALL_FIB, config=config)
+    return fib_scaling("hpx", SMALL_FIB, (1, 2, 4), samples=2)
 
 
 def test_points_cover_core_counts(fib_curve):
@@ -46,8 +59,7 @@ def test_scales_to_label(fib_curve):
 
 
 def test_scales_to_fail_label():
-    config = ExperimentConfig(samples=1, core_counts=(1, 2))
-    curve = run_strong_scaling("fib", "std", params={"n": 19}, config=config)
+    curve = fib_scaling("std", {"n": 19}, (1, 2))
     assert any(p.aborted for p in curve.points)
     assert curve.scales_to() == "fail"
     assert curve.baseline_ns is None or curve.speedup(2) is None
@@ -68,18 +80,14 @@ def test_scales_to_no_scaling():
 
 def test_std_curve_collects_counters_too():
     """Counters read the probe bus, so std curves carry them as well."""
-    config = ExperimentConfig(samples=1, core_counts=(1,))
-    curve = run_strong_scaling("fib", "std", params=SMALL_FIB, config=config)
+    curve = fib_scaling("std", SMALL_FIB, (1,))
     counters = curve.points[0].counters
     assert counters["/threads{locality#0/total}/count/cumulative"] > 0
     assert "/threads{locality#0/total}/time/average" in counters
 
 
 def test_collect_counters_false():
-    config = ExperimentConfig(samples=1, core_counts=(1,))
-    curve = run_strong_scaling(
-        "fib", "hpx", params=SMALL_FIB, config=config, collect_counters=False
-    )
+    curve = fib_scaling("hpx", SMALL_FIB, (1,), counters=())
     assert curve.points[0].counters == {}
 
 

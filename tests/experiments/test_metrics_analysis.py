@@ -3,10 +3,11 @@
 import pytest
 
 from repro.api import Session, TelemetryConfig, WorkloadSpec
+from repro.campaign.engine import run_campaign
+from repro.campaign.spec import CampaignSpec
 from repro.experiments import metrics
 from repro.experiments.analysis import analyze, karp_flatt, knee, parallel_efficiency
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import ScalingCurve, ScalingPoint, run_strong_scaling
+from repro.experiments.harness import ScalingCurve, ScalingPoint
 
 #: Runs without counter instrumentation.
 NO_COUNTERS = TelemetryConfig(counters=())
@@ -97,8 +98,10 @@ def test_knee_detection():
 
 
 def test_analyze_real_curve():
-    config = ExperimentConfig(samples=1, core_counts=(1, 2, 4))
-    curve = run_strong_scaling("fib", "hpx", params={"n": 12}, config=config)
+    spec = CampaignSpec(
+        benchmarks=("fib",), runtimes=("hpx",), core_counts=(1, 2, 4), samples=1, params={"n": 12}
+    )
+    curve = run_campaign(spec).artifact.curve("fib", "hpx")
     analysis = analyze(curve)
     assert analysis.benchmark == "fib"
     assert analysis.max_speedup > 2

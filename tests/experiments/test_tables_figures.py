@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
+from repro.campaign.engine import run_campaign
+from repro.campaign.spec import CampaignSpec
 from repro.experiments.figures import (
     BANDWIDTH_FIGURES,
     EXEC_TIME_FIGURES,
@@ -21,7 +22,23 @@ from repro.experiments.report import (
 )
 from repro.experiments.tables import classify_granularity, table1, table5
 
-TINY = ExperimentConfig(samples=1, core_counts=(1, 2))
+
+def tiny_artifact(benchmarks, params=None, runtimes=("hpx", "std"), **fields):
+    """A campaign over *benchmarks*: one sample per point on one and two cores."""
+    spec = CampaignSpec(
+        benchmarks=benchmarks,
+        runtimes=runtimes,
+        core_counts=(1, 2),
+        samples=1,
+        params=params or {},
+        **fields,
+    )
+    return run_campaign(spec).artifact
+
+
+@pytest.fixture(scope="module")
+def strassen():
+    return tiny_artifact(("strassen",), {"n": 64, "cutoff": 16})
 
 
 def test_figure_maps_cover_the_paper():
@@ -44,8 +61,8 @@ def test_classify_granularity_bands():
     assert classify_granularity(1.02) == "very fine"
 
 
-def test_execution_time_figure_small():
-    fig = execution_time_figure("fig3", config=TINY, params={"n": 64, "cutoff": 16})
+def test_execution_time_figure_small(strassen):
+    fig = execution_time_figure("fig3", strassen)
     rows = fig.rows()
     assert [r[0] for r in rows] == [1, 2]
     assert all(r[1] is not None for r in rows)  # hpx completed
@@ -53,13 +70,14 @@ def test_execution_time_figure_small():
     assert "strassen" in text and "cores" in text
 
 
-def test_execution_time_figure_unknown():
+def test_execution_time_figure_unknown(strassen):
     with pytest.raises(KeyError, match="fig1"):
-        execution_time_figure("fig99", config=TINY)
+        execution_time_figure("fig99", strassen)
 
 
 def test_overhead_figure_small():
-    fig = overhead_figure("fig8", config=TINY, params={"nseq": 5, "seqlen": 60})
+    artifact = tiny_artifact(("alignment",), {"nseq": 5, "seqlen": 60}, ("hpx",))
+    fig = overhead_figure("fig8", artifact)
     assert fig.cores == [1, 2]
     # On one core the ideal equals the measured by construction.
     assert fig.ideal_scaling_ms[0] == pytest.approx(fig.exec_time_ms[0])
@@ -69,9 +87,8 @@ def test_overhead_figure_small():
 
 
 def test_bandwidth_figure_small():
-    fig = bandwidth_figure(
-        "fig14", config=TINY, params={"width": 2048, "steps": 16, "chunk": 8, "block": 512}
-    )
+    params = {"width": 2048, "steps": 16, "chunk": 8, "block": 512}
+    fig = bandwidth_figure("fig14", tiny_artifact(("pyramids",), params, ("hpx",)))
     assert fig.cores == [1, 2]
     assert all(b > 0 for b in fig.bandwidth_gbs)
     assert fig.bandwidth_gbs[1] > fig.bandwidth_gbs[0]  # more cores, more BW
@@ -79,12 +96,7 @@ def test_bandwidth_figure_small():
 
 
 def test_table5_row_fields():
-    rows = table5(
-        benchmarks=["fib"],
-        core_counts=(1, 2),
-        samples=1,
-        params={"fib": {"n": 12}},
-    )
+    rows = table5(tiny_artifact(("fib",), {"n": 12}))
     (row,) = rows
     assert row.benchmark == "fib"
     assert row.structure == "recursive-balanced"
@@ -92,6 +104,13 @@ def test_table5_row_fields():
     assert row.paper_scaling_std == "fail"
     text = render_table5(rows)
     assert "fib" in text and "very fine" in text
+
+
+def test_table5_rows_follow_the_spec():
+    """One row per benchmark of the artifact's spec, in the spec's order."""
+    rows = table5(tiny_artifact(("sort", "fib:n=10"), preset="small"))
+    assert [row.benchmark for row in rows] == ["sort", "fib:n=10"]
+    assert rows[1].structure == "recursive-balanced"
 
 
 def test_table1_small():

@@ -32,7 +32,9 @@ SMALL_PARAMS = {
 @pytest.mark.parametrize("name", sorted(SMALL_PARAMS))
 @pytest.mark.parametrize("cores", [1, 3])
 def test_hpx_verified(name, cores):
-    result = Session(runtime="hpx", cores=cores).run(WorkloadSpec.parse(name), params=SMALL_PARAMS[name])
+    result = Session(runtime="hpx", cores=cores).run(
+        WorkloadSpec.parse(name), params=SMALL_PARAMS[name]
+    )
     assert not result.aborted
     assert result.verified, f"{name} failed verification on hpx/{cores}"
     assert result.tasks_executed == result.tasks_created
@@ -41,7 +43,9 @@ def test_hpx_verified(name, cores):
 
 @pytest.mark.parametrize("name", sorted(SMALL_PARAMS))
 def test_std_verified(name):
-    result = Session(runtime="std", cores=4).run(WorkloadSpec.parse(name), params=SMALL_PARAMS[name])
+    result = Session(runtime="std", cores=4).run(
+        WorkloadSpec.parse(name), params=SMALL_PARAMS[name]
+    )
     assert not result.aborted
     assert result.verified, f"{name} failed verification on std/4"
 
@@ -60,7 +64,9 @@ def test_unknown_runtime_rejected():
 
 
 def test_keep_result():
-    result = Session(runtime="hpx", cores=1).run(WorkloadSpec.parse("fib"), params={"n": 10}, keep_result=True)
+    result = Session(runtime="hpx", cores=1).run(
+        WorkloadSpec.parse("fib"), params={"n": 10}, keep_result=True
+    )
     assert result.result == 55
 
 

@@ -69,7 +69,9 @@ def test_machine_accepts_platform_designators():
 
 
 def run_fib(**session_kwargs):
-    return Session(runtime="hpx", cores=4, **session_kwargs).run(WorkloadSpec.parse("fib"), params={"n": 12})
+    return Session(runtime="hpx", cores=4, **session_kwargs).run(
+        WorkloadSpec.parse("fib"), params={"n": 12}
+    )
 
 
 def test_default_platform_reproduces_legacy_numbers():

@@ -60,7 +60,9 @@ def test_span_makespan_work_ordering_on_coarse_trivial(width, steps, grain, core
 
 
 @settings(max_examples=12)
-@given(shape=_ANY_SHAPE, width=_WIDTH, steps=_STEPS, grain=st.sampled_from([2_000, 10_000]), seed=_SEED)
+@given(
+    shape=_ANY_SHAPE, width=_WIDTH, steps=_STEPS, grain=st.sampled_from([2_000, 10_000]), seed=_SEED
+)
 def test_critical_path_identities_on_any_shape(shape, width, steps, grain, seed):
     spec = f"taskbench:shape={shape},width={width},steps={steps},grain_ns={grain},seed={seed}"
     result = _profile(spec, 4)

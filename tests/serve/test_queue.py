@@ -59,6 +59,7 @@ def test_minimal_request_defaults():
         ({"benchmark": "fib", "cores": 64}, "bindable cores"),
         ({"workload": "fib:n=5", "cores": 21}, "bindable cores"),
         ({"workload": "sort", "mode": "cohort"}, "no cohort plan"),
+        ({"benchmark": "fib", "params": {"n": "abc"}}, "parameter 'n' of fib takes int"),
     ],
 )
 def test_invalid_bodies_name_the_problem(body, fragment):

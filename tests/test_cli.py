@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.campaign.artifact import ARTIFACT_SCHEMA
 from repro.cli import main
 
-#: A committed schema-3 artifact holding fib and sort cells only.
+#: A committed artifact holding fib and sort cells only.
 SMOKE_BASELINE = Path(__file__).resolve().parent.parent / "results" / "baseline_smoke.json"
 
 
@@ -622,7 +623,7 @@ def test_campaign_rejects_bad_platform_at_parse_time(capsys, tmp_path):
     assert "no-such-node.toml" in _rejected(capsys, argv, "--platform")
 
 
-TRUNCATED_ARTIFACT = {"kind": "repro-campaign", "schema": 3}
+TRUNCATED_ARTIFACT = {"kind": "repro-campaign", "schema": ARTIFACT_SCHEMA}
 
 
 def test_figure_unreadable_artifact_errors(capsys, tmp_path):
@@ -685,6 +686,7 @@ USER_ERRORS = [
     ["run", "linpack"],
     ["run", "fib", "--workload", "sort"],
     ["run", "fib", "--param", "bogus"],
+    ["run", "fib", "--param", "n=abc"],
     ["run", "sort", "--preset", "paper"],
     ["counters", "query", "/no-such/counter", "--param", "n=8"],
     ["campaign", "--benchmarks", "sort", "--preset", "paper", "--no-cache"],

@@ -79,13 +79,14 @@ def _python_block(doc: str, marker: str) -> str:
 
 
 def test_documented_python_runs(tmp_path):
-    """README's Quickstart and the telemetry and profiler API examples run as written."""
+    """README's Quickstart and the telemetry, profiler and campaign API examples run as written."""
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     for doc, marker in (
         ("README.md", 'Session(runtime="std", cores=4)'),
         ("docs/telemetry.md", "TelemetryConfig("),
         ("docs/profiler.md", "ProfileConfig("),
+        ("docs/campaigns.md", "run_campaign("),
     ):
         result = subprocess.run(
             [sys.executable, "-c", _python_block(doc, marker)],
