@@ -96,8 +96,9 @@ class RunSpec:
     collects the paper's set and ``()`` turns instrumentation off;
     ``interval_ns`` also samples them periodically, in-band, into a
     buffer of ``buffer_limit`` samples.  ``profile`` attaches the causal
-    profiler, and each ``what_if`` experiment replays the run with one
-    body's work cost cut; a ``/profiler`` counter or a what-if implies
+    profiler, and each ``what_if`` experiment (a :class:`WhatIfSpec` or
+    a ``(body, speedup_pct)`` pair) replays the run with one body's work
+    cost cut; a ``/profiler`` counter or a what-if implies
     ``profile=True``.
     """
 
@@ -125,11 +126,11 @@ class RunSpec:
             set_(self, "costs", HpxParams() if self.runtime == "hpx" else default_std_params())
         if self.counters is not None:
             set_(self, "counters", tuple(self.counters))
-        set_(self, "what_if", tuple(self.what_if))
+        set_(self, "what_if", tuple(map(_what_if_spec, self.what_if)))
         if self.what_if or any(c.startswith("/profiler") for c in self.counters or ()):
             set_(self, "profile", True)
 
-    def validate(self) -> None:
+    def validate(self) -> dict[str, Any]:
         """Refuse a run that can only fail, before any simulation state exists.
 
         Checks the runtime and its cost model, the cores against the
@@ -138,7 +139,8 @@ class RunSpec:
         the counter-name grammar.  Unknown presets fail earlier, where
         the parameters are overlaid.  Builds no counter registry: every
         registry build scans the installed entry points.  Raises
-        :class:`ValueError`.
+        :class:`ValueError`; returns the workload's parameters overlaid
+        on its defaults, which is what the run builds from.
         """
         if self.runtime not in RUNTIMES:
             raise ValueError(f"unknown runtime {self.runtime!r}; expected one of {RUNTIMES}")
@@ -178,6 +180,7 @@ class RunSpec:
                 raise ValueError("periodic queries need counters; counters=() turns them off")
         if self.buffer_limit < 1:
             raise ValueError("buffer_limit must be >= 1")
+        return merged
 
     def to_json(self) -> dict[str, Any]:
         """The JSON form (plain dicts, lists and scalars)."""
@@ -213,6 +216,23 @@ class RunSpec:
                 "source": source_digest(),
             }
         )
+
+
+def _what_if_spec(entry: WhatIfSpec | tuple[str, float]) -> WhatIfSpec:
+    """*entry* as a :class:`WhatIfSpec`; a ``(body, speedup_pct)`` pair is coerced."""
+    if isinstance(entry, WhatIfSpec):
+        return entry
+    if (
+        isinstance(entry, (tuple, list))
+        and len(entry) == 2
+        and isinstance(entry[0], str)
+        and isinstance(entry[1], (int, float))
+        and not isinstance(entry[1], bool)
+    ):
+        return WhatIfSpec(*entry)
+    raise ValueError(
+        f"what-if experiment must be a WhatIfSpec or a (body, speedup_pct) pair, got {entry!r}"
+    )
 
 
 class Session:
@@ -352,10 +372,10 @@ class Session:
             )
             sinks = telemetry.sinks if telemetry is not None else ()
             keep_events = isinstance(profile, ProfileConfig) and profile.keep_events
-        spec.validate()
+        merged = spec.validate()
         ncores = spec.cores
         bench = get_workload(spec.workload).benchmark
-        root_fn, root_args, merged = WorkloadSpec(spec.workload).build(spec.params)
+        root_fn, root_args = bench.make_root(merged)
         plan = bench.cohort_plan(merged) if spec.mode == ExecutionMode.COHORT.value else None
 
         engine = self.engine_factory()

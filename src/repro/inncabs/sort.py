@@ -4,9 +4,10 @@ Recursive balanced, variable/fine grain (Table V: 52.1 µs average).
 Sorts a real ``numpy`` array: leaf ranges sort sequentially; merges are
 themselves parallel (split the larger run at its midpoint, binary-
 search the split point in the other run, and merge the two halves as
-independent tasks).  The parallel merge is what lets sort scale past
-the handful of top-level merges — the paper reports HPX sort scaling
-to 16 cores.
+independent tasks).  A merge task's body is one stable sort of its two
+runs (:func:`merge_sorted`).  The parallel merge is what lets sort
+scale past the handful of top-level merges — the paper reports HPX sort
+scaling to 16 cores.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ BYTES_PER_ELEM = 8
 
 
 def merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorised merge of two sorted arrays."""
-    out = np.empty(len(a) + len(b), dtype=a.dtype)
-    pos_b = np.searchsorted(a, b, side="right") + np.arange(len(b))
-    mask = np.zeros(len(out), dtype=bool)
-    mask[pos_b] = True
-    out[pos_b] = b
-    out[~mask] = a
+    """Merge two sorted arrays; on ties, ``a``'s elements come first.
+
+    A stable sort of the concatenation is a merge: timsort finds the
+    two runs and merges them in linear time.
+    """
+    out = np.concatenate((a, b))
+    out.sort(kind="stable")
     return out
 
 

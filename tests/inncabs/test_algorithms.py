@@ -26,10 +26,17 @@ def test_fib_reference():
 
 
 @given(
-    arrays(np.int8, st.integers(1, 25), elements=st.integers(0, 3)),
-    arrays(np.int8, st.integers(1, 25), elements=st.integers(0, 3)),
+    arrays(np.int8, st.integers(0, 25), elements=st.integers(0, 19)),
+    arrays(np.int8, st.integers(0, 25), elements=st.integers(0, 19)),
 )
 def test_property_nw_score_matches_scalar_dp(a, b):
+    assert nw_score(a, b) == nw_score_reference(a, b)
+
+
+def test_nw_score_matches_scalar_dp_at_the_default_shape():
+    """One 300x300 pair of the 20-letter alphabet, as the default preset aligns."""
+    rng = np.random.default_rng(7)
+    a, b = (rng.integers(0, 20, size=300).astype(np.int8) for _ in range(2))
     assert nw_score(a, b) == nw_score_reference(a, b)
 
 
@@ -41,7 +48,9 @@ def test_nw_self_alignment_is_perfect():
 def test_nw_empty_vs_gap_chain():
     a = np.array([1, 2, 3], dtype=np.int8)
     b = np.array([], dtype=np.int8)
-    assert nw_score_reference(a, b) == 3 * GAP
+    for x, y in ((a, b), (b, a)):
+        assert nw_score(x, y) == nw_score_reference(x, y) == 3 * GAP
+    assert nw_score(b, b) == nw_score_reference(b, b) == 0
 
 
 @given(
@@ -55,6 +64,13 @@ def test_property_merge_sorted(a, b):
     assert len(merged) == len(a) + len(b)
     assert np.all(merged[:-1] <= merged[1:])
     assert sorted(merged.tolist()) == sorted(a.tolist() + b.tolist())
+
+
+def test_merge_sorted_keeps_a_before_b_on_ties():
+    # -0.0 == 0.0, so the sign bit shows which run each tied element came from.
+    merged = merge_sorted(np.array([-0.0, 0.0, 1.0]), np.array([0.0, -0.0, 2.0]))
+    assert merged.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 2.0]
+    assert np.signbit(merged).tolist() == [True, False, False, True, False, False]
 
 
 @given(

@@ -1,7 +1,28 @@
 """Per-benchmark structural details beyond end-to-end verification."""
 
+import hashlib
+
 from repro.api import Session, WorkloadSpec
 from repro.inncabs.fib import FibBenchmark
+
+#: The default preset's alignment scores at seed 20160523, one per pair.
+ALIGNMENT_SCORES = tuple(
+    int(score)
+    for score in """
+    -186 -183 -189 -186 -180 -174 -174 -195 -159 -198 -183 -174 -177 -189 -183
+    -168 -174 -177 -171 -180 -171 -186 -180 -174 -177 -171 -171 -189 -189 -168
+    -186 -192 -165 -189 -198 -180 -180 -156 -186 -195 -177 -192 -171 -195 -150
+    -177 -168 -174 -171 -171 -189 -183 -177 -174 -183 -177 -192 -183 -171 -195
+    -180 -186 -168 -168 -189 -177 -186 -168 -177 -183 -177 -168 -174 -189 -183
+    -186 -189 -192 -174 -177 -177 -183 -171 -186 -168 -183 -195 -183 -174 -165
+    -186 -165 -201 -171 -189 -177 -186 -174 -171 -183 -192 -174 -177 -165 -180
+    -174 -192 -156 -159 -171 -183 -177 -186 -174 -177 -186 -177 -165 -171 -195
+""".split()
+)
+
+#: SHA-256 of the default preset's sorted array at seed 20160523
+#: (2**19 little-endian int64 values).
+SORT_SHA256 = "2927a462e42ac320104b0ea4ce46df68378744404dc876629716761916535c62"
 
 
 def run_hpx(name, *, cores=2, params=None, keep_result=False):
@@ -26,6 +47,21 @@ def test_alignment_pair_task_count():
     result = run_hpx("alignment", params={"nseq": 6, "seqlen": 40})
     # C(6,2)=15 pair tasks + the root.
     assert result.tasks_executed == 16
+
+
+def test_default_alignment_scores_are_pinned():
+    result = run_hpx("alignment", params={"seed": 20160523}, keep_result=True)
+    _, scores = result.result
+    assert result.verified
+    assert tuple(scores) == ALIGNMENT_SCORES
+
+
+def test_default_sort_output_is_pinned():
+    result = run_hpx("sort", params={"seed": 20160523}, keep_result=True)
+    arr, checksum = result.result
+    assert result.verified
+    assert (len(arr), checksum) == (1 << 19, 562650472210139)
+    assert hashlib.sha256(arr.astype("<i8").tobytes()).hexdigest() == SORT_SHA256
 
 
 def test_round_has_exactly_paper_task_count():

@@ -14,6 +14,7 @@ import pytest
 from repro import api
 from repro.api import ProfileConfig, RunSpec, Session, TelemetryConfig, WorkloadSpec
 from repro.campaign.spec import CampaignSpec, cell_cache_key
+from repro.inncabs.base import Benchmark
 from repro.profiler.whatif import WhatIfSpec
 from repro.runtime.config import HpxParams
 from repro.simcore.record import RecordingEngine
@@ -95,6 +96,44 @@ def test_session_and_campaign_cell_share_one_key():
 def test_validate_names_the_problem(spec, fragment):
     with pytest.raises(ValueError, match=fragment):
         spec.validate()
+
+
+def test_session_run_checks_the_parameters_once(monkeypatch):
+    calls = []
+    check = Benchmark.params_with_defaults
+
+    def spy(self, params):
+        calls.append(dict(params))
+        return check(self, params)
+
+    monkeypatch.setattr(Benchmark, "params_with_defaults", spy)
+    result = Session(runtime="hpx", cores=2).run(WorkloadSpec.parse("fib:n=8"))
+    assert result.verified
+    assert calls == [{"n": 8}]
+
+
+def test_what_if_pairs_become_specs():
+    pair = RunSpec("fib", {"n": 8}, what_if=(("fib", 50),))
+    spec = RunSpec("fib", {"n": 8}, what_if=(WhatIfSpec("fib", 50),))
+    assert pair == spec and pair.key() == spec.key()
+    profile = Session().run(pair).profile
+    assert [(w.body, w.speedup_pct) for w in profile.what_if] == [("_fib_task", 50)]
+
+
+@pytest.mark.parametrize(
+    "entry,fragment",
+    [
+        ("fib", "WhatIfSpec or a"),
+        (("fib",), "WhatIfSpec or a"),
+        (("fib", "50"), "WhatIfSpec or a"),
+        ((50, "fib"), "WhatIfSpec or a"),
+        (("fib", True), "WhatIfSpec or a"),
+        (("fib", 150.0), "between 0 and 100"),
+    ],
+)
+def test_bad_what_if_entries_are_refused_before_any_run(entry, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        RunSpec("fib", what_if=(entry,))
 
 
 def test_a_runspec_describes_the_whole_run():
