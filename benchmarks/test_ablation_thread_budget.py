@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.api import RunSpec, Session
-from repro.experiments.config import default_std_params
+from repro.kernel.config import default_std_params
 
 from conftest import run_once
 

@@ -9,7 +9,7 @@ counters are queried this overhead can go up to 16%."
 from __future__ import annotations
 
 from repro.api import RunSpec, Session
-from repro.experiments.config import PAPI_COUNTERS, SOFTWARE_COUNTERS
+from repro.telemetry.pipeline import PAPI_COUNTERS, SOFTWARE_COUNTERS
 
 from conftest import run_once
 

@@ -42,8 +42,7 @@ Quickstart::
 """
 
 from repro._version import __version__
-from repro.api import RunSpec, Session, TelemetryConfig
-from repro.experiments.runner import RunResult
+from repro.api import RunResult, RunSpec, Session, TelemetryConfig
 from repro.inncabs.suite import available_benchmarks, get_benchmark
 from repro.workloads import WorkloadSpec, available_workloads, get_workload
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -37,15 +38,14 @@ from repro.counters.providers import build_registry, provider_identity
 from repro.exec.cohort import CohortEngine
 from repro.exec.errors import DeadlockError
 from repro.exec.modes import CohortIneligibleError, ExecutionMode, resolve_mode
-from repro.experiments.config import DEFAULT_COUNTERS, default_std_params
-from repro.experiments.runner import RunResult
 from repro.inncabs.base import effective_locality_factor
-from repro.kernel.config import StdParams
+from repro.kernel.config import StdParams, default_std_params
 from repro.kernel.scheduler import StdRuntime
 from repro.papi.hw import PapiSubstrate
 from repro.platform.presets import default_platform, resolve_platform
 from repro.platform.spec import PlatformSpec
 from repro.profiler.builder import ProfileBuilder, ProfileConfig
+from repro.profiler.report import RunProfile
 from repro.profiler.whatif import (
     BodyRewriter,
     WhatIfResult,
@@ -58,13 +58,29 @@ from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine
 from repro.simcore.topology import check_workers
-from repro.telemetry.pipeline import DEFAULT_BUFFER_LIMIT, TelemetryConfig, TelemetryPipeline
+from repro.telemetry.frame import TelemetryFrame
+from repro.telemetry.pipeline import (
+    DEFAULT_BUFFER_LIMIT,
+    DEFAULT_COUNTERS,
+    TelemetryConfig,
+    TelemetryPipeline,
+)
 from repro.workloads import WorkloadSpec, as_workload_spec, get_workload
 
 __all__ = ["ProfileConfig", "RunResult", "RunSpec", "Session", "TelemetryConfig", "WorkloadSpec"]
 
 #: The runtime kinds: the HPX-style task runtime and ``std::async``.
 RUNTIMES = ("hpx", "std")
+
+
+def canonical_json(obj: Any) -> str:
+    """Deterministic JSON encoding used for hashing and artifacts."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def stable_hash(obj: Any) -> str:
+    """SHA-256 hex digest of the canonical JSON encoding of *obj*."""
+    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
 @functools.cache
@@ -148,8 +164,12 @@ class RunSpec:
             raise ValueError(
                 f"{type(self.costs).__name__} is not the cost model of runtime {self.runtime!r}"
             )
-        if not isinstance(self.cores, int) or isinstance(self.cores, bool) or self.cores < 1:
-            raise ValueError(f"cores must be a positive integer, got {self.cores!r}")
+        for name in ("cores", "interval_ns", "buffer_limit"):
+            value = getattr(self, name)
+            if value is None and name == "interval_ns":
+                continue
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         check_workers(self.platform, self.cores)
         seed = self.params.get("seed")
         if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
@@ -173,13 +193,8 @@ class RunSpec:
                 )
         for name in self.counters or ():
             parse_counter_name(name)
-        if self.interval_ns is not None:
-            if self.interval_ns <= 0:
-                raise ValueError("interval_ns must be positive when given")
-            if self.counters == ():
-                raise ValueError("periodic queries need counters; counters=() turns them off")
-        if self.buffer_limit < 1:
-            raise ValueError("buffer_limit must be >= 1")
+        if self.interval_ns is not None and self.counters == ():
+            raise ValueError("periodic queries need counters; counters=() turns them off")
         return merged
 
     def to_json(self) -> dict[str, Any]:
@@ -207,8 +222,6 @@ class RunSpec:
         the installed entry points: what a run can collect) and
         :func:`source_digest`.
         """
-        from repro.campaign.spec import stable_hash
-
         return stable_hash(
             {
                 "run": self.to_json(),
@@ -233,6 +246,96 @@ def _what_if_spec(entry: WhatIfSpec | tuple[str, float]) -> WhatIfSpec:
     raise ValueError(
         f"what-if experiment must be a WhatIfSpec or a (body, speedup_pct) pair, got {entry!r}"
     )
+
+
+@dataclass
+class RunResult:
+    """Outcome of one run: one cell of the paper's experiment matrix.
+
+    Wall time, verification, the counter values sampled exactly as the
+    paper does with ``hpx::evaluate_active_counters`` /
+    ``reset_active_counters``, and the process statistics.
+    ``telemetry`` is the run's sample frame (periodic rows plus the
+    final evaluation; ``None`` when instrumentation is off) and
+    ``counters`` its final evaluation as a ``{name: value}`` dict.
+    ``profile`` is the causal profile of a profiled run: a
+    :class:`~repro.profiler.report.RunProfile`, or its summary dict
+    once read back with :meth:`from_json`.
+    """
+
+    benchmark: str
+    runtime: str  # "hpx" | "std"
+    cores: int
+    mode: str = "exact"  # execution mode: "exact" | "cohort"
+    aborted: bool = False
+    abort_reason: str | None = None
+    exec_time_ns: int = 0
+    verified: bool = False
+    result: Any = None
+    counters: dict[str, float] = field(default_factory=dict)
+    telemetry: TelemetryFrame | None = None
+    tasks_executed: int = 0
+    tasks_created: int = 0
+    peak_live_tasks: int = 0
+    offcore_bytes: int = 0
+    engine_events: int = 0
+    profile: RunProfile | dict[str, Any] | None = None
+
+    @property
+    def exec_time_us(self) -> float:
+        return self.exec_time_ns / 1_000
+
+    @property
+    def exec_time_ms(self) -> float:
+        return self.exec_time_ns / 1_000_000
+
+    def counter(self, name: str) -> float:
+        """Counter value by exact name; raises KeyError listing names."""
+        try:
+            return self.counters[name]
+        except KeyError:
+            known = "\n  ".join(self.counters)
+            raise KeyError(f"no counter {name!r} in result; collected:\n  {known}") from None
+
+    def to_json(self) -> dict[str, Any]:
+        """The JSON form campaign cells, the result cache and serve store.
+
+        The run's identity (workload, runtime, cores) belongs to its
+        :class:`RunSpec`; ``counters`` is derived from the telemetry
+        rows on load; ``result`` is not serializable and is dropped.
+        """
+        profile = self.profile
+        return {
+            "mode": self.mode,
+            "aborted": self.aborted,
+            "abort_reason": self.abort_reason,
+            "exec_time_ns": self.exec_time_ns,
+            "verified": self.verified,
+            "telemetry": self.telemetry.to_rows() if self.telemetry is not None else [],
+            "tasks_executed": self.tasks_executed,
+            "tasks_created": self.tasks_created,
+            "peak_live_tasks": self.peak_live_tasks,
+            "offcore_bytes": self.offcore_bytes,
+            "engine_events": self.engine_events,
+            "profile": profile.to_json_dict() if isinstance(profile, RunProfile) else profile,
+        }
+
+    @classmethod
+    def from_json(cls, data: Mapping[str, Any], spec: RunSpec) -> RunResult:
+        """Rebuild the result of *spec*'s run from its :meth:`to_json` form.
+
+        As the live run does, the result names the bare workload, has a
+        frame only when *spec* collects counters and has counter totals
+        only when it finished.
+        """
+        frame = TelemetryFrame.from_rows(data["telemetry"])
+        return cls(
+            benchmark=spec.workload,
+            runtime=spec.runtime,
+            cores=spec.cores,
+            **{**data, "telemetry": None if spec.counters == () else frame},
+            counters={} if data["aborted"] else frame.totals(),
+        )
 
 
 class Session:

@@ -7,8 +7,8 @@ One file per campaign under ``results/campaigns/``:
   metadata for provenance;
 - ``spec`` — the full :class:`~repro.campaign.spec.CampaignSpec`;
 - ``cells`` — every (benchmark, runtime, cores, sample) run with its
-  cache key and the per-run :class:`~repro.experiments.runner.RunResult`
-  fields; counter readings are stored as the run's full telemetry
+  cache key and its result's :meth:`~repro.api.RunResult.to_json`
+  form; counter readings are stored as the run's full telemetry
   sample stream (``telemetry`` rows), and profiled cells carry a
   ``profile`` summary;
 - ``points`` — per (benchmark, runtime, cores) aggregates (medians,
@@ -29,10 +29,9 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro._version import __version__
-from repro.campaign.spec import CampaignSpec, Cell, canonical_json
+from repro.api import RunResult, canonical_json
+from repro.campaign.spec import CampaignSpec, Cell
 from repro.experiments.harness import ScalingCurve, aggregate_point
-from repro.experiments.runner import RunResult
-from repro.telemetry.frame import TelemetryFrame
 
 #: Artifact format version; bump on breaking layout changes.  Only the
 #: current schema loads.  Schema 2 replaced the final ``counters`` dict
@@ -44,25 +43,6 @@ from repro.telemetry.frame import TelemetryFrame
 #: (``null``: the paper's set, ``[]``: off).
 ARTIFACT_SCHEMA = 4
 
-#: RunResult fields persisted per cell (``result`` is not serializable
-#: and is deliberately dropped).  ``telemetry`` is stored
-#: as sample rows; the ``counters`` totals dict is derived from it on
-#: load.
-RESULT_FIELDS = (
-    "mode",
-    "aborted",
-    "abort_reason",
-    "exec_time_ns",
-    "verified",
-    "telemetry",
-    "tasks_executed",
-    "tasks_created",
-    "peak_live_tasks",
-    "offcore_bytes",
-    "engine_events",
-    "profile",
-)
-
 
 def _require(data: Mapping[str, Any], what: str, keys: tuple[str, ...]) -> None:
     """Raise ``ValueError`` naming the first of *keys* that *data* lacks."""
@@ -71,41 +51,13 @@ def _require(data: Mapping[str, Any], what: str, keys: tuple[str, ...]) -> None:
             raise ValueError(f"{what} is missing required key {key!r}")
 
 
-def run_result_to_dict(result: RunResult) -> dict[str, Any]:
-    """The persisted subset of a :class:`RunResult`."""
-    data: dict[str, Any] = {}
-    for name in RESULT_FIELDS:
-        if name == "telemetry":
-            frame = result.telemetry
-            data["telemetry"] = frame.to_rows() if frame is not None else []
-        elif name == "profile":
-            # A live RunProfile serializes to its summary dict; a cell
-            # restored from an artifact already carries the dict form.
-            profile = result.profile
-            if profile is not None and hasattr(profile, "to_json_dict"):
-                profile = profile.to_json_dict()
-            data["profile"] = profile
-        else:
-            data[name] = getattr(result, name)
-    return data
-
-
-def run_result_from_dict(cell: Cell, data: Mapping[str, Any]) -> RunResult:
-    """Rebuild a :class:`RunResult` from its persisted form."""
-    fields = {name: data[name] for name in RESULT_FIELDS if name != "telemetry"}
-    frame = TelemetryFrame.from_rows(data["telemetry"])
-    fields["telemetry"] = frame if len(frame) else None
-    fields["counters"] = frame.totals()
-    return RunResult(benchmark=cell.benchmark, runtime=cell.runtime, cores=cell.cores, **fields)
-
-
 @dataclass(frozen=True)
 class CellResult:
     """One executed (or cache-restored) cell."""
 
     cell: Cell
     key: str  # content-addressed cache key
-    result: dict[str, Any]  # persisted RunResult fields
+    result: dict[str, Any]  # RunResult.to_json() of the cell's run
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -129,9 +81,6 @@ class CellResult:
             seed=data["seed"],
         )
         return cls(cell=cell, key=data["key"], result=dict(data["result"]))
-
-    def run_result(self) -> RunResult:
-        return run_result_from_dict(self.cell, self.result)
 
 
 def collect_environment(spec: CampaignSpec) -> dict[str, Any]:
@@ -180,7 +129,10 @@ class CampaignArtifact:
             curves: dict[tuple[str, str], ScalingCurve] = {}
             for (benchmark, runtime, cores), members in grouped.items():
                 members.sort(key=lambda cr: cr.cell.sample)
-                point = aggregate_point(cores, [cr.run_result() for cr in members])
+                runs = [
+                    RunResult.from_json(cr.result, self.spec.run_spec(cr.cell)) for cr in members
+                ]
+                point = aggregate_point(cores, runs)
                 curve = curves.setdefault(
                     (benchmark, runtime),
                     ScalingCurve(benchmark=benchmark, runtime=runtime, points=[]),

@@ -16,7 +16,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.campaign.artifact import CampaignArtifact, CellResult, run_result_to_dict
+from repro.api import Session
+from repro.campaign.artifact import CampaignArtifact, CellResult
 from repro.campaign.cache import ResultCache
 from repro.campaign.spec import CampaignSpec, Cell, cell_cache_key
 
@@ -48,9 +49,7 @@ class CampaignRun:
 
 def execute_cell(spec: CampaignSpec, cell: Cell) -> dict[str, Any]:
     """Run one cell to completion; the process-pool worker entry point."""
-    from repro.api import Session
-
-    return run_result_to_dict(Session().run(spec.run_spec(cell)))
+    return Session().run(spec.run_spec(cell)).to_json()
 
 
 def run_campaign(

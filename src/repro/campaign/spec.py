@@ -22,28 +22,16 @@ alongside), so growing a campaign reuses every cell already computed.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterator, Mapping
 
 from repro._version import __version__
-from repro.api import RUNTIMES, RunSpec
-from repro.experiments.config import DEFAULT_SAMPLES, QUICK_CORE_COUNTS, default_std_params
-from repro.kernel.config import StdParams
+from repro.api import RUNTIMES, RunSpec, stable_hash
+from repro.experiments.config import DEFAULT_SAMPLES, QUICK_CORE_COUNTS
+from repro.kernel.config import StdParams, default_std_params
 from repro.platform.presets import default_platform, resolve_platform
 from repro.platform.spec import PlatformSpec
 from repro.runtime.config import HpxParams
-
-
-def canonical_json(obj: Any) -> str:
-    """Deterministic JSON encoding used for hashing and artifacts."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def stable_hash(obj: Any) -> str:
-    """SHA-256 hex digest of the canonical JSON encoding of *obj*."""
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -7,20 +7,16 @@ One module per concern:
 
 - :mod:`repro.experiments.config` — the paper's platform (Table III),
   core grids and protocol constants;
-- :mod:`repro.experiments.runner` — the :class:`RunResult` record of
-  one benchmark run (executed by :class:`repro.api.Session`);
 - :mod:`repro.experiments.harness` — strong-scaling curves: medians of
-  each core count's samples;
+  each core count's :class:`~repro.api.RunResult` samples;
 - :mod:`repro.experiments.tables` — Table I and Table V generators;
 - :mod:`repro.experiments.figures` — series for Figures 1-14;
 - :mod:`repro.experiments.report` — plain-text rendering.
 """
 
 from repro.experiments.harness import ScalingCurve, ScalingPoint, aggregate_point
-from repro.experiments.runner import RunResult
 
 __all__ = [
-    "RunResult",
     "ScalingCurve",
     "ScalingPoint",
     "aggregate_point",

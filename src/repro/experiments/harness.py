@@ -18,7 +18,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.experiments.runner import RunResult
+from repro.api import RunResult
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """The paper's metrics (Section V-C) as first-class extractors.
 
-Each function maps a :class:`~repro.experiments.runner.RunResult` or a
+Each function maps a :class:`~repro.api.RunResult` or a
 :class:`~repro.experiments.harness.ScalingPoint` (anything carrying a
 ``counters`` dict, plus an execution time) to one number, exactly as the
 paper defines it.  The figure and table generators compute these
@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.experiments.config import PAPI_COUNTERS
 from repro.model.work import CACHE_LINE
+from repro.telemetry.pipeline import PAPI_COUNTERS
 
 TASK_DURATION = "/threads{locality#0/total}/time/average"
 TASK_OVERHEAD = "/threads{locality#0/total}/time/average-overhead"

@@ -46,10 +46,13 @@ class Table1Row:
 
 
 def table1(*, benchmarks: Sequence[str] | None = None, cores: int = 20) -> list[Table1Row]:
-    """Regenerate Table I: external tools on the std::async versions."""
+    """Regenerate Table I: external tools on the std::async versions.
+
+    The baseline is the plain std::async run: no counters, like the tool runs.
+    """
     rows = []
     for name in benchmarks or available_benchmarks():
-        base = Session().run(RunSpec(name, runtime="std", cores=cores))
+        base = Session().run(RunSpec(name, runtime="std", cores=cores, counters=()))
         rows.append(
             Table1Row(
                 benchmark=name,

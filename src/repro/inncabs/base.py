@@ -13,7 +13,7 @@ runs up to 1.75x10^7 tasks; a Python discrete-event simulation cannot
 replay that many events in reasonable time).  Scaling preserves grain
 size, task-count ratios between benchmarks, and the live-thread blow-up
 behaviour of the ``std::async`` versions; the matching memory budget
-lives in :mod:`repro.experiments.config`.
+lives in :mod:`repro.kernel.config`.
 """
 
 from __future__ import annotations

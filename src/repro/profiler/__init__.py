@@ -21,7 +21,7 @@ Task Parallel Programs"):
   etc.) so telemetry sinks, campaigns and ``repro counters query`` get
   them for free;
 - :class:`RunProfile` is the post-run report attached to
-  :attr:`repro.experiments.runner.RunResult.profile` and rendered by
+  :attr:`repro.api.RunResult.profile` and rendered by
   ``repro profile``.
 """
 

@@ -8,7 +8,7 @@ identical transitions — one aggregation path, two call sites.
 
 :class:`RunProfile` is the immutable end product: flat profile,
 critical path, parallelism summary and any what-if experiments, as
-attached to :attr:`repro.experiments.runner.RunResult.profile` and
+attached to :attr:`repro.api.RunResult.profile` and
 printed by ``repro profile``.
 """
 

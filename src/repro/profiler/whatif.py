@@ -37,6 +37,8 @@ class WhatIfSpec:
             raise ValueError(
                 f"what-if speedup must be between 0 and 100 percent, got {self.speedup_pct}"
             )
+        # One spelling per value: 50 and 50.0 are one experiment, one key.
+        object.__setattr__(self, "speedup_pct", float(self.speedup_pct))
 
     @property
     def factor(self) -> float:

@@ -11,9 +11,10 @@ content-addressed result cache.  The moving parts:
 - :mod:`repro.serve.queue` — the run request model, campaign-identical
   cache keys, and the bounded admission-controlled queue;
 - :mod:`repro.serve.server` — the service itself: routes, the worker
-  pool executing runs through the campaign cell path in a
-  ``ProcessPoolExecutor``, chunked JSONL telemetry streaming, and
-  ``/stats`` introspection in the paper's counter-name grammar;
+  pool executing each request's :class:`~repro.api.RunSpec` through
+  ``Session.run`` in a ``ProcessPoolExecutor``, chunked JSONL telemetry
+  streaming, and ``/stats`` introspection in the paper's counter-name
+  grammar;
 - :mod:`repro.serve.client` — a minimal asyncio client used by the
   tests, the CI smoke, and ``repro bench-serve``.
 """

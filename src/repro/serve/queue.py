@@ -1,9 +1,8 @@
 """Run requests, run records, and the admission-controlled queue.
 
 A :class:`RunRequest` is the JSON body of ``POST /runs`` in the exact
-shape of one campaign cell: it lowers to a single-cell
-:class:`~repro.campaign.spec.CampaignSpec` plus its
-:class:`~repro.campaign.spec.Cell`, whose :class:`~repro.api.RunSpec`
+shape of one campaign cell: it lowers to the :class:`~repro.api.RunSpec`
+that cell would run, parameters overlaid in the same order, which
 validates the run and whose key is the cache key.  That makes the
 server's shared :class:`~repro.campaign.cache.ResultCache`
 interchangeable with campaign caches: a run executed by the server is
@@ -19,10 +18,11 @@ from __future__ import annotations
 import asyncio
 import enum
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
 
-from repro.campaign.spec import CampaignSpec, Cell, cell_cache_key
-from repro.workloads import WorkloadSpec, available_workloads
+from repro.api import RunSpec
+from repro.workloads import WorkloadSpec, available_workloads, overlay_params
 
 #: Root seed applied when a request does not pin one (the paper default
 #: used by campaigns, so unseeded server runs hit campaign cells).
@@ -60,8 +60,8 @@ class RunRequest:
         """Parse and validate a body; :class:`BadRequest` names the problem.
 
         This checks the wire format; the run itself is validated by
-        lowering it to its :class:`~repro.api.RunSpec`, so a request
-        that could only fail in a worker is refused here.
+        lowering it to its :attr:`spec`, so a request that could only
+        fail in a worker is refused here.
         """
         if not isinstance(obj, dict):
             raise BadRequest("request body must be a JSON object")
@@ -108,7 +108,7 @@ class RunRequest:
             platform=platform,
             collect_counters=collect,
         )
-        request.to_cell()  # validates the run
+        request.spec  # lowers and validates the run
         return request
 
     @staticmethod
@@ -146,31 +146,34 @@ class RunRequest:
             raise BadRequest(f"unknown workload {benchmark!r}; expected one of: {known}")
         return benchmark, dict(params)
 
-    def to_cell(self) -> tuple[CampaignSpec, Cell]:
-        """Lower to the single-cell campaign this run is equivalent to.
-
-        Constructing the campaign validates the run; its failures are
-        :class:`BadRequest`\\ s.
-        """
+    @cached_property
+    def spec(self) -> RunSpec:
+        """The validated :class:`~repro.api.RunSpec`, built once: the
+        equivalent campaign cell's, parameters overlaid the same way."""
         try:
-            spec = CampaignSpec(
-                benchmarks=(self.benchmark,),
-                runtimes=(self.runtime,),
-                core_counts=(self.cores,),
-                samples=1,
-                seed=self.seed,
-                preset=self.preset,
-                params=dict(self.params),
+            spec = RunSpec(
+                workload=self.benchmark,
+                params=overlay_params(
+                    WorkloadSpec(self.benchmark),
+                    preset=self.preset,
+                    params=self.params,
+                    seed=self.seed,
+                ),
+                runtime=self.runtime,
+                cores=self.cores,
                 platform=self.platform,
                 counters=None if self.collect_counters else (),
             )
+            spec.validate()
+        except KeyError as exc:  # an unknown preset name
+            raise BadRequest(exc.args[0]) from None
         except (ValueError, TypeError) as exc:
             raise BadRequest(str(exc)) from exc
-        return spec, next(spec.cells())
+        return spec
 
     def cache_key(self) -> str:
         """Content-addressed key — identical to the campaign cell's."""
-        return cell_cache_key(*self.to_cell())
+        return self.spec.key()
 
     def to_json_dict(self) -> dict[str, Any]:
         return asdict(self)

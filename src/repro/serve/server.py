@@ -3,12 +3,12 @@
 One process owns: an ``asyncio.start_server`` accept loop parsing HTTP
 with :mod:`repro.serve.protocol`, a bounded :class:`RunQueue` guarded
 by per-tenant :class:`TenantQuotas`, N worker tasks draining the queue
-into a ``ProcessPoolExecutor`` through the campaign cell path
-(:func:`repro.campaign.engine.execute_cell` — the same function
-``repro campaign --jobs`` fans out), and a shared
-:class:`~repro.campaign.cache.ResultCache` consulted at submit time
-and written at completion.  Because keys are campaign cell keys, the
-server's cache and campaign caches interchange.
+into a ``ProcessPoolExecutor`` that runs each request's
+:class:`~repro.api.RunSpec` through :meth:`repro.api.Session.run`,
+and a shared :class:`~repro.campaign.cache.ResultCache` consulted at
+submit time and written at completion.  A request's key is the
+equivalent campaign cell's, so the server's cache and campaign caches
+interchange.
 
 Endpoints::
 
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Awaitable, Callable
 
+from repro.api import RunSpec, Session
 from repro.campaign.cache import ResultCache
-from repro.campaign.engine import execute_cell
 from repro.serve import protocol
 from repro.serve.protocol import HttpError, HttpRequest
 from repro.serve.queue import BadRequest, QueueFull, RunQueue, RunRecord, RunRequest, RunState
@@ -43,10 +43,9 @@ from repro.serve.quotas import DEFAULT_TENANT, QuotaConfig, TenantQuotas
 from repro.telemetry.frame import TelemetryFrame
 from repro.telemetry.sinks import JsonLinesSink, replay_samples
 
-#: An async callable executing one run and returning the persisted
-#: result dict (:func:`repro.campaign.artifact.run_result_to_dict`
-#: shape).  The default runs the campaign cell path in a process pool;
-#: tests inject inline runners.
+#: An async callable executing one run and returning its result's
+#: :meth:`~repro.api.RunResult.to_json` form.  The default runs it in a
+#: process pool; tests inject inline runners.
 Runner = Callable[[RunRequest], Awaitable[dict[str, Any]]]
 
 #: Longest ``?wait=`` / telemetry long-poll the server will hold.
@@ -78,6 +77,11 @@ class ServerConfig:
         if self.cache_dir is not None:
             return ResultCache(Path(self.cache_dir))
         return ResultCache.default()
+
+
+def _execute(spec: RunSpec) -> dict[str, Any]:
+    """Run *spec* to completion; the process-pool worker entry point."""
+    return Session().run(spec).to_json()
 
 
 class RunServer:
@@ -161,10 +165,9 @@ class RunServer:
     # -- execution -----------------------------------------------------
 
     async def _pool_runner(self, request: RunRequest) -> dict[str, Any]:
-        spec, cell = request.to_cell()
         loop = asyncio.get_running_loop()
         assert self._pool is not None
-        return await loop.run_in_executor(self._pool, execute_cell, spec, cell)
+        return await loop.run_in_executor(self._pool, _execute, request.spec)
 
     async def _worker_loop(self) -> None:
         assert self._runner is not None

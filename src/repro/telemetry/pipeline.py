@@ -44,6 +44,26 @@ from repro.telemetry.sinks import ensure_sink
 #: memory for adversarial cadences.
 DEFAULT_BUFFER_LIMIT = 65_536
 
+#: The software counters of Section V-C.
+SOFTWARE_COUNTERS = (
+    "/threads{locality#0/total}/time/average",
+    "/threads{locality#0/total}/time/average-overhead",
+    "/threads{locality#0/total}/time/cumulative",
+    "/threads{locality#0/total}/time/cumulative-overhead",
+    "/threads{locality#0/total}/count/cumulative",
+    "/threads{locality#0/total}/idle-rate",
+)
+
+#: The offcore PAPI counters summed for the bandwidth estimate.
+PAPI_COUNTERS = (
+    "/papi{locality#0/total}/OFFCORE_REQUESTS:ALL_DATA_RD",
+    "/papi{locality#0/total}/OFFCORE_REQUESTS:DEMAND_CODE_RD",
+    "/papi{locality#0/total}/OFFCORE_REQUESTS:DEMAND_RFO",
+)
+
+#: The paper's counter set: what ``counters=None`` collects.
+DEFAULT_COUNTERS = SOFTWARE_COUNTERS + PAPI_COUNTERS
+
 
 @dataclass(frozen=True)
 class TelemetryConfig:

@@ -6,8 +6,8 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
-from repro.experiments.config import default_std_params
 from repro.inncabs.suite import get_benchmark
+from repro.kernel.config import default_std_params
 from repro.kernel.scheduler import StdRuntime
 from repro.kernel.thread import OSThread
 from repro.simcore.clock import s as seconds

@@ -149,12 +149,19 @@ def overlay_params(
     One overlay order for every surface: the *preset* < *params* (the
     CLI's ``--param``, a campaign's params) < the parameters embedded
     in the spec (most specific wins, so two variants of one workload in
-    a matrix keep what distinguishes them) < *seed*.  Raises
-    ``KeyError`` for an unknown workload or preset name.
+    a matrix keep what distinguishes them) < *seed*, the root seed.
+    Raises ``KeyError`` for an unknown workload or preset name, and
+    ``ValueError`` for a ``seed`` parameter beside a root seed, which
+    would silently replace it.
     """
     resolved = workload_preset_params(workload.name, preset)
     resolved.update(params or {})
     resolved.update(workload.params)
     if seed is not None:
+        if "seed" in (params or {}) or "seed" in workload.params:
+            raise ValueError(
+                f"workload parameter seed={resolved['seed']!r} given beside the root seed "
+                f"{seed!r}; give the seed once, as the root seed ('seed', or --seed)"
+            )
         resolved["seed"] = seed
     return resolved

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import RunResult
 from repro.campaign.artifact import ARTIFACT_SCHEMA, CampaignArtifact
 
 RESULTS = Path(__file__).resolve().parents[2] / "results"
@@ -84,12 +85,10 @@ def test_cells_persist_telemetry_rows(small_run):
 def test_run_result_round_trips_through_telemetry_rows(small_run):
     """Serialize -> deserialize preserves both frame and totals view."""
     cr = next(c for c in small_run.artifact.cells if not c.result["aborted"])
-    restored = cr.run_result()
+    restored = RunResult.from_json(cr.result, small_run.artifact.spec.run_spec(cr.cell))
     assert restored.telemetry is not None
     assert restored.counters == restored.telemetry.totals()
-    from repro.campaign.artifact import run_result_to_dict
-
-    assert run_result_to_dict(restored) == dict(cr.result)
+    assert restored.to_json() == dict(cr.result)
 
 
 @pytest.mark.parametrize("schema", [1, 2, 3])

@@ -7,8 +7,7 @@ import dataclasses
 import pytest
 
 from repro.campaign.spec import CampaignSpec, cell_cache_key
-from repro.experiments.config import default_std_params
-from repro.kernel.config import StdParams
+from repro.kernel.config import StdParams, default_std_params
 from repro.runtime.config import HpxParams
 
 
@@ -54,6 +53,7 @@ REFUSED = {
     "seed-x": {"seed": "x"},
     "profile-cohort": {"profile": True, "params": {"mode": "cohort"}},
     "param-type": {"params": {"n": "abc"}},
+    "seed-twice": {"params": {"seed": 5}},
 }
 
 

@@ -123,6 +123,15 @@ def test_table1_small():
     assert "strassen" in text and "TAU" in text
 
 
+def test_table1_baseline_is_the_uninstrumented_std_run():
+    """The committed Table I rows: the baseline runs without counters,
+    like the tool runs it is compared with."""
+    floorplan, strassen = table1(benchmarks=["floorplan", "strassen"], cores=20)
+    assert floorplan.baseline_tasks == 404
+    assert floorplan.cell(floorplan.hpctoolkit) == "870 (79720%)"
+    assert strassen.cell(strassen.hpctoolkit) == "801 (19539%)"
+
+
 def test_render_table_generic():
     text = render_table(["a", "b"], [[1, 2.5], ["x", None]])
     lines = text.splitlines()

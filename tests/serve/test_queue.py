@@ -60,6 +60,7 @@ def test_minimal_request_defaults():
         ({"workload": "fib:n=5", "cores": 21}, "bindable cores"),
         ({"workload": "sort", "mode": "cohort"}, "no cohort plan"),
         ({"benchmark": "fib", "params": {"n": "abc"}}, "parameter 'n' of fib takes int"),
+        ({"benchmark": "uts", "params": {"seed": 5}}, "root seed"),
     ],
 )
 def test_invalid_bodies_name_the_problem(body, fragment):
@@ -85,6 +86,36 @@ def test_cache_key_is_the_campaign_cell_key():
         params={"n": 12},
     )
     cell = next(spec.cells())
+    assert request.cache_key() == cell_cache_key(spec, cell)
+
+
+#: Request bodies beside the one-cell campaign each is equivalent to.
+EQUIVALENT_CELLS = {
+    "cohort": (
+        {"workload": "fib", "mode": "cohort", "cores": 4},
+        {"benchmarks": ("fib",), "core_counts": (4,), "params": {"mode": "cohort"}},
+    ),
+    "std": (
+        {"benchmark": "sort", "runtime": "std", "cores": 2},
+        {"benchmarks": ("sort",), "runtimes": ("std",), "core_counts": (2,)},
+    ),
+    "preset": (
+        {"benchmark": "uts", "preset": "small"},
+        {"benchmarks": ("uts",), "preset": "small"},
+    ),
+    "platform": (
+        {"benchmark": "fib", "platform": "desktop-1x8", "collect_counters": False},
+        {"benchmarks": ("fib",), "platform": "desktop-1x8", "counters": ()},
+    ),
+}
+
+
+@pytest.mark.parametrize("body,campaign", EQUIVALENT_CELLS.values(), ids=EQUIVALENT_CELLS.keys())
+def test_a_request_lowers_to_its_campaign_cells_run(body, campaign):
+    spec = CampaignSpec(**{"runtimes": ("hpx",), "core_counts": (1,), "samples": 1, **campaign})
+    cell = next(spec.cells())
+    request = RunRequest.from_json(body)
+    assert request.spec == spec.run_spec(cell)
     assert request.cache_key() == cell_cache_key(spec, cell)
 
 

@@ -1,6 +1,6 @@
 """End-to-end RunServer tests over real sockets (in-process loop).
 
-Runs use an inline runner (the campaign cell path executed directly in
+Runs use an inline runner (the request's RunSpec executed directly in
 the event loop) on tiny inputs, so the suite exercises the full HTTP
 surface — admission control, quotas, cache short-circuit, telemetry
 streaming, stats — without paying process-pool startup per test.
@@ -13,8 +13,10 @@ from typing import Any, Awaitable, Callable
 
 import pytest
 
+from repro.api import Session
 from repro.campaign.cache import ResultCache
 from repro.campaign.engine import execute_cell
+from repro.campaign.spec import CampaignSpec, cell_cache_key
 from repro.serve.client import ServeClient, ServeError, http_request
 from repro.serve.queue import RunRequest
 from repro.serve.quotas import QuotaConfig, TenantQuotas
@@ -36,9 +38,8 @@ class FakeClock:
 
 
 async def inline_runner(request: RunRequest) -> dict[str, Any]:
-    """The campaign cell path, run inline (tiny inputs only)."""
-    spec, cell = request.to_cell()
-    return execute_cell(spec, cell)
+    """What a pool worker runs, run inline (tiny inputs only)."""
+    return Session().run(request.spec).to_json()
 
 
 class GatedRunner:
@@ -125,10 +126,16 @@ def test_cache_hit_short_circuits_with_identical_payload(tmp_path):
 
 def test_server_cache_interchanges_with_campaign_cache(tmp_path):
     """A cell stored by the campaign path is a server cache hit."""
-    request = RunRequest.from_json(dict(FIB))
-    spec, cell = request.to_cell()
+    spec = CampaignSpec(
+        benchmarks=(FIB["benchmark"],),
+        runtimes=("hpx",),
+        core_counts=(FIB["cores"],),
+        samples=1,
+        params=FIB["params"],
+    )
+    cell = next(spec.cells())
     cache = ResultCache(tmp_path)
-    cache.store(request.cache_key(), execute_cell(spec, cell))
+    cache.store(cell_cache_key(spec, cell), execute_cell(spec, cell))
 
     async def scenario(server: RunServer, client: ServeClient) -> None:
         warm = await client.submit(**FIB)

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.api import Session, WorkloadSpec, TelemetryConfig
+from repro.api import RunResult, Session, WorkloadSpec, TelemetryConfig
 from repro.platform.presets import platform_names
 from repro.simcore.clock import ms
 from repro.telemetry.frame import TelemetryFrame
@@ -21,20 +21,17 @@ def test_run_result_carries_frame_and_totals():
 
 def test_full_buffer_keeps_the_final_evaluation():
     """Periodic samples overflow a small buffer; the final evaluation
-    still ends the frame, on the result and through an artifact."""
-    from repro.campaign.artifact import run_result_from_dict, run_result_to_dict
-    from repro.campaign.spec import Cell
-
-    result = Session(runtime="hpx", cores=1).run(
+    still ends the frame, on the result and through its JSON form."""
+    spec = Session(runtime="hpx", cores=1).spec(
         WorkloadSpec.parse("fib:n=14"),
         telemetry=TelemetryConfig(interval_ns=50_000, buffer_limit=20),
     )
+    result = Session().run(spec)
     name = "/threads{locality#0/total}/count/cumulative"
     assert result.counters[name] == 1269
     assert len(result.telemetry) <= 20
     assert result.telemetry.totals() == result.counters
-    cell = Cell(benchmark="fib", runtime="hpx", cores=1, sample=0, seed=0)
-    restored = run_result_from_dict(cell, run_result_to_dict(result))
+    restored = RunResult.from_json(result.to_json(), spec)
     assert restored.counters == result.counters
 
 

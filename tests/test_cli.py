@@ -691,6 +691,8 @@ USER_ERRORS = [
     ["counters", "query", "/no-such/counter", "--param", "n=8"],
     ["campaign", "--benchmarks", "sort", "--preset", "paper", "--no-cache"],
     ["table1", "--benchmarks", "nosuch"],
+    # a seed given twice: as a workload parameter and as the root seed
+    ["campaign", "--benchmarks", "uts", "--param", "seed=5", "--cores-list", "1", "--no-cache"],
     ["table5", "--benchmarks", "nosuch"],
     ["figure", "fig99"],
     # out-of-range counts and retired options

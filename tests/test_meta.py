@@ -47,15 +47,13 @@ def test_third_party_imports_are_declared_dependencies():
     assert not undeclared, f"imports missing from [project] dependencies: {undeclared}"
 
 
-def test_import_leaves_scipy_out():
-    """scipy serves one kernel (sparselu) and is imported at its first
-    use, so ``import repro.api`` does not pay for it."""
+def _fresh_interpreter(probe: str) -> str:
+    """What *probe* prints when run in a new interpreter on this ``repro``."""
     import os
     import subprocess
     import sys
 
     src = str(Path(repro.__file__).resolve().parent.parent)
-    probe = "import sys, repro.api; print('scipy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -64,7 +62,28 @@ def test_import_leaves_scipy_out():
         env=dict(os.environ, PYTHONPATH=src),
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_out():
+    """scipy serves one kernel (sparselu) and is imported at its first
+    use, so ``import repro.api`` does not pay for it."""
+    probe = "import sys, repro.api; print('scipy' in sys.modules)"
+    assert _fresh_interpreter(probe) == "False"
+
+
+def test_the_run_layer_imports_nothing_above_it():
+    """Keying, running and encoding a run loads no campaign, experiment
+    or serve module, and no ``multiprocessing``."""
+    probe = (
+        "import sys, repro.api\n"
+        "spec = repro.api.RunSpec('fib', {'n': 8}, cores=2)\n"
+        "spec.key()\n"
+        "repro.api.Session().run(spec).to_json()\n"
+        "above = ('repro.campaign', 'repro.experiments', 'repro.serve', 'multiprocessing')\n"
+        "print(sorted(name for name in sys.modules if name.startswith(above)))"
+    )
+    assert _fresh_interpreter(probe) == "[]"
 
 
 def test_public_api_surface():

@@ -12,7 +12,7 @@ import io
 import pytest
 
 from repro import api
-from repro.api import ProfileConfig, RunSpec, Session, TelemetryConfig, WorkloadSpec
+from repro.api import ProfileConfig, RunResult, RunSpec, Session, TelemetryConfig, WorkloadSpec
 from repro.campaign.spec import CampaignSpec, cell_cache_key
 from repro.inncabs.base import Benchmark
 from repro.profiler.whatif import WhatIfSpec
@@ -91,6 +91,10 @@ def test_session_and_campaign_cell_share_one_key():
         (RunSpec("fib", counters=(), interval_ns=1000), "periodic queries need counters"),
         (RunSpec("fib", interval_ns=0), "interval_ns"),
         (RunSpec("fib", buffer_limit=0), "buffer_limit"),
+        (RunSpec("fib", interval_ns=10_000.0), "interval_ns"),
+        (RunSpec("fib", interval_ns=True), "interval_ns"),
+        (RunSpec("fib", buffer_limit=10.0), "buffer_limit"),
+        (RunSpec("fib", buffer_limit=True), "buffer_limit"),
     ],
 )
 def test_validate_names_the_problem(spec, fragment):
@@ -118,6 +122,13 @@ def test_what_if_pairs_become_specs():
     assert pair == spec and pair.key() == spec.key()
     profile = Session().run(pair).profile
     assert [(w.body, w.speedup_pct) for w in profile.what_if] == [("_fib_task", 50)]
+
+
+def test_equal_specs_get_equal_keys():
+    """A what-if speedup has one spelling: 50 and 50.0 are one run."""
+    ints = RunSpec("fib", {"n": 8}, what_if=(WhatIfSpec("fib", 50),))
+    floats = RunSpec("fib", {"n": 8}, what_if=(WhatIfSpec("fib", 50.0),))
+    assert ints == floats and ints.key() == floats.key()
 
 
 @pytest.mark.parametrize(
@@ -175,3 +186,35 @@ def test_observers_change_neither_the_run_nor_its_key():
     assert len(outcomes["none"][1]) > len(outcomes["none"][0])  # periodic rows + final
     assert all(outcome == outcomes["none"] for outcome in outcomes.values())
     assert len(keys) == 1
+
+
+# -- RunResult: the result's JSON form ----------------------------------------
+
+ROUND_TRIPS = {
+    "profiled-10us": RunSpec("fib", {"n": 10}, cores=2, interval_ns=10_000, profile=True),
+    "std-abort": RunSpec("fib", {"n": 19}, runtime="std", cores=4),
+    "cohort": RunSpec("fib", {"n": 20}, cores=4, mode="cohort"),
+    "no-counters": RunSpec("fib", {"n": 8}, counters=()),
+}
+
+
+def _comparable(result, name):
+    value = getattr(result, name)
+    if name == "telemetry" and value is not None:
+        return value.samples
+    if name == "profile" and value is not None and not isinstance(value, dict):
+        return value.to_json_dict()  # a reloaded profile is its summary
+    return value
+
+
+@pytest.mark.parametrize("spec", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+def test_a_result_round_trips_through_its_json(spec):
+    """Every field but ``result`` comes back, the workload named as the live run names it."""
+    result = Session().run(spec)
+    assert result.aborted == (spec.runtime == "std")
+    restored = RunResult.from_json(result.to_json(), spec)
+    assert restored.benchmark == "fib"
+    for name in (f.name for f in dataclasses.fields(RunResult) if f.name != "result"):
+        assert _comparable(restored, name) == _comparable(result, name), name
+    assert restored.to_json() == result.to_json()
+
