@@ -45,6 +45,7 @@ from repro.papi.hw import PapiSubstrate
 from repro.platform.presets import default_platform, resolve_platform
 from repro.platform.spec import PlatformSpec
 from repro.profiler.builder import ProfileBuilder, ProfileConfig
+from repro.profiler.events import TRACE_EVENT_NS
 from repro.profiler.report import RunProfile
 from repro.profiler.whatif import (
     BodyRewriter,
@@ -143,7 +144,7 @@ class RunSpec:
         if self.counters is not None:
             set_(self, "counters", tuple(self.counters))
         set_(self, "what_if", tuple(map(_what_if_spec, self.what_if)))
-        if self.what_if or any(c.startswith("/profiler") for c in self.counters or ()):
+        if self.what_if or _names_profiler(self.counters):
             set_(self, "profile", True)
 
     def validate(self) -> dict[str, Any]:
@@ -454,8 +455,12 @@ class Session:
         :class:`~repro.profiler.report.RunProfile` as ``result.profile``
         and each what-if experiment is validated by replaying the run
         through this method with rewritten work costs.  A profiled run
-        is *not* bit-identical to an unprofiled one (each trace event
-        charges instrumentation), which is why the replays profile too.
+        is *not* bit-identical to an unprofiled one: the profiler adds
+        :data:`~repro.profiler.events.TRACE_EVENT_NS` to the charge paid
+        per hpx activation or std dispatch.  A replay pays that charge
+        too, with its counters and query interval, but folds no trace
+        (unless a ``/profiler`` counter needs the live builder) and
+        reports only its makespan.
         """
         if isinstance(workload, RunSpec):
             if any(arg is not None for arg in (params, cores, mode, telemetry, profile)):
@@ -500,9 +505,12 @@ class Session:
             rt = StdRuntime(engine, machine, num_workers=ncores, params=spec.costs)
 
         builder: ProfileBuilder | None = None
-        if spec.profile:
+        if spec.profile and (_rewrite is None or _names_profiler(spec.counters)):
             builder = ProfileBuilder(rt, keep_events=keep_events)
             builder.attach()
+        elif spec.profile:
+            # A what-if replay is timed, not profiled: the same charge, no fold.
+            rt.add_instrumentation(TRACE_EVENT_NS)
         if _rewrite is not None:
             rt.set_compute_rewriter(_rewrite)
 
@@ -541,14 +549,19 @@ class Session:
         else:
             future = rt.submit(root_fn, *root_args)
         engine.run()
+        out.exec_time_ns = engine.now
+        out.engine_events = engine.events_processed
         out.tasks_executed = rt.stats.tasks_executed
         out.tasks_created = rt.stats.tasks_created
         out.peak_live_tasks = rt.stats.peak_live_tasks
         if rt.aborted:
             out.aborted = True
             out.abort_reason = rt.abort_reason
-            out.exec_time_ns = engine.now
-            out.engine_events = engine.events_processed
+        elif not future.is_ready:
+            raise DeadlockError(rt.describe_stall())
+        if _rewrite is not None:
+            return out  # a what-if replay is read for its makespan alone
+        if out.aborted:
             if pipeline is not None:
                 out.telemetry = pipeline.frame  # periodic samples up to the abort
                 pipeline.stop()
@@ -563,10 +576,7 @@ class Session:
                     makespan_ns=engine.now,
                 )
             return out
-        if not future.is_ready:
-            raise DeadlockError(rt.describe_stall())
         result = future.value()
-        out.exec_time_ns = engine.now
         if pipeline is not None:
             values = pipeline.sample(reset=True)
             out.counters = {v.name: v.value for v in values}
@@ -583,7 +593,6 @@ class Session:
         if keep_result:
             out.result = result
         out.offcore_bytes = machine.total_offcore_bytes()
-        out.engine_events = engine.events_processed
 
         if builder is not None:
             builder.detach()
@@ -601,10 +610,12 @@ class Session:
     ) -> list[WhatIfResult]:
         """Validate each what-if experiment with a cost-rewritten replay.
 
-        The replay runs the same :class:`RunSpec` (profiler attached,
-        same counters, same query interval) without the experiments, so
-        the 0 % experiment is bit-identical to the baseline; it has no
-        observers, so none of its samples reach the baseline's outputs.
+        The replay runs the same :class:`RunSpec` without the
+        experiments: the same counters and query interval, and the
+        profiler's instrumentation charge, so the 0 % experiment is
+        bit-identical to the baseline.  It has no observers, so none of
+        its samples reach the baseline's outputs, and it builds no
+        profile: only its makespan is read.
         """
         if not spec.what_if:
             return []
@@ -637,6 +648,11 @@ class Session:
                 )
             )
         return results
+
+
+def _names_profiler(counters: tuple[str, ...] | None) -> bool:
+    """Whether *counters* name a ``/profiler`` counter (which reads a live builder)."""
+    return any(c.startswith("/profiler") for c in counters or ())
 
 
 def _profile_label(spec: RunSpec) -> str:

@@ -75,8 +75,9 @@ class CampaignSpec:
     counters: tuple[str, ...] | None = None
     #: Attach the causal profiler to every cell; the run results then
     #: carry a profile summary (critical path, work/span, parallelism).
-    #: Profiling charges per-event instrumentation, so profiled cells
-    #: cache separately from unprofiled ones.
+    #: Profiling adds an instrumentation charge to every task activation
+    #: (std: thread dispatch), so profiled cells cache separately from
+    #: unprofiled ones.
     profile: bool = False
 
     def __post_init__(self) -> None:

@@ -167,6 +167,7 @@ class FmmBenchmark(Benchmark):
         "p2p_ns": 4000,
         "m2l_ns": 2500,
     }
+    param_minimums = {"subgrids": 1, "neighbors": 0, "p2p_ns": 0, "m2l_ns": 0}
 
     def make_root(self, params: Mapping[str, Any]) -> tuple[Callable[..., Any], tuple]:
         """Entry point: ``_fmm_root(ctx, subgrids, neighbors, ...)``."""

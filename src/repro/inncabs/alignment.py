@@ -117,6 +117,7 @@ class AlignmentBenchmark(Benchmark):
 
     # 16 sequences of 300 residues -> 120 pair tasks at ~2.75 ms each.
     default_params = {"nseq": 16, "seqlen": 300}
+    param_minimums = {"nseq": 2, "seqlen": 1}
 
     def make_root(self, params: Mapping[str, Any]) -> tuple[Callable[..., Any], tuple]:
         return _alignment_root, (params["nseq"], params["seqlen"], params["seed"])

@@ -29,7 +29,9 @@ DEFAULT_SEED = 20160523  # IPDPS-workshops 2016 vintage
 
 #: The value types a parameter takes, by the type of its default (never
 #: a ``bool``); a ``None`` default is an optional integer (floorplan's
-#: ``task_limit``).  Defaults of other types are not checked.
+#: ``task_limit``).  Defaults of other types are not checked.  Each
+#: benchmark also bounds its integer sizes, counts and cutoffs from
+#: below (:attr:`Benchmark.param_minimums`).
 PARAM_TYPES: dict[type, tuple[type, ...]] = {
     int: (int,),
     float: (int, float),
@@ -88,11 +90,18 @@ class Benchmark(abc.ABC):
     #: Default (scaled) input parameters.
     default_params: Mapping[str, Any] = {}
 
+    #: The least value of each integer size, count and cutoff parameter.
+    #: Below it a run can only hang (a cutoff of 0 splits a one-element
+    #: range for ever), deadlock, crash inside the run or compute a wrong
+    #: answer, so :meth:`params_with_defaults` refuses it.
+    param_minimums: Mapping[str, int] = {}
+
     def params_with_defaults(self, params: Mapping[str, Any] | None) -> dict[str, Any]:
         """The defaults overlaid with *params*, seed included.
 
-        Raises ``ValueError`` for an unknown name, a bad ``mode`` and a
-        value whose type its default does not take (:data:`PARAM_TYPES`).
+        Raises ``ValueError`` for an unknown name, a bad ``mode``, a
+        value whose type its default does not take (:data:`PARAM_TYPES`)
+        and an integer below its minimum (:attr:`param_minimums`).
         """
         merged = dict(self.default_params)
         if params:
@@ -112,6 +121,12 @@ class Benchmark(abc.ABC):
                     expected = " or ".join(t.__name__ for t in accepted).replace("NoneType", "None")
                     raise ValueError(
                         f"parameter {name!r} of {self.info.name} takes {expected}, got {value!r}"
+                    )
+                least = self.param_minimums.get(name)
+                if least is not None and value is not None and value < least:
+                    raise ValueError(
+                        f"parameter {name!r} of {self.info.name} must be at least {least}, "
+                        f"got {value!r}"
                     )
             merged.update(params)
         merged.setdefault("seed", DEFAULT_SEED)

@@ -63,6 +63,7 @@ class FftBenchmark(Benchmark):
 
     # 4096-point FFT, cutoff 4: 1023 internal + 1024 leaf tasks.
     default_params = {"n": 1 << 12, "cutoff": 4}
+    param_minimums = {"n": 1, "cutoff": 1}
 
     def make_root(self, params: Mapping[str, Any]) -> tuple[Callable[..., Any], tuple]:
         return _fft_root, (params["n"], params["cutoff"], params["seed"])

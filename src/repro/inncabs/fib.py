@@ -50,6 +50,7 @@ class FibBenchmark(Benchmark):
     # fib(21) creates 2*F(22)-1 = 35,421 tasks in the paper's shape;
     # n=19 keeps runs fast (13,529 tasks) at identical grain size.
     default_params = {"n": 19, "leaf_ns": 900, "combine_ns": 1250}
+    param_minimums = {"n": 0, "leaf_ns": 0, "combine_ns": 0}
 
     def make_root(self, params: Mapping[str, Any]) -> tuple[Callable[..., Any], tuple]:
         return _fib_task, (params["n"], params["leaf_ns"], params["combine_ns"])

@@ -161,6 +161,7 @@ class FloorplanBenchmark(Benchmark):
     )
 
     default_params = {"cells": DEFAULT_CELLS, "cutoff": 5, "task_limit": None}
+    param_minimums = {"cutoff": 0, "task_limit": 0}
 
     def make_root(self, params: Mapping[str, Any]) -> tuple[Callable[..., Any], tuple]:
         return _floorplan_root, (

@@ -173,6 +173,7 @@ class HealthBenchmark(Benchmark):
     # The per-step village count exceeds the scaled thread budget, so
     # the std::async version aborts (paper: health fails).
     default_params = {"levels": 7, "branching": 4, "steps": 3}
+    param_minimums = {"levels": 0, "branching": 0, "steps": 0}
 
     def make_root(self, params: Mapping[str, Any]) -> tuple[Callable[..., Any], tuple]:
         return _health_root, (

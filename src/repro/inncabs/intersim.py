@@ -79,6 +79,7 @@ class IntersimBenchmark(Benchmark):
 
     # 40 rounds x 160 tasks = 6,400 tasks over 24 interchanges.
     default_params = {"rounds": 40, "tasks_per_round": 160, "interchanges": 24}
+    param_minimums = {"rounds": 0, "tasks_per_round": 0, "interchanges": 1}
 
     def make_root(self, params: Mapping[str, Any]) -> tuple[Callable[..., Any], tuple]:
         return _intersim_root, (

@@ -87,6 +87,7 @@ class NQueensBenchmark(Benchmark):
     # the spawned frontier exceeds the scaled thread budget under
     # std::async (paper: nqueens fails).
     default_params = {"n": 12, "cutoff": 4}
+    param_minimums = {"n": 0, "cutoff": 0}
 
     def make_root(self, params: Mapping[str, Any]) -> tuple[Callable[..., Any], tuple]:
         return _nqueens_root, (params["n"], params["cutoff"])

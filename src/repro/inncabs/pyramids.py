@@ -128,6 +128,7 @@ class PyramidsBenchmark(Benchmark):
     # 64ki cells, 96 steps in chunks of 16: 6 chunks x (127 tasks) ~ 760 tasks;
     # leaf tasks update 16*(4096+32) ~ 66k cells -> ~215 us + memory time.
     default_params = {"width": 1 << 16, "steps": 96, "chunk": 16, "block": 1 << 12}
+    param_minimums = {"width": 1, "steps": 0, "chunk": 1, "block": 1}
 
     def make_root(self, params: Mapping[str, Any]) -> tuple[Callable[..., Any], tuple]:
         return _pyramids_root, (

@@ -152,6 +152,7 @@ class QapBenchmark(Benchmark):
     )
 
     default_params = {"n": 8, "cutoff": 4}
+    param_minimums = {"n": 0, "cutoff": 0}
 
     def make_root(self, params: Mapping[str, Any]) -> tuple[Callable[..., Any], tuple]:
         return _qap_root, (params["n"], params["cutoff"], params["seed"])

@@ -71,6 +71,7 @@ class RoundBenchmark(Benchmark):
 
     # 32 players x 16 rounds = 512 tasks, exactly the paper's count.
     default_params = {"players": 32, "rounds": 16}
+    param_minimums = {"players": 2, "rounds": 0}  # a lone player locks one mutex twice
 
     def make_root(self, params: Mapping[str, Any]) -> tuple[Callable[..., Any], tuple]:
         return _round_root, (params["players"], params["rounds"])

@@ -125,6 +125,7 @@ class SortBenchmark(Benchmark):
 
     # ~1,600 tasks: 128 leaf sorts, 127 sorters, ~1,300 merge tasks.
     default_params = {"n": 1 << 19, "cutoff": 1 << 12}
+    param_minimums = {"n": 0, "cutoff": 1}
 
     def make_root(self, params: Mapping[str, Any]) -> tuple[Callable[..., Any], tuple]:
         return _sort_root, (params["n"], params["cutoff"], params["seed"])

@@ -169,6 +169,7 @@ class SparseLuBenchmark(Benchmark):
 
     # 14x14 blocks of 96x96: ~900 tasks at ~1 ms each.
     default_params = {"nb": 14, "bs": 96}
+    param_minimums = {"nb": 1, "bs": 1}
 
     def make_root(self, params: Mapping[str, Any]) -> tuple[Callable[..., Any], tuple]:
         return _sparselu_root, (params["nb"], params["bs"], params["seed"])

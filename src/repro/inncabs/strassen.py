@@ -94,6 +94,7 @@ class StrassenBenchmark(Benchmark):
 
     # 256x256 with 32 cutoff: 7^3 = 343 leaves, 400 tasks total.
     default_params = {"n": 256, "cutoff": 32}
+    param_minimums = {"n": 1, "cutoff": 1}
 
     def make_root(self, params: Mapping[str, Any]) -> tuple[Callable[..., Any], tuple]:
         return _strassen_root, (params["n"], params["cutoff"], params["seed"])

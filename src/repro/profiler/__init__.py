@@ -26,9 +26,9 @@ Task Parallel Programs"):
 """
 
 from repro.profiler.analysis import CriticalStep, DagAnalysis, ParallelismPoint
-from repro.profiler.builder import ProfileBuilder, ProfileConfig
+from repro.profiler.builder import ProfileBuilder, ProfileConfig, build_profile
 from repro.profiler.events import EVENT_KINDS, TRACE_EVENT_NS, TaskEvent, TraceRecorder
-from repro.profiler.report import FunctionProfile, RunProfile, build_profile, render_profile
+from repro.profiler.report import FunctionProfile, RunProfile, render_profile
 from repro.profiler.whatif import WhatIfResult, WhatIfSpec, parse_what_if
 
 __all__ = [

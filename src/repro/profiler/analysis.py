@@ -25,7 +25,7 @@ the identical path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping
 
 
 @dataclass(frozen=True)
@@ -68,123 +68,105 @@ class DagAnalysis:
 
 def analyze_dag(
     *,
-    tids: Collection[int],
+    parents: Mapping[int, int | None],
+    ended: Iterable[int],
+    joins: Mapping[int, Collection[int]],
     busy: Mapping[int, int],
     description: Mapping[int, str],
-    spawns: Collection[tuple[int, int]],
-    joins: Collection[tuple[int, int]],
     scale: tuple[str, float] | None = None,
 ) -> DagAnalysis:
-    """Analyse the phase-split task DAG.
+    """Analyse the phase-split task DAG in one walk.
+
+    *parents* maps every task of the DAG to its parent (``None`` for a
+    root) in creation order, *ended* lists the terminated tasks in
+    termination order and *joins* maps each waiter to its producers.
+    Both orders are topological — a child is created after its parent,
+    and a join's producer terminates before its waiter can be joined —
+    so the s-nodes are walked in creation order, then the e-nodes in
+    termination order, followed by those of the tasks still running.
+    The tie-breaks below make the result the same for any topological
+    order; a join whose producer is not yet walked is a corrupt trace.
 
     ``scale=(body, factor)`` re-weights every task of that body by
     *factor* before the longest-path computation — the virtual-speedup
     half of a what-if experiment.  ``factor=1.0`` reproduces the
     baseline analysis exactly (integer weights are untouched).
     """
-    body = factor = None
-    if scale is not None:
-        body, factor = scale
-
-    def weight(tid: int) -> int:
-        w = busy.get(tid, 0)
-        if factor is not None and description.get(tid) == body:
-            w = int(round(w * factor))
-        return w
-
-    if not tids:
+    if not parents:
         return DagAnalysis(
             work_ns=0, span_ns=0, tasks=0, edges=0, critical_path=(), critical_body_ns=()
         )
+    body, factor = scale if scale is not None else (None, None)
 
-    # Node encoding: s(tid) = 2*tid, e(tid) = 2*tid+1.
-    preds: dict[int, list[int]] = {}
-    succs: dict[int, list[int]] = {}
-    nodes: list[int] = []
-    for tid in tids:
-        s, e = 2 * tid, 2 * tid + 1
-        nodes.append(s)
-        nodes.append(e)
-        preds.setdefault(s, [])
-        preds.setdefault(e, []).append(s)  # internal s -> e edge
-        succs.setdefault(s, []).append(e)
-        succs.setdefault(e, [])
-    for parent, child in spawns:
-        preds[2 * child].append(2 * parent)
-        succs[2 * parent].append(2 * child)
-    for producer, waiter in joins:
-        preds[2 * waiter + 1].append(2 * producer + 1)
-        succs[2 * producer + 1].append(2 * waiter + 1)
+    # s(tid): its only predecessor is the parent's s-node.
+    s_dist: dict[int, int] = {}
+    work = spawns = 0
+    for tid, parent in parents.items():
+        w = busy.get(tid, 0)
+        if factor is not None and description.get(tid) == body:
+            w = int(round(w * factor))
+        work += w
+        if parent is None:
+            s_dist[tid] = w
+        else:
+            s_dist[tid] = s_dist[parent] + w
+            spawns += 1
 
-    order = _topological_order(nodes, preds, succs)
+    # e(tid), weight 0: the best of s(tid) and its producers' e-nodes,
+    # the smallest node id among equals (s(t) = 2t, e(t) = 2t + 1).
+    order = [tid for tid in ended if tid in s_dist]
+    if len(order) < len(s_dist):
+        done = set(order)
+        order += [tid for tid in parents if tid not in done]
+    e_dist: dict[int, int] = {}
+    e_pred: dict[int, int] = {}
+    for tid in order:
+        best, dist = 2 * tid, s_dist[tid]
+        for producer in joins.get(tid, ()):
+            d = e_dist.get(producer)
+            if d is None:
+                raise ValueError(
+                    f"trace is not in causal order: task {tid} joins task {producer} "
+                    "before it terminated"
+                )
+            node = 2 * producer + 1
+            if d > dist or (d == dist and node < best):
+                best, dist = node, d
+        e_dist[tid] = dist
+        e_pred[tid] = best
 
-    dist: dict[int, int] = {}
-    best_pred: dict[int, int | None] = {}
-    for node in order:
-        own = weight(node // 2) if node % 2 == 0 else 0
-        best: int | None = None
-        best_dist = 0
-        for p in preds[node]:
-            d = dist[p]
-            if best is None or d > best_dist or (d == best_dist and p < best):
-                best, best_dist = p, d
-        dist[node] = best_dist + own
-        best_pred[node] = best
-
-    end: int | None = None
-    span = 0
-    for node in order:
-        d = dist[node]
-        if end is None or d > span or (d == span and node < end):
-            end, span = node, d
-
-    chain: list[int] = []
-    node = end
-    while node is not None:
-        if node % 2 == 0:
-            chain.append(node // 2)
-        node = best_pred[node]
+    # The path end: the smallest node id among the longest distances
+    # (an e-node is never shorter than its own s-node).
+    span = max(e_dist.values())
+    end = min(2 * t if s_dist[t] == span else 2 * t + 1 for t, d in e_dist.items() if d == span)
+    chain: list[tuple[int, int]] = []  # (tid, weight) per s-node, from the end back
+    cursor: int | None = end
+    while cursor is not None:
+        tid = cursor >> 1
+        if cursor & 1:
+            cursor = e_pred[tid]
+        else:
+            parent = parents[tid]
+            above = 0 if parent is None else s_dist[parent]
+            chain.append((tid, s_dist[tid] - above))
+            cursor = None if parent is None else 2 * parent
     chain.reverse()
 
     steps = tuple(
-        CriticalStep(tid=tid, description=description.get(tid, "?"), busy_ns=weight(tid))
-        for tid in chain
+        CriticalStep(tid=tid, description=description.get(tid, "?"), busy_ns=w) for tid, w in chain
     )
     by_body: dict[str, int] = {}
     for step in steps:
         by_body[step.description] = by_body.get(step.description, 0) + step.busy_ns
 
     return DagAnalysis(
-        work_ns=sum(weight(tid) for tid in tids),
+        work_ns=work,
         span_ns=span,
-        tasks=len(tids),
-        edges=len(spawns) + len(joins),
+        tasks=len(parents),
+        edges=spawns + sum(map(len, joins.values())),
         critical_path=steps,
         critical_body_ns=tuple(sorted(by_body.items(), key=lambda kv: (-kv[1], kv[0]))),
     )
-
-
-def _topological_order(
-    nodes: Sequence[int],
-    preds: Mapping[int, list[int]],
-    succs: Mapping[int, list[int]],
-) -> list[int]:
-    """Kahn's algorithm; raises on cycles (a corrupt trace)."""
-    indegree = {node: len(preds[node]) for node in nodes}
-    ready = sorted(node for node in nodes if indegree[node] == 0)
-    order: list[int] = []
-    head = 0
-    while head < len(ready):
-        node = ready[head]
-        head += 1
-        order.append(node)
-        for succ in succs[node]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready.append(succ)
-    if len(order) != len(nodes):
-        raise ValueError("trace produced a cyclic dependency graph")
-    return order
 
 
 def parallelism_points(deltas: Iterable[tuple[int, int]]) -> tuple[ParallelismPoint, ...]:

@@ -2,30 +2,38 @@
 
 :class:`ProfileBuilder` subscribes to the runtime's ProbeBus trace hook
 (composing with any other subscriber, e.g. a plain
-:class:`~repro.profiler.events.TraceRecorder`) and maintains — while
-the run executes — everything the analysis layer needs:
+:class:`~repro.profiler.events.TraceRecorder`) and folds each event,
+in the one call the hook makes, into everything the analysis layer
+needs:
 
-- the task DAG structure (spawn edges from ``create`` events, join
-  edges from ``depend`` events), mirroring the node/edge universe of
-  the legacy networkx extraction exactly;
-- per-task and per-body busy aggregates through the shared
-  busy-interval accumulator (one aggregation path with the flat
-  profile);
-- the ±1 interval deltas behind the time-resolved parallelism profile;
+- the task DAG structure: spawn edges from ``create`` events and join
+  edges from ``depend`` events, mirroring the node/edge universe of the
+  legacy networkx extraction exactly.  The fold also keeps the two
+  orders the run itself gives, which are topological: tasks in the
+  order they were created (a parent before its children) and in the
+  order they terminated (a join's producer before its waiter), so the
+  analysis walks the DAG once, without sorting it;
+- per-task and per-body busy aggregates (the flat profile; the
+  post-mortem :func:`build_profile` replays a recorded event list
+  through this same fold);
+- the ±1 interval deltas behind the time-resolved parallelism profile,
+  with its peak;
 - optionally the raw event list (``keep_events=True``) for
   Chrome-trace export.
 
 Like tracing, profiling perturbs: attaching charges
-:data:`~repro.profiler.events.TRACE_EVENT_NS` per event to the
-runtime, so a profiled run is *not* bit-identical to an unprofiled one
-— what-if replays therefore profile too, keeping baseline and replay
-under identical instrumentation.
+:data:`~repro.profiler.events.TRACE_EVENT_NS` of instrumentation to
+the runtime, paid once per task activation (hpx) or thread dispatch
+(std), so a profiled run is *not* bit-identical to an unprofiled one.
+A what-if replay pays the same charge without a builder (see
+:meth:`repro.api.Session.run`), so baseline and replay run under
+identical instrumentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from repro.profiler.analysis import (
     DagAnalysis,
@@ -33,12 +41,8 @@ from repro.profiler.analysis import (
     analyze_dag,
     parallelism_points,
 )
-from repro.profiler.events import TRACE_EVENT_NS, TaskEvent
-from repro.profiler.report import (
-    ParallelismSummary,
-    RunProfile,
-    _FlatAccumulator,
-)
+from repro.profiler.events import TRACE_EVENT_NS, TaskEvent, event_sort_key
+from repro.profiler.report import FunctionProfile, ParallelismSummary, RunProfile
 from repro.profiler.whatif import WhatIfResult, WhatIfSpec
 
 
@@ -66,14 +70,30 @@ class ProfileConfig:
 
 
 class ProfileBuilder:
-    """Incremental task-DAG and profile state for one run."""
+    """Incremental task-DAG and profile state for one run.
+
+    Busy-interval semantics: only ``activate`` opens an interval;
+    ``suspend``/``terminate`` close it (``resume`` is queue re-staging,
+    not execution).  An ``activate`` on an already-open task restarts
+    its interval, and a close without an open interval is ignored.
+    """
 
     def __init__(self, runtime: Any, *, keep_events: bool = False) -> None:
         self.runtime = runtime
-        self._acc = _FlatAccumulator()
-        self._dag_tids: set[int] = set()
-        self._spawns: set[tuple[int, int]] = set()
-        self._joins: set[tuple[int, int]] = set()
+        # The flat profile and the busy-interval state.
+        self._profiles: dict[str, FunctionProfile] = {}
+        self._busy: dict[int, int] = {}
+        self._total_busy_ns = 0
+        self._active: dict[int, int] = {}
+        #: (time_ns, ±1) per interval open/close, in event order.
+        self._deltas: list[tuple[int, int]] = []
+        self._change_ns: int | None = None
+        self._peak = 0
+        # The DAG: every task with its parent, in creation order; the
+        # terminated tasks in termination order; each waiter's producers.
+        self._parents: dict[int, int | None] = {}
+        self._ended: list[int] = []
+        self._joins: dict[int, set[int]] = {}
         self._descriptions: dict[int, str] = {}
         self._events: list[TaskEvent] | None = [] if keep_events else None
         self._event_count = 0
@@ -83,7 +103,7 @@ class ProfileBuilder:
     # -- life cycle ------------------------------------------------------
 
     def attach(self) -> None:
-        """Subscribe to the trace hook and start charging the event cost."""
+        """Subscribe to the trace hook and start charging the profiler's cost."""
         if self._attached:
             return
         self._attached = True
@@ -107,43 +127,62 @@ class ProfileBuilder:
     # -- the trace hook --------------------------------------------------
 
     def _on_event(self, time_ns: int, kind: str, task: Any, aux: int | None) -> None:
-        tid = task.tid
+        """Fold one event.  *aux* is the worker, or the producer tid of a ``depend``."""
         self._event_count += 1
-        if kind == "create":
-            self._descriptions[tid] = task.description
-            self._dag_tids.add(tid)
-            parent = task.parent_tid
-            if parent is not None:
-                self._dag_tids.add(parent)
-                self._spawns.add((parent, tid))
-        elif kind == "depend":
-            # aux is the producer tid for join edges.
-            self._descriptions.setdefault(tid, task.description)
-            if aux is not None:
-                self._dag_tids.add(tid)
-                self._dag_tids.add(aux)
-                self._joins.add((aux, tid))
-        else:
-            self._descriptions.setdefault(tid, task.description)
-        self._acc.feed(time_ns, kind, tid, task.description)
         if self._events is not None:
-            if kind == "depend":
-                worker: int | None = None
-                related: int | None = aux
-            elif kind == "create":
-                worker, related = aux, task.parent_tid
+            self._events.append(_task_event(time_ns, kind, task, aux))
+        description = task.description
+        profile = self._profiles.get(description)
+        if profile is None:
+            profile = self._profiles[description] = FunctionProfile(description)
+        tid = task.tid
+        if kind == "activate":
+            active = self._active
+            if tid not in active:
+                if time_ns != self._change_ns:  # the previous change point settled
+                    if len(active) > self._peak:
+                        self._peak = len(active)
+                    self._change_ns = time_ns
+                self._deltas.append((time_ns, 1))
+                if tid not in self._busy:  # a task leaves `active` only into `_busy`
+                    profile.tasks += 1
+            active[tid] = time_ns
+            profile.activations += 1
+        elif kind == "suspend" or kind == "terminate":
+            active = self._active
+            start = active.get(tid)
+            if start is not None:
+                if time_ns != self._change_ns:
+                    if len(active) > self._peak:
+                        self._peak = len(active)
+                    self._change_ns = time_ns
+                del active[tid]
+                busy = time_ns - start
+                profile.busy_ns += busy
+                self._busy[tid] = self._busy.get(tid, 0) + busy
+                self._total_busy_ns += busy
+                self._deltas.append((time_ns, -1))
+            if kind == "terminate":
+                self._ended.append(tid)
+        elif kind == "create":
+            parents = self._parents
+            parent = task.parent_tid
+            if parent is not None and parent not in parents:
+                parents[parent] = None
+            parents[tid] = parent
+            self._descriptions[tid] = description
+        elif kind == "depend" and aux is not None:
+            parents = self._parents
+            if tid not in parents:
+                parents[tid] = None
+                self._descriptions[tid] = description
+            if aux not in parents:
+                parents[aux] = None
+            producers = self._joins.get(tid)
+            if producers is None:
+                self._joins[tid] = {aux}
             else:
-                worker, related = aux, None
-            self._events.append(
-                TaskEvent(
-                    time_ns=time_ns,
-                    kind=kind,
-                    tid=tid,
-                    description=task.description,
-                    worker=worker,
-                    related=related,
-                )
-            )
+                producers.add(aux)
 
     # -- live views (the /profiler counters read these) ------------------
 
@@ -154,19 +193,24 @@ class ProfileBuilder:
     @property
     def work_ns(self) -> int:
         """Total busy time closed so far, across all profiled tasks."""
-        return self._acc.total_busy_ns
+        return self._total_busy_ns
 
     @property
     def active_count(self) -> int:
         """Task bodies busy right now — instantaneous logical parallelism."""
-        return self._acc.active_count
+        return len(self._active)
+
+    @property
+    def profiles(self) -> dict[str, FunctionProfile]:
+        """The flat profile so far: {task body name: aggregate}."""
+        return self._profiles
 
     def body_busy_ns(self, body: str) -> int:
-        profile = self._acc.profiles.get(body)
+        profile = self._profiles.get(body)
         return profile.busy_ns if profile is not None else 0
 
     def body_names(self) -> tuple[str, ...]:
-        return tuple(self._acc.profiles)
+        return tuple(self._profiles)
 
     # -- analysis --------------------------------------------------------
 
@@ -185,16 +229,16 @@ class ProfileBuilder:
 
     def _analyze(self, *, scale: tuple[str, float] | None) -> DagAnalysis:
         return analyze_dag(
-            tids=self._dag_tids,
-            busy=self._acc.task_busy,
-            description=self._descriptions,
-            spawns=self._spawns,
+            parents=self._parents,
+            ended=self._ended,
             joins=self._joins,
+            busy=self._busy,
+            description=self._descriptions,
             scale=scale,
         )
 
     def parallelism(self) -> tuple[ParallelismPoint, ...]:
-        return parallelism_points(self._acc.deltas)
+        return parallelism_points(self._deltas)
 
     # -- the report ------------------------------------------------------
 
@@ -209,12 +253,9 @@ class ProfileBuilder:
     ) -> RunProfile:
         """Freeze the builder state into the post-run report."""
         analysis = self.analysis()
-        points = self.parallelism()
-        mean = self._acc.total_busy_ns / makespan_ns if makespan_ns else 0.0
-        peak = max((p.active for p in points), default=0)
-        flat = tuple(
-            sorted(self._acc.profiles.values(), key=lambda p: (-p.busy_ns, p.name))
-        )
+        mean = self._total_busy_ns / makespan_ns if makespan_ns else 0.0
+        peak = max(self._peak, len(self._active))  # the last change point settles now
+        flat = tuple(sorted(self._profiles.values(), key=lambda p: (-p.busy_ns, p.name)))
         return RunProfile(
             workload=workload,
             runtime=runtime,
@@ -227,8 +268,45 @@ class ProfileBuilder:
             flat=flat,
             critical_path=analysis.critical_path,
             critical_body_ns=analysis.critical_body_ns,
-            parallelism=ParallelismSummary(mean=mean, peak=peak, points=points),
+            parallelism=ParallelismSummary(mean=mean, peak=peak, deltas=tuple(self._deltas)),
             what_if=what_if,
             trace_events=self._event_count,
             events=tuple(self._events) if self._events is not None else None,
         )
+
+
+def _task_event(time_ns: int, kind: str, task: Any, aux: int | None) -> TaskEvent:
+    """The recorded form of one hook call (``keep_events``)."""
+    if kind == "depend":
+        worker, related = None, aux
+    elif kind == "create":
+        worker, related = aux, task.parent_tid
+    else:
+        worker, related = aux, None
+    return TaskEvent(
+        time_ns=time_ns,
+        kind=kind,
+        tid=task.tid,
+        description=task.description,
+        worker=worker,
+        related=related,
+    )
+
+
+def build_profile(trace: Any) -> dict[str, FunctionProfile]:
+    """Flat profile of a recorded trace: {task body name: aggregate}.
+
+    Busy time is the sum of activate->(suspend|terminate) intervals —
+    the same quantity the ``/threads/time/*`` counters measure live,
+    but reconstructed after the fact from the event stream, through
+    the live builder's own fold (each :class:`TaskEvent` stands in for
+    its task).  Events are replayed in the stable total order of
+    :func:`~repro.profiler.events.event_sort_key`, so ties at the same
+    ``(time_ns, tid)`` aggregate deterministically.
+    """
+    events: Iterable[TaskEvent] = trace.events if hasattr(trace, "events") else trace
+    fold = ProfileBuilder(None)
+    for event in sorted(events, key=event_sort_key):
+        aux = event.related if event.kind == "depend" else event.worker
+        fold._on_event(event.time_ns, event.kind, event, aux)
+    return fold.profiles

@@ -21,8 +21,9 @@ instances are discovered before the run starts, when no body has
 executed yet.  A parameterized counter reads 0 until its body appears.
 The counters only exist when a :class:`~repro.profiler.builder.
 ProfileBuilder` is attached to the run (``Session.run(profile=...)``);
-the builder itself carries the per-event instrumentation charge, so
-these derived counters add none.
+the builder itself carries the profiler's instrumentation charge
+(:data:`~repro.profiler.events.TRACE_EVENT_NS` per hpx activation or
+std dispatch), so these derived counters add none.
 
 ``critical-path-ns`` and ``work-span-ratio`` re-analyse the DAG on
 read (cached per trace event count) — cheap at query rates, not meant

@@ -1,9 +1,11 @@
 """The task-event model shared by the profiler and the legacy trace.
 
 One :class:`TaskEvent` per task life-cycle transition, delivered by the
-ProbeBus trace hook.  Recording has a cost — each event charges
-:data:`TRACE_EVENT_NS` of instrumentation to the runtime (tracing
-perturbs; the in-situ counters are the cheap path), exactly like the
+ProbeBus trace hook.  Recording has a cost: attaching a recorder or a
+profiler adds :data:`TRACE_EVENT_NS` to the runtime's per-activation
+instrumentation charge (``ProbeBus.instrument_ns``), paid once per task
+activation on hpx and once per thread dispatch on std — not once per
+delivered event.  Tracing perturbs the run it observes, like the
 post-mortem tools the paper contrasts the counter framework with.
 
 Busy-interval semantics (shared by every consumer in this package):
@@ -18,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-#: Per-event recording cost charged to the runtime while tracing
-#: (buffer write + timestamp; post-mortem tools pay at least this).
+#: Recording cost added to ``ProbeBus.instrument_ns`` while a recorder
+#: or profiler is attached (buffer write + timestamp; post-mortem tools
+#: pay at least this): charged once per hpx activation or std dispatch.
 TRACE_EVENT_NS = 35
 
 EVENT_KINDS = ("create", "activate", "suspend", "resume", "terminate", "depend")
@@ -56,6 +59,12 @@ class TaskEvent:
     worker: int | None  # executing worker, None for create/depend events
     related: int | None = None
 
+    @property
+    def parent_tid(self) -> int | None:
+        """The parent tid of a ``create`` event, so that a recorded event
+        can stand in for its task when a trace is replayed."""
+        return self.related if self.kind == "create" else None
+
 
 def event_sort_key(event: TaskEvent) -> tuple[int, int, int]:
     """The stable total sort key ``(time_ns, tid, kind-rank)``.
@@ -84,7 +93,7 @@ class TraceRecorder:
     # -- life cycle ----------------------------------------------------
 
     def attach(self) -> None:
-        """Start recording (and start charging the per-event cost)."""
+        """Start recording (and start charging the recording cost)."""
         if self._attached:
             return
         self._attached = True

@@ -1,10 +1,9 @@
-"""Flat-profile aggregation and the post-run profile report.
+"""The flat profile rows and the post-run profile report.
 
-:class:`_FlatAccumulator` is the *single* busy-interval engine of the
-profiler: the streaming :class:`~repro.profiler.builder.ProfileBuilder`
-feeds it live from the trace hook, and the post-mortem
-:func:`build_profile` replays a recorded event list through the
-identical transitions — one aggregation path, two call sites.
+:class:`FunctionProfile` is one task body's row of the flat profile,
+which :class:`~repro.profiler.builder.ProfileBuilder` folds live from
+the trace hook and :func:`~repro.profiler.builder.build_profile`
+rebuilds post mortem through the same fold.
 
 :class:`RunProfile` is the immutable end product: flat profile,
 critical path, parallelism summary and any what-if experiments, as
@@ -15,10 +14,11 @@ printed by ``repro profile``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from functools import cached_property
+from typing import Any, Sequence
 
-from repro.profiler.analysis import CriticalStep, ParallelismPoint
-from repro.profiler.events import TaskEvent, event_sort_key
+from repro.profiler.analysis import CriticalStep, ParallelismPoint, parallelism_points
+from repro.profiler.events import TaskEvent
 from repro.profiler.whatif import WhatIfResult
 
 
@@ -34,69 +34,6 @@ class FunctionProfile:
     @property
     def mean_task_ns(self) -> float:
         return self.busy_ns / self.tasks if self.tasks else 0.0
-
-
-class _FlatAccumulator:
-    """Busy-interval state machine shared by live and post-mortem paths.
-
-    Only ``activate`` opens an interval; ``suspend``/``terminate``
-    close it (``resume`` is queue re-staging, not execution).  An
-    ``activate`` on an already-open task restarts its interval, and a
-    close without an open interval is ignored — both defensive
-    behaviours inherited from the original aggregator.
-    """
-
-    __slots__ = ("profiles", "task_busy", "total_busy_ns", "deltas", "_active", "_activated")
-
-    def __init__(self) -> None:
-        self.profiles: dict[str, FunctionProfile] = {}
-        self.task_busy: dict[int, int] = {}
-        self.total_busy_ns = 0
-        #: (time_ns, ±1) per interval open/close, in event order.
-        self.deltas: list[tuple[int, int]] = []
-        self._active: dict[int, int] = {}
-        self._activated: set[int] = set()
-
-    @property
-    def active_count(self) -> int:
-        """Tasks currently inside a busy interval (logical parallelism *now*)."""
-        return len(self._active)
-
-    def feed(self, time_ns: int, kind: str, tid: int, description: str) -> None:
-        profile = self.profiles.setdefault(description, FunctionProfile(description))
-        if kind == "activate":
-            if tid not in self._active:
-                self.deltas.append((time_ns, 1))
-            self._active[tid] = time_ns
-            profile.activations += 1
-            if tid not in self._activated:
-                self._activated.add(tid)
-                profile.tasks += 1
-        elif kind == "suspend" or kind == "terminate":
-            start = self._active.pop(tid, None)
-            if start is not None:
-                busy = time_ns - start
-                profile.busy_ns += busy
-                self.task_busy[tid] = self.task_busy.get(tid, 0) + busy
-                self.total_busy_ns += busy
-                self.deltas.append((time_ns, -1))
-
-
-def build_profile(trace: Any) -> dict[str, FunctionProfile]:
-    """Flat profile: {task body name: aggregate}.
-
-    Busy time is the sum of activate->(suspend|terminate) intervals —
-    the same quantity the ``/threads/time/*`` counters measure live,
-    but reconstructed after the fact from the event stream.  Events are
-    replayed in the stable total order of
-    :func:`~repro.profiler.events.event_sort_key`, so ties at the same
-    ``(time_ns, tid)`` aggregate deterministically.
-    """
-    events: Iterable[TaskEvent] = trace.events if hasattr(trace, "events") else trace
-    acc = _FlatAccumulator()
-    for event in sorted(events, key=event_sort_key):
-        acc.feed(event.time_ns, event.kind, event.tid, event.description)
-    return acc.profiles
 
 
 def render_profile(profiles: dict[str, FunctionProfile]) -> str:
@@ -118,13 +55,19 @@ class ParallelismSummary:
     """Time-resolved logical parallelism of one run.
 
     ``mean`` is the time-weighted average number of simultaneously busy
-    task bodies over the makespan; ``peak`` the maximum; ``points`` the
-    change-point series (the waterfall the Chrome-trace export draws).
+    task bodies over the makespan; ``peak`` the maximum; ``deltas`` the
+    raw ``(time_ns, ±1)`` busy-interval opens and closes, from which
+    ``points``, the change-point series (the waterfall the Chrome-trace
+    export draws), is built on first read.
     """
 
     mean: float
     peak: int
-    points: tuple[ParallelismPoint, ...] = ()
+    deltas: tuple[tuple[int, int], ...] = field(default=(), repr=False)
+
+    @cached_property
+    def points(self) -> tuple[ParallelismPoint, ...]:
+        return parallelism_points(self.deltas)
 
 
 @dataclass(frozen=True)

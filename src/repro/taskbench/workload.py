@@ -103,6 +103,7 @@ class TaskBenchBenchmark(Benchmark):
         "membytes": 0,
         "degree": 3.0,
     }
+    param_minimums = {"width": 1, "steps": 1, "grain_ns": 0, "membytes": 0}
 
     def make_root(self, params: Mapping[str, Any]) -> tuple[Callable[..., Any], tuple]:
         return _taskbench_root, (

@@ -54,6 +54,13 @@ REFUSED = {
     "profile-cohort": {"profile": True, "params": {"mode": "cohort"}},
     "param-type": {"params": {"n": "abc"}},
     "seed-twice": {"params": {"seed": 5}},
+    # Values below a parameter's minimum: each of these runs for ever
+    # (the first four) or deadlocks, so the table must never run them.
+    "sort-cutoff-0": {"benchmarks": ("sort:cutoff=0",)},
+    "pyramids-block-0": {"benchmarks": ("pyramids:block=0",)},
+    "pyramids-chunk-0": {"benchmarks": ("pyramids:chunk=0",)},
+    "strassen-cutoff-0": {"benchmarks": ("strassen:cutoff=0",)},
+    "round-players-1": {"benchmarks": ("round:players=1",)},
 }
 
 

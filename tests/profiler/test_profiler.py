@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from repro.api import Session, TelemetryConfig
+from repro.api import RunSpec, Session, TelemetryConfig
 from repro.exec.modes import CohortIneligibleError
-from repro.profiler import ProfileBuilder, ProfileConfig, TraceRecorder, build_profile
+from repro.profiler import ProfileBuilder, ProfileConfig, TaskEvent, TraceRecorder, build_profile
 from repro.profiler.whatif import WhatIfSpec
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
@@ -70,7 +70,7 @@ def test_critical_path_sums_to_span():
 
 def test_flat_fold_equals_post_mortem_build_profile():
     builder, recorder, _rt, _e, _v = profiled(fib_body, 10)
-    live = {p.name: (p.tasks, p.activations, p.busy_ns) for p in builder._acc.profiles.values()}
+    live = {p.name: (p.tasks, p.activations, p.busy_ns) for p in builder.profiles.values()}
     post = {
         name: (p.tasks, p.activations, p.busy_ns)
         for name, p in build_profile(recorder).items()
@@ -94,6 +94,31 @@ def test_parallelism_points_are_well_formed():
     assert all(p.active >= 0 for p in points)
     assert points[-1].active == 0  # everything closed at the end
     assert max(p.active for p in points) <= 4  # never more than the workers
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RunSpec("fib", {"n": 10}, cores=4, counters=(), profile=True),
+        RunSpec("round", {"players": 8, "rounds": 4}, cores=4, counters=(), profile=True),
+        # Aborted: intervals still open at the end.
+        RunSpec("health", runtime="std", cores=4, counters=(), profile=True),
+    ],
+)
+def test_folded_peak_is_the_series_maximum(spec):
+    parallelism = Session().run(spec).profile.parallelism
+    assert parallelism.peak == max(p.active for p in parallelism.points)
+
+
+def test_folded_peak_counts_settled_change_points_only():
+    # At t=10 task 2 opens before task 1 closes: the running count
+    # touches 2, but the series settles t=10 at 1, as it does t=0.
+    builder = ProfileBuilder(None)
+    for time_ns, kind, tid in [(0, "activate", 1), (10, "activate", 2), (10, "suspend", 1)]:
+        builder._on_event(time_ns, kind, TaskEvent(time_ns, kind, tid, "body", 0), 0)
+    profile = builder.finalize(workload="w", runtime="hpx", cores=2, makespan_ns=20)
+    assert [(p.time_ns, p.active) for p in profile.parallelism.points] == [(0, 1), (10, 1)]
+    assert profile.parallelism.peak == 1
 
 
 # -- the Session path --------------------------------------------------------
@@ -131,7 +156,7 @@ def test_unprofiled_run_is_not_perturbed():
     assert bare.profile is None
     assert bare.exec_time_ns == again.exec_time_ns
     profiled_run = _run("fib:n=10", profile=True)
-    # Profiling charges per-event instrumentation, like the recorder.
+    # Profiling charges instrumentation per activation, like the recorder.
     assert profiled_run.exec_time_ns > bare.exec_time_ns
 
 

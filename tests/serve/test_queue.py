@@ -61,6 +61,9 @@ def test_minimal_request_defaults():
         ({"workload": "sort", "mode": "cohort"}, "no cohort plan"),
         ({"benchmark": "fib", "params": {"n": "abc"}}, "parameter 'n' of fib takes int"),
         ({"benchmark": "uts", "params": {"seed": 5}}, "root seed"),
+        ({"workload": "sort:cutoff=0"}, "parameter 'cutoff' of sort must be at least 1"),
+        ({"workload": "pyramids:chunk=0"}, "parameter 'chunk' of pyramids must be at least 1"),
+        ({"benchmark": "round", "params": {"players": 1}}, "'players' of round must be at least 2"),
     ],
 )
 def test_invalid_bodies_name_the_problem(body, fragment):

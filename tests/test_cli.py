@@ -687,6 +687,11 @@ USER_ERRORS = [
     ["run", "fib", "--workload", "sort"],
     ["run", "fib", "--param", "bogus"],
     ["run", "fib", "--param", "n=abc"],
+    # parameters below their minimum (each crashed inside the run or
+    # reported a wrong answer)
+    ["run", "alignment", "--param", "nseq=1"],
+    ["run", "fft", "--param", "n=0"],
+    ["run", "fib", "--param", "n=-3"],
     ["run", "sort", "--preset", "paper"],
     ["counters", "query", "/no-such/counter", "--param", "n=8"],
     ["campaign", "--benchmarks", "sort", "--preset", "paper", "--no-cache"],

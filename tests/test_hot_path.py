@@ -27,13 +27,20 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.api import Session, TelemetryConfig, WorkloadSpec
+from repro.api import RunSpec, Session, TelemetryConfig, WorkloadSpec
 from repro.simcore.events import Engine
 from repro.simcore.record import load_stream
 from tests.fixtures.generate_golden import GOLDEN_RUNS
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+
+#: The golden profile's run (``tests/profiler/test_golden_profile.py``):
+#: its profiled baseline and its what-if replay are counted together.
+PROFILED = "fib_hpx_profiled"
+PROFILED_RUN = RunSpec(
+    "fib", {"n": 16}, runtime="hpx", cores=4, counters=(), what_if=(("fib", 50),)
+)
 
 #: Calls into repro code during Engine.run, per golden run.
 BUDGETS = {
@@ -42,10 +49,13 @@ BUDGETS = {
     "health_hpx": 40_371,
     "fib_std": 32_057,
     "health_std": 11_605,
+    PROFILED: 359_442,
 }
 
 
 def _run_golden(name: str, engine_factory=Engine):
+    if name == PROFILED:
+        return Session(engine_factory=engine_factory).run(PROFILED_RUN)
     benchmark, runtime, cores, params, collect = GOLDEN_RUNS[name]
     session = Session(runtime=runtime, cores=cores, engine_factory=engine_factory)
     return session.run(
@@ -56,7 +66,8 @@ def _run_golden(name: str, engine_factory=Engine):
 
 
 def _count_calls(name: str) -> tuple[int, int]:
-    """(calls into repro code during Engine.run, engine events) of one run."""
+    """(calls into repro code during Engine.run, engine events) of one run;
+    a profiled run's count includes its what-if replays."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -78,9 +89,10 @@ def _count_calls(name: str) -> tuple[int, int]:
 
 def count_golden_calls() -> dict[str, tuple[int, int]]:
     """Warm up on every golden run, then count each one once more."""
-    for name in GOLDEN_RUNS:  # imports, caches, lazy set-up
+    names = [*GOLDEN_RUNS, PROFILED]
+    for name in names:  # imports, caches, lazy set-up
         _run_golden(name)
-    return {name: _count_calls(name) for name in GOLDEN_RUNS}
+    return {name: _count_calls(name) for name in names}
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +121,15 @@ def test_hot_path_call_budget(call_counts, name):
     assert calls <= BUDGETS[name], (
         f"{name}: {calls} calls into repro during Engine.run "
         f"({calls / events:.2f} per event), budget {BUDGETS[name]}"
+    )
+
+
+def test_profiled_run_call_budget(call_counts):
+    calls, events = call_counts[PROFILED]
+    assert events == 17_580  # the profiled baseline's
+    assert calls <= BUDGETS[PROFILED], (
+        f"{PROFILED}: {calls} calls into repro during the baseline's and the "
+        f"replay's Engine.run, budget {BUDGETS[PROFILED]}"
     )
 
 

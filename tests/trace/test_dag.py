@@ -85,7 +85,7 @@ def test_wide_fan_out_parallelism():
 
 
 def test_work_matches_profile_totals():
-    from repro.profiler.report import build_profile
+    from repro.profiler import build_profile
 
     recorder, _, _, _ = traced(fib_body, 10)
     ws = work_span(recorder)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.profiler.events import TRACE_EVENT_NS, TraceRecorder
-from repro.profiler.report import build_profile, render_profile
+from repro.profiler import build_profile, render_profile
 from repro.runtime.scheduler import HpxRuntime
 from repro.simcore.events import Engine
 from repro.simcore.machine import Machine

@@ -61,3 +61,15 @@ def test_duplicate_registration_rejected():
     entry = get_workload("fib")
     with pytest.raises(ValueError, match="already registered"):
         register_workload(WorkloadEntry(name="fib", family="test", benchmark=entry.benchmark))
+
+
+def test_each_parameter_minimum_is_its_bound():
+    for name in available_workloads():
+        bench = get_workload(name).benchmark
+        for param, least in bench.param_minimums.items():
+            default = bench.default_params[param]
+            assert default is None or default >= least, (name, param)
+            assert bench.params_with_defaults({param: least})[param] == least
+            message = f"parameter '{param}' of {name} must be at least {least}, got {least - 1}"
+            with pytest.raises(ValueError, match=message):
+                bench.params_with_defaults({param: least - 1})
