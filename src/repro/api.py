@@ -439,7 +439,10 @@ class Session:
         interval and buffer, and ``profile`` attaches the causal
         profiler (a :class:`~repro.profiler.builder.ProfileConfig`, or
         ``True``).  The run is validated before any simulation state
-        is built.
+        is built.  A task body that raises, and whose exception no
+        waiting task catches, ends the run with
+        :class:`~repro.exec.errors.TaskFailed` naming the task, the
+        body's exception as its ``__cause__``.
 
         Every counter reading flows through one
         :class:`~repro.telemetry.pipeline.TelemetryPipeline`: the result
@@ -576,7 +579,10 @@ class Session:
                     makespan_ns=engine.now,
                 )
             return out
-        result = future.value()
+        try:
+            result = future.value()
+        except Exception as exc:  # a task body raised: name it
+            raise rt.task_failed(exc) from exc
         if pipeline is not None:
             values = pipeline.sample(reset=True)
             out.counters = {v.name: v.value for v in values}

@@ -38,7 +38,8 @@ A user's mistake ends the same way on every subcommand: single-argument
 checks are argparse converters, and :func:`main` turns the library's
 validation errors (``ValueError``) into ``error: <message>`` on stderr
 and exit status 2.  Errors from a running simulation
-(``DeadlockError``, ``SimulationError``) keep their traceback.
+(``DeadlockError``, ``SimulationError``, and ``TaskFailed`` when a task
+body raises, even a ``ValueError``) keep their traceback and exit 1.
 """
 
 from __future__ import annotations

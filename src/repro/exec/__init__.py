@@ -36,6 +36,7 @@ from repro.exec.errors import (
     DeadlockError,
     ExecutionError,
     ResourceExhausted,
+    TaskFailed,
     describe_tasks,
     format_stall,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "ResourceExhausted",
     "SchedulerBackend",
     "SchedulerProbe",
+    "TaskFailed",
     "WorkerProbe",
     "describe_tasks",
     "format_stall",

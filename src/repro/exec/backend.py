@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from repro.exec.errors import DeadlockError, ResourceExhausted, format_stall
+from repro.exec.errors import DeadlockError, ResourceExhausted, TaskFailed, format_stall
 from repro.exec.interp import EffectInterpreter, WorkRewriter
 from repro.exec.probes import ProbeBus, SchedulerProbe
 from repro.model.effects import Await, AwaitAll, Lock, Unlock
@@ -75,6 +75,9 @@ class SchedulerBackend:
         # Worker whose task is settling its future: the waker of every
         # waiter that settlement wakes (None outside retirement).
         self._fulfil_worker: Any = None
+        # The task whose body first raised each exception, by its id: a
+        # waiting parent that does not catch re-raises the same object.
+        self._raised_by: dict[int, tuple[BaseException, str]] = {}
 
     @property
     def num_workers(self) -> int:
@@ -219,7 +222,15 @@ class SchedulerBackend:
 
     def fail(self, worker: Any, task: Any, exc: BaseException) -> None:
         """The task body raised: retire it, propagate through its future."""
+        self._raised_by.setdefault(id(exc), (exc, f"task {task.tid} {task.description}"))
         self._retire(worker, task, task.future.set_exception, exc)
+
+    def task_failed(self, exc: BaseException) -> TaskFailed:
+        """The error naming the task whose body raised *exc* (raise it
+        ``from exc``)."""
+        raised = self._raised_by.get(id(exc))
+        who = raised[1] if raised is not None and raised[0] is exc else "a task"
+        return TaskFailed(f"{who} raised {type(exc).__name__}: {exc}")
 
     def _retire(self, worker: Any, task: Any, settle: Callable[[Any], None], outcome: Any) -> None:
         cost = self._cleanup(worker, task)

@@ -1,11 +1,12 @@
 """Execution failure modes shared by every scheduler backend.
 
-Both runtimes fail the same two ways: the event queue drains while
-tasks are still waiting (deadlock), or the simulated process exhausts a
-resource budget (the kernel model's committed-memory abort).  The
-errors live here so callers can catch one hierarchy regardless of
-backend, and the diagnostics name the tasks involved — count plus the
-first few task labels — instead of a bare message.
+Both runtimes fail the same three ways: the event queue drains while
+tasks are still waiting (deadlock), the simulated process exhausts a
+resource budget (the kernel model's committed-memory abort), or a task
+body raises and nothing catches it before the root task.  The errors
+live here so callers can catch one hierarchy regardless of backend,
+and the diagnostics name the tasks involved — count plus the first few
+task labels — instead of a bare message.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ class DeadlockError(ExecutionError):
 
 class ResourceExhausted(ExecutionError):
     """The process ran out of memory for thread stacks (paper: 'Abort')."""
+
+
+class TaskFailed(ExecutionError):
+    """A task body raised; the message names the task, ``__cause__`` is
+    the body's exception."""
 
 
 def describe_tasks(

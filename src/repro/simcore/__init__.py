@@ -8,7 +8,7 @@ runs are bit-for-bit deterministic.
 """
 
 from repro.simcore.clock import MS, NS_PER_S, US, from_us, ms, ns_to_s, ns_to_us, s, us
-from repro.simcore.events import Engine, EventQueue, SimulationError, Timer
+from repro.simcore.events import Engine, SimulationError, Timer
 from repro.simcore.machine import Core, Machine
 from repro.simcore.rng import derive_rng, derive_seed
 from repro.simcore.topology import BindMode, Topology
@@ -20,7 +20,6 @@ __all__ = [
     "BindMode",
     "Core",
     "Engine",
-    "EventQueue",
     "Machine",
     "SimulationError",
     "Timer",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.simcore.events import Engine, EventQueue, SimulationError
+from repro.simcore.events import Engine, SimulationError
 
 
 def test_engine_starts_at_zero(engine):
@@ -109,26 +109,26 @@ def test_events_processed_counter(engine):
     assert engine.events_processed == 7
 
 
-def test_queue_len_skips_cancelled():
-    q = EventQueue()
-    h1 = q.push(5, lambda: None)
-    q.push(6, lambda: None)
+def test_queue_len_skips_cancelled(engine):
+    fired = []
+    h1 = engine.schedule(5, fired.append, 5)
+    engine.schedule(6, fired.append, 6)
     h1.cancel()
-    assert len(q) == 1
-    assert q.peek_time() == 6
+    assert engine.pending_events == 1
+    engine.run()
+    assert fired == [6]
+    assert engine.now == 6
 
 
-def test_queue_pop_order():
-    q = EventQueue()
-    q.push(5, lambda: "b")
-    q.push(3, lambda: "a")
-    q.push(5, lambda: "c")
-    assert q.pop().time == 3
-    first_five = q.pop()
-    second_five = q.pop()
-    assert (first_five.time, second_five.time) == (5, 5)
-    assert first_five.seq < second_five.seq
-    assert q.pop() is None
+def test_queue_pop_order(engine):
+    fired = []
+    timers = {}
+    for label, time in (("b", 5), ("a", 3), ("c", 5)):
+        timers[label] = engine.schedule_at(time, lambda label=label: fired.append(label))
+    engine.run()
+    assert fired == ["a", "b", "c"]
+    assert timers["b"].time == timers["c"].time == 5
+    assert timers["b"].seq < timers["c"].seq
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=50))

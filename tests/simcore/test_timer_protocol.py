@@ -96,6 +96,22 @@ def test_reschedule_validation():
         timer.reschedule(at=engine.now - 1)  # in the past
 
 
+def test_exhausted_budget_leaves_the_refused_event_queued():
+    """The event past ``max_events`` is not dispatched: its handle stays
+    active and the live count stays exact."""
+    engine = Engine(max_events=1)
+    first = engine.schedule(1, lambda: None)
+    refused = engine.schedule(2, lambda: None)
+    with pytest.raises(SimulationError, match="budget"):
+        engine.run()
+    assert (engine.now, engine.events_processed) == (1, 1)
+    assert not first.active
+    assert refused.active
+    assert engine.pending_events == 1
+    refused.cancel()
+    assert engine.pending_events == 0
+
+
 def test_event_alias_is_gone():
     # The deprecated _Event alias was removed; Timer is the only name.
     import repro.simcore.events as events

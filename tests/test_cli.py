@@ -12,6 +12,10 @@ import pytest
 import repro
 from repro.campaign.artifact import ARTIFACT_SCHEMA
 from repro.cli import main
+from repro.exec.errors import TaskFailed
+from repro.inncabs.base import Benchmark, BenchmarkInfo
+from repro.workloads import registry as workload_registry
+from repro.workloads.registry import WorkloadEntry, available_workloads
 
 #: A committed artifact holding fib and sort cells only.
 SMOKE_BASELINE = Path(__file__).resolve().parent.parent / "results" / "baseline_smoke.json"
@@ -719,6 +723,45 @@ def test_user_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     assert "error: " in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# -- a failed run is not a user error ---------------------------------------------
+
+
+class _RaisingBenchmark(Benchmark):
+    """A workload whose body raises ``ValueError`` after one compute."""
+
+    info = BenchmarkInfo(
+        name="raiser",
+        structure="loop-like",
+        synchronization="none",
+        paper_task_duration_us=0.1,
+        paper_granularity="fine",
+        paper_scaling_std="-",
+        paper_scaling_hpx="-",
+    )
+
+    def make_root(self, params):
+        def raiser(ctx):
+            yield ctx.compute(100)
+            raise ValueError("bad value inside the simulation")
+
+        return raiser, ()
+
+    def verify(self, result, params):
+        return True
+
+
+def test_failed_run_is_not_a_user_error(monkeypatch):
+    """A task body's ``ValueError`` ends ``repro run`` with ``TaskFailed``,
+    which ``main`` lets through (a traceback and exit 1), not with the
+    ``error:`` line and exit 2 of a user's mistake."""
+    available_workloads()  # fill the registry before adding to it
+    entry = WorkloadEntry(name="raiser", family="test", benchmark=_RaisingBenchmark())
+    monkeypatch.setitem(workload_registry._WORKLOADS, "raiser", entry)
+    with pytest.raises(TaskFailed, match=r"task \d+ raiser.* raised ValueError: bad value") as info:
+        main(["run", "raiser", "--cores", "2"])
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 # -- a reader that closes stdout early -------------------------------------------

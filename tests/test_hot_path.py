@@ -44,12 +44,12 @@ PROFILED_RUN = RunSpec(
 
 #: Calls into repro code during Engine.run, per golden run.
 BUDGETS = {
-    "fib_hpx": 161_385,
-    "uts_hpx": 23_486,
-    "health_hpx": 40_371,
-    "fib_std": 32_057,
-    "health_std": 11_605,
-    PROFILED: 359_442,
+    "fib_hpx": 161_303,
+    "uts_hpx": 23_479,
+    "health_hpx": 40_168,
+    "fib_std": 31_581,
+    "health_std": 11_438,
+    PROFILED: 359_352,
 }
 
 
