@@ -252,7 +252,9 @@ class SchedulerBackend:
         """Mark *task* blocked on *worker*; ``suspend`` closes its busy interval."""
         task.state = self.SUSPENDED
         self.stats.suspended_tasks += 1
-        self.probes.emit(self.engine.now, "suspend", task, worker.index)
+        trace = self.probes.trace
+        if trace is not None:
+            trace(self.engine.now, "suspend", task, worker.index)
 
     # -- policy hooks ------------------------------------------------------
 

@@ -46,13 +46,15 @@ class EffectInterpreter:
     yielded effect to the backend handler that implements it.  Backends
     schedule ``interp.step`` on the event engine wherever they used to
     schedule their private step function.  The first step calls the
-    task's body, ``task.fn(ctx, *task.args)``, to create ``task.gen``.
+    task's body, ``task.fn(ctx, *task.args)``, to create ``task.gen``;
+    every task of the backend shares that one :class:`TaskContext`.
     """
 
-    __slots__ = ("backend", "_handlers", "compute_rewriter")
+    __slots__ = ("backend", "_ctx", "_handlers", "compute_rewriter")
 
     def __init__(self, backend: Any) -> None:
         self.backend = backend
+        self._ctx = TaskContext(backend)
         self.compute_rewriter: WorkRewriter | None = None
         self._handlers: dict[type, Handler] = {
             Compute: backend.do_compute,
@@ -96,7 +98,7 @@ class EffectInterpreter:
             return
         gen = task.gen
         if gen is None:  # first activation: bind the body to its context
-            gen = task.fn(TaskContext(backend, task), *task.args)
+            gen = task.fn(self._ctx, *task.args)
             # The exact-type test spares plain generators the ABC check.
             if gen.__class__ is not GeneratorType and not isinstance(gen, Generator):
                 raise TypeError(f"task body {task.description!r} must be a generator function")

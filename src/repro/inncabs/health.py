@@ -19,12 +19,11 @@ of thousands of tiny tasks per step, each a pthread.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.inncabs.base import Benchmark, BenchmarkInfo
-from repro.simcore.rng import derive_seed
+from repro.simcore.rng import seed_prefix
 
 TASK_NS = 700  # base per-village step cost
 PATIENT_NS = 60  # additional cost per patient processed
@@ -32,7 +31,7 @@ PATIENT_NS = 60  # additional cost per patient processed
 _U64 = float(2**64)
 
 
-@dataclass
+@dataclass(slots=True)
 class VillageState:
     """Mutable per-village counters."""
 
@@ -41,7 +40,7 @@ class VillageState:
     referred: int = 0
     # Patients referred up to this village, keyed by the step in which
     # the referral happened; consumed at the following step.
-    inbox: dict[int, int] = field(default_factory=lambda: defaultdict(int))
+    inbox: dict[int, int] = field(default_factory=dict)
 
 
 def _village_children(village_id: int, level: int, levels: int, branching: int) -> list[int]:
@@ -54,9 +53,12 @@ def _parent_of(village_id: int, branching: int) -> int:
     return (village_id - 1) // branching
 
 
-def _arrivals(seed: int, village_id: int, step: int) -> int:
-    """0-3 new patients, deterministic per (village, step)."""
-    return derive_seed(seed, "health", village_id, step) % 4
+def _arrival_draw(prefix: Any, village_id: int, step: int) -> int:
+    """``derive_seed(seed, "health", village_id, step)``, finished on a
+    copy of the seed's ``seed_prefix(seed, "health")``."""
+    h = prefix.copy()
+    h.update(b"%d/%d" % (village_id, step))
+    return int.from_bytes(h.digest(), "little")
 
 
 def _treat_capacity(level: int) -> int:
@@ -64,14 +66,17 @@ def _treat_capacity(level: int) -> int:
     return 3 if level == 0 else 2
 
 
-def _refers(seed: int, village_id: int, step: int) -> bool:
-    """Whether one waiting patient is referred up this step (~25%)."""
-    return (derive_seed(seed, "health", village_id, step, "refer") / _U64) < 0.25
+def _referral_draw(prefix: Any, village_id: int, step: int) -> int:
+    """``derive_seed(seed, "health", village_id, step, "refer")``, finished
+    on a copy of the seed's ``seed_prefix(seed, "health")``."""
+    h = prefix.copy()
+    h.update(b"%d/%d/'refer'" % (village_id, step))
+    return int.from_bytes(h.digest(), "little")
 
 
 def step_village(
     state: dict[int, VillageState],
-    seed: int,
+    prefix: Any,
     village_id: int,
     level: int,
     step: int,
@@ -80,19 +85,31 @@ def step_village(
     """Process one village for one step; returns patients handled.
 
     Shared between the task body and the sequential reference so both
-    runtimes and the verifier agree exactly.
+    runtimes and the verifier agree exactly.  *prefix* is the seed's
+    ``seed_prefix(seed, "health")``.
     """
-    village = state.setdefault(village_id, VillageState())
-    village.waiting += village.inbox.pop(step - 1, 0)
-    village.waiting += _arrivals(seed, village_id, step)
+    village = state.get(village_id)
+    if village is None:
+        village = state[village_id] = VillageState()
+    # 0-3 new patients, deterministic per (village, step), join the
+    # referrals that arrived during the previous step.
+    village.waiting += village.inbox.pop(step - 1, 0) + _arrival_draw(prefix, village_id, step) % 4
     handled = min(village.waiting, _treat_capacity(level))
     village.waiting -= handled
     village.treated += handled
-    if village.waiting > 0 and level > 0 and _refers(seed, village_id, step):
+    # One waiting patient is referred up with probability ~25%.
+    if (
+        village.waiting > 0
+        and level > 0
+        and _referral_draw(prefix, village_id, step) / _U64 < 0.25
+    ):
         village.waiting -= 1
         village.referred += 1
-        parent = _parent_of(village_id, branching)
-        state.setdefault(parent, VillageState()).inbox[step] += 1
+        parent_id = _parent_of(village_id, branching)
+        parent = state.get(parent_id)
+        if parent is None:
+            parent = state[parent_id] = VillageState()
+        parent.inbox[step] = parent.inbox.get(step, 0) + 1
     return handled
 
 
@@ -108,7 +125,7 @@ def _collect(state: dict[int, VillageState]) -> tuple[int, int, int]:
 def _village_task(
     ctx: Any,
     state: dict,
-    seed: int,
+    prefix: Any,
     village_id: int,
     level: int,
     step: int,
@@ -118,10 +135,10 @@ def _village_task(
     futures = []
     for child in _village_children(village_id, level, levels, branching):
         fut = yield ctx.async_(
-            _village_task, state, seed, child, level + 1, step, levels, branching
+            _village_task, state, prefix, child, level + 1, step, levels, branching
         )
         futures.append(fut)
-    handled = step_village(state, seed, village_id, level, step, branching)
+    handled = step_village(state, prefix, village_id, level, step, branching)
     yield ctx.compute(TASK_NS + PATIENT_NS * handled, membytes=256)
     if futures:
         child_totals = yield ctx.wait_all(futures)
@@ -131,9 +148,10 @@ def _village_task(
 
 def _health_root(ctx: Any, levels: int, branching: int, steps: int, seed: int):
     state: dict[int, VillageState] = {}
+    prefix = seed_prefix(seed, "health")  # one hash per run, shared by every task
     total = 0
     for step in range(steps):
-        fut = yield ctx.async_(_village_task, state, seed, 0, 0, step, levels, branching)
+        fut = yield ctx.async_(_village_task, state, prefix, 0, 0, step, levels, branching)
         total += yield ctx.wait(fut)
     treated, waiting, referred = _collect(state)
     return total, treated, waiting, referred
@@ -142,13 +160,14 @@ def _health_root(ctx: Any, levels: int, branching: int, steps: int, seed: int):
 def health_reference(levels: int, branching: int, steps: int, seed: int) -> tuple:
     """Sequential simulation with identical per-village decisions."""
     state: dict[int, VillageState] = {}
+    prefix = seed_prefix(seed, "health")
     total = 0
 
     def recurse(village_id: int, level: int, step: int) -> int:
         handled = 0
         for child in _village_children(village_id, level, levels, branching):
             handled += recurse(child, level + 1, step)
-        handled += step_village(state, seed, village_id, level, step, branching)
+        handled += step_village(state, prefix, village_id, level, step, branching)
         return handled
 
     for step in range(steps):

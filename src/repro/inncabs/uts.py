@@ -16,34 +16,41 @@ from typing import Any, Callable, Mapping
 from repro.inncabs.base import Benchmark, BenchmarkInfo
 from repro.model.population import CohortPlan, TaskCohort
 from repro.model.work import Work
-from repro.simcore.rng import derive_seed
+from repro.simcore.rng import seed_prefix
 
 NODE_NS = 1_050  # per-node processing cost
 
 _U64 = float(2**64)
 
 
-def _num_children(seed: int, node_id: int, m: int, q: float, depth: int, max_depth: int) -> int:
+def _node_draw(prefix: Any, node_id: int) -> int:
+    """``derive_seed(seed, "uts", node_id)``, finished on a copy of the
+    seed's ``seed_prefix(seed, "uts")``."""
+    h = prefix.copy()
+    h.update(b"%d" % node_id)
+    return int.from_bytes(h.digest(), "little")
+
+
+def _num_children(prefix: Any, node_id: int, m: int, q: float, depth: int, max_depth: int) -> int:
     if depth >= max_depth:
         return 0
-    draw = derive_seed(seed, "uts", node_id) / _U64
-    return m if draw < q else 0
+    return m if _node_draw(prefix, node_id) / _U64 < q else 0
 
 
 def _uts_task(
-    ctx: Any, seed: int, node_id: int, depth: int, b0: int, m: int, q: float, max_depth: int
+    ctx: Any, prefix: Any, node_id: int, depth: int, b0: int, m: int, q: float, max_depth: int
 ):
     yield ctx.compute(NODE_NS, membytes=128)
     if depth == 0:
         n_children = b0
     else:
-        n_children = _num_children(seed, node_id, m, q, depth, max_depth)
+        n_children = _num_children(prefix, node_id, m, q, depth, max_depth)
     if n_children == 0:
         return 1
     futures = []
     for i in range(n_children):
         child_id = node_id * 61 + i + 1  # deterministic path id
-        fut = yield ctx.async_(_uts_task, seed, child_id, depth + 1, b0, m, q, max_depth)
+        fut = yield ctx.async_(_uts_task, prefix, child_id, depth + 1, b0, m, q, max_depth)
         futures.append(fut)
     counts = yield ctx.wait_all(futures)
     return 1 + sum(counts)
@@ -51,12 +58,13 @@ def _uts_task(
 
 def uts_reference_count(seed: int, b0: int, m: int, q: float, max_depth: int) -> int:
     """Sequential tree size with the identical child-count derivation."""
+    prefix = seed_prefix(seed, "uts")
     total = 0
     stack = [(0, 0)]  # (node_id, depth)
     while stack:
         node_id, depth = stack.pop()
         total += 1
-        n_children = b0 if depth == 0 else _num_children(seed, node_id, m, q, depth, max_depth)
+        n_children = b0 if depth == 0 else _num_children(prefix, node_id, m, q, depth, max_depth)
         for i in range(n_children):
             stack.append((node_id * 61 + i + 1, depth + 1))
     return total
@@ -77,8 +85,9 @@ class UtsBenchmark(Benchmark):
     default_params = {"b0": 40, "m": 4, "q": 0.31, "max_depth": 22}
 
     def make_root(self, params: Mapping[str, Any]) -> tuple[Callable[..., Any], tuple]:
+        # Every task shares the seed's hashed prefix (one hash per run).
         return _uts_task, (
-            params["seed"],
+            seed_prefix(params["seed"], "uts"),
             0,
             0,
             params["b0"],

@@ -36,6 +36,14 @@ from repro.simcore.topology import BindMode, Topology
 
 __all__ = ["StdRuntime"]
 
+# Hot-path aliases: `state is _BLOCKED` instead of enum-member loads.
+_RUNNABLE = ThreadState.RUNNABLE
+_RUNNING = ThreadState.RUNNING
+_BLOCKED = ThreadState.BLOCKED
+_TERMINATED = ThreadState.TERMINATED
+_ASYNC = LaunchPolicy.ASYNC
+_FORK = LaunchPolicy.FORK
+
 
 class _KCore:
     __slots__ = ("index", "core_index", "socket", "current", "stats")
@@ -51,8 +59,11 @@ class _KCore:
 class StdRuntime(SchedulerBackend):
     """Facade mirroring :class:`repro.runtime.scheduler.HpxRuntime`.
 
-    Costs are read from ``self.params`` on every use: a subclass may
-    replace the params after construction (see ``repro.tools.base``).
+    Costs are read from ``self.params`` on every use (the per-event
+    handlers load it once per call, never at construction): a subclass
+    may replace the params after construction (see ``repro.tools.base``).
+    The per-event handlers book their charges, lock waits and trace
+    events inline, as the HPX handlers do.
     """
 
     name = "std"
@@ -78,7 +89,11 @@ class StdRuntime(SchedulerBackend):
         super().__init__(engine, machine, params or StdParams(), workers, KernelProbe())
         self.run_queue: deque[OSThread] = deque()
         self._root_future: SimFuture | None = None
-        # Simulated global scheduler lock: the time until which it is held.
+        # Simulated global scheduler lock: the time until which it is
+        # held.  A user (dispatch and wake hold it for runqueue_hold_ns,
+        # an async spawn for create_hold_ns) queues behind the current
+        # holder, so contention emerges on the shared time line; each
+        # user books its wait plus its hold inline.
         self._lock_free_at = 0
 
     # ------------------------------------------------------------------
@@ -194,37 +209,41 @@ class StdRuntime(SchedulerBackend):
         deferred: bool = False,
         is_main: bool = False,
     ) -> OSThread:
+        now = self.engine.now
+        tid = self._next_tid
+        self._next_tid = tid + 1
         thread = OSThread(
-            self._next_tid,
+            tid,
             fn,
             args,
             home_socket=home_socket,
-            created_at=self.engine.now,
-            parent_tid=parent.tid if parent else None,
+            created_at=now,
+            parent_tid=None if parent is None else parent.tid,
             deferred=deferred,
             is_main=is_main,
         )
-        self._next_tid += 1
-        self.stats.tasks_created += 1
-        self._live[thread.tid] = thread
-        self.probes.emit(self.engine.now, "create", thread, None)
-        if not deferred:
-            self._commit_memory(thread)
-        return thread
-
-    def _commit_memory(self, thread: OSThread) -> None:
-        thread.committed = True
         stats = self.stats
-        stats.live_tasks += 1
-        if stats.live_tasks > stats.peak_live_tasks:
-            stats.peak_live_tasks = stats.live_tasks
-        stats.committed_bytes += self.params.thread_commit_bytes
-        if stats.committed_bytes > self.params.ram_budget_bytes:
-            self._abort(
-                f"thread stacks exhausted memory: {stats.live_tasks} live "
-                f"threads x {self.params.thread_commit_bytes} B > "
-                f"{self.params.ram_budget_bytes} B budget"
-            )
+        stats.tasks_created += 1
+        self._live[tid] = thread
+        trace = self.probes.trace
+        if trace is not None:
+            trace(now, "create", thread, None)
+        if not deferred:
+            # A real thread commits its stack and task_struct at creation.
+            params = self.params
+            thread.committed = True
+            live = stats.live_tasks + 1
+            stats.live_tasks = live
+            if live > stats.peak_live_tasks:
+                stats.peak_live_tasks = live
+            stats.committed_bytes += params.thread_commit_bytes
+            if stats.committed_bytes > params.ram_budget_bytes:
+                self._abort(
+                    f"thread stacks exhausted memory: {live} live "
+                    f"threads x {params.thread_commit_bytes} B > "
+                    f"{params.ram_budget_bytes} B budget"
+                )
+        return thread
 
     def _abort(self, reason: str) -> None:
         self.aborted = True
@@ -240,45 +259,47 @@ class StdRuntime(SchedulerBackend):
     # dispatch loop
     # ------------------------------------------------------------------
 
-    def _lock_delay(self, hold_ns: int) -> int:
-        """Serialize on the global scheduler lock for *hold_ns*.
-
-        Returns the total delay (queueing + hold) the caller must wait.
-        Contention is emergent: concurrent lock users queue behind each
-        other on the shared time line.
-        """
-        start = max(self.engine.now, self._lock_free_at)
-        self._lock_free_at = start + hold_ns
-        return self._lock_free_at - self.engine.now
-
     def _dispatch(self) -> None:
         """Assign runnable threads to free cores (lowest index first)."""
         if self.aborted:
             return
+        run_queue = self.run_queue
+        if not run_queue:
+            return
+        params = self.params
+        probes = self.probes
+        engine = self.engine
+        now = engine.now
         stats = self.stats
         for core in self.workers:
-            if not self.run_queue:
+            if not run_queue:
                 return
             if core.current is not None:
                 continue
-            thread = self.run_queue.popleft()
+            thread = run_queue.popleft()
             core.current = thread
-            thread.state = ThreadState.RUNNING
+            thread.state = _RUNNING
             thread.slices += 1
             stats.dispatches += 1
             stats.phases += 1
             if thread.staged_at is not None:
-                stats.pending_wait_ns += self.engine.now - thread.staged_at
+                stats.pending_wait_ns += now - thread.staged_at
                 stats.pending_waits += 1
                 thread.staged_at = None
-            cost = (
-                self.params.context_switch_ns
-                + self.probes.instrument_ns
-                + self._lock_delay(self.params.runqueue_hold_ns)
-            )
-            self._charge_overhead(core, thread, cost)
-            self.probes.emit(self.engine.now, "activate", thread, core.index)
-            self.engine.call_later(cost, self._run, core, thread)
+            # Queue on the scheduler lock, then hold it.
+            start = self._lock_free_at
+            if now > start:
+                start = now
+            self._lock_free_at = start + params.runqueue_hold_ns
+            cost = params.context_switch_ns + probes.instrument_ns + (self._lock_free_at - now)
+            thread.overhead_ns += cost
+            stats.overhead_ns += cost
+            cstats = core.stats
+            cstats.overhead_ns += cost
+            cstats.busy_ns += cost
+            if probes.trace is not None:
+                probes.trace(now, "activate", thread, core.index)
+            engine.call_later(cost, self._run, core, thread)
 
     def _free_core(self, core: _KCore) -> None:
         core.current = None
@@ -317,19 +338,24 @@ class StdRuntime(SchedulerBackend):
         self._compute_work(core, thread, effect.work)
 
     def _compute_work(self, core: _KCore, thread: OSThread, work: Work) -> None:
-        quantum = self.params.time_slice_ns
+        params = self.params
+        quantum = params.time_slice_ns
         if work.cpu_ns > quantum and self.run_queue:
             part, rest = work.split_at(quantum)
         else:
             part, rest = work, None
         cross = (
-            self.params.cross_socket_data_fraction
+            params.cross_socket_data_fraction
             if thread.home_socket != core.socket and part.membytes > 0
             else 0.0
         )
-        ticket = self.machine.segment_begin(core.core_index, part, cross_socket_fraction=cross)
+        ticket = self.machine.segment_begin(core.core_index, part, cross)
         duration = ticket.duration_ns
-        self._charge_exec(core, thread, duration)
+        thread.exec_ns += duration
+        self.stats.exec_ns += duration
+        cstats = core.stats
+        cstats.exec_ns += duration
+        cstats.busy_ns += duration
         self.engine.call_later(duration, self._finish_compute, core, thread, ticket, part, rest)
 
     def _finish_compute(
@@ -352,18 +378,30 @@ class StdRuntime(SchedulerBackend):
         policy = _POLICY_BY_NAME.get(effect.policy)
         if policy is None:
             policy = LaunchPolicy.parse(effect.policy)
-        if policy is LaunchPolicy.ASYNC or policy is LaunchPolicy.FORK:
+        if policy is _ASYNC or policy is _FORK:
             # fork does not exist in std; Inncabs maps it to async.
-            cost = self.params.thread_create_ns + self._lock_delay(self.params.create_hold_ns)
+            params = self.params
+            engine = self.engine
+            now = engine.now
+            # Queue on the scheduler lock, then hold it.
+            start = self._lock_free_at
+            if now > start:
+                start = now
+            self._lock_free_at = start + params.create_hold_ns
+            cost = params.thread_create_ns + (self._lock_free_at - now)
             child = self._make_thread(
                 effect.fn, effect.args, home_socket=core.socket, parent=thread
             )
             if self.aborted:
                 return
-            self._charge_exec(core, thread, cost)
-            child.staged_at = self.engine.now
+            thread.exec_ns += cost
+            self.stats.exec_ns += cost
+            cstats = core.stats
+            cstats.exec_ns += cost
+            cstats.busy_ns += cost
+            child.staged_at = now
             self.run_queue.append(child)
-            self.engine.call_later(cost, self._created, core, thread, child)
+            engine.call_later(cost, self._created, core, thread, child)
             return
         if policy is LaunchPolicy.DEFERRED:
             child = self._make_thread(
@@ -430,8 +468,13 @@ class StdRuntime(SchedulerBackend):
     def _block(self, core: _KCore, thread: OSThread) -> None:
         """Futex wait: the thread leaves its core until woken."""
         cost = self.params.block_ns
-        self._charge_overhead(core, thread, cost)
-        self.stats.blocks += 1
+        thread.overhead_ns += cost
+        stats = self.stats
+        stats.overhead_ns += cost
+        cstats = core.stats
+        cstats.overhead_ns += cost
+        cstats.busy_ns += cost
+        stats.blocks += 1
         self._suspend(core, thread)
         self.engine.call_later(cost, self._free_core, core)
 
@@ -439,18 +482,29 @@ class StdRuntime(SchedulerBackend):
         """Future set / mutex granted: move *thread* to the run queue."""
         if self.aborted:
             return
-        self.stats.wakes += 1
-        cost = self.params.wake_ns + self._lock_delay(self.params.runqueue_hold_ns)
-        self.stats.overhead_ns += cost
+        params = self.params
+        engine = self.engine
+        now = engine.now
+        stats = self.stats
+        stats.wakes += 1
+        # Queue on the scheduler lock, then hold it.
+        start = self._lock_free_at
+        if now > start:
+            start = now
+        self._lock_free_at = start + params.runqueue_hold_ns
+        cost = params.wake_ns + (self._lock_free_at - now)
+        stats.overhead_ns += cost
         thread.overhead_ns += cost
         thread.pending_send = send_value
-        if thread.state is ThreadState.BLOCKED:
-            self.stats.suspended_tasks -= 1
-        thread.state = ThreadState.RUNNABLE
-        thread.staged_at = self.engine.now
+        if thread.state is _BLOCKED:
+            stats.suspended_tasks -= 1
+        thread.state = _RUNNABLE
+        thread.staged_at = now
         self.run_queue.append(thread)
-        self.probes.emit(self.engine.now, "resume", thread, None)
-        self.engine.call_later(cost, self._dispatch)
+        trace = self.probes.trace
+        if trace is not None:
+            trace(now, "resume", thread, None)
+        engine.call_later(cost, self._dispatch)
 
     def do_yield(self, core: _KCore, thread: OSThread, effect: YieldNow) -> None:
         cost = self.params.context_switch_ns
@@ -465,14 +519,20 @@ class StdRuntime(SchedulerBackend):
     # -- retirement -----------------------------------------------------------------
 
     def _cleanup(self, core: _KCore, thread: OSThread) -> int:
-        thread.state = ThreadState.TERMINATED
+        thread.state = _TERMINATED
         cost = 0
+        stats = self.stats
         # Deferred/sync children never committed memory; real threads did.
         if thread.committed:
-            self.stats.live_tasks -= 1
-            self.stats.committed_bytes -= self.params.thread_commit_bytes
-            cost = self.params.thread_destroy_ns
-        self._charge_overhead(core, thread, cost)
+            params = self.params
+            stats.live_tasks -= 1
+            stats.committed_bytes -= params.thread_commit_bytes
+            cost = params.thread_destroy_ns
+        thread.overhead_ns += cost
+        stats.overhead_ns += cost
+        cstats = core.stats
+        cstats.overhead_ns += cost
+        cstats.busy_ns += cost
         return cost
 
     def _release(self, core: _KCore, thread: OSThread, cost: int) -> None:

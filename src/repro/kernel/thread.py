@@ -61,7 +61,7 @@ class OSThread:
         self.tid = tid
         self.fn = fn
         self.args = args
-        self.future = SimFuture(producer_task=self)
+        self.future = SimFuture(self, tid)
         self.state = ThreadState.DEFERRED if deferred else ThreadState.RUNNABLE
         self.home_socket = home_socket
         self.created_at = created_at

@@ -22,18 +22,18 @@ _COMPUTE_CACHE_MAX = 1024
 
 
 class TaskContext:
-    """Bound to one task at execution time by the owning runtime.
+    """The ``ctx`` every task body of one runtime receives.
 
-    The effect-constructing methods are pure; only :meth:`new_mutex`
-    talks to the runtime directly (mutex creation is instantaneous and
-    requires no scheduling decision).
+    Each runtime builds one context and passes it to all of its tasks:
+    nothing here is per-task state.  The effect-constructing methods are
+    pure; only :meth:`new_mutex` talks to the runtime directly (mutex
+    creation is instantaneous and requires no scheduling decision).
     """
 
-    __slots__ = ("_runtime", "task")
+    __slots__ = ("_runtime",)
 
-    def __init__(self, runtime: Any, task: Any) -> None:
+    def __init__(self, runtime: Any) -> None:
         self._runtime = runtime
-        self.task = task
 
     # -- identification -------------------------------------------------
 

@@ -63,19 +63,20 @@ class SimFuture:
     Until it is settled a future holds its ``producer_task``, which the
     runtimes read to run a ``deferred`` task inline at its first wait;
     settling drops it, so a retired task and its future do not keep
-    each other alive.  ``producer_tid`` outlives the settlement: the
-    probe bus reads it for the ``depend`` edges of the join.
+    each other alive.  ``producer_tid``, which the producer passes in
+    with itself, outlives the settlement: the probe bus reads it for the
+    ``depend`` edges of the join.
     """
 
     __slots__ = ("state", "_value", "_exception", "_callbacks", "producer_task", "producer_tid")
 
-    def __init__(self, producer_task: Any = None) -> None:
+    def __init__(self, producer_task: Any = None, producer_tid: int | None = None) -> None:
         self.state = _NOT_READY
         self._value: Any = None
         self._exception: BaseException | None = None
         self._callbacks: list[Callable[["SimFuture"], None]] = []
         self.producer_task = producer_task
-        self.producer_tid: int | None = getattr(producer_task, "tid", None)
+        self.producer_tid = producer_tid
 
     @property
     def is_ready(self) -> bool:

@@ -47,6 +47,7 @@ class Work:
         "data_rd_fraction",
         "code_rd_fraction",
         "rfo_fraction",
+        "_offcore",  # offcore_requests(), computed at its first call
     )
 
     def __init__(
@@ -163,9 +164,19 @@ class Work:
         )
 
     def offcore_requests(self) -> tuple[int, int, int]:
-        """(all_data_rd, demand_code_rd, demand_rfo) request counts."""
+        """(all_data_rd, demand_code_rd, demand_rfo) request counts.
+
+        Computed once per instance: a Work is immutable, and
+        ``ctx.compute`` shares one per distinct demand, so every segment
+        of a workload's common shapes reads the same tuple."""
+        try:
+            return self._offcore
+        except AttributeError:
+            pass
         lines = self.membytes // CACHE_LINE
         data_rd = round(lines * self.data_rd_fraction)
         code_rd = round(lines * self.code_rd_fraction)
         rfo = lines - data_rd - code_rd
-        return data_rd, code_rd, max(0, rfo)
+        requests = (data_rd, code_rd, max(0, rfo))
+        _object_setattr(self, "_offcore", requests)
+        return requests

@@ -32,6 +32,11 @@ class MemoryTrafficStats:
 class MemoryController:
     """Bandwidth arbitration for one socket.
 
+    :meth:`ResourceModel.segment_begin` and ``segment_end`` book each
+    memory-consuming segment's stream into ``active_streams`` and
+    ``stats`` inline (one call per segment); the controller answers what
+    a stream costs under the current contention.
+
     Parameters
     ----------
     socket_id:
@@ -88,23 +93,8 @@ class MemoryController:
         remote = nbytes * cross_socket_fraction * self.cross_socket_factor
         return round((local + remote) / bw * 1e9)
 
-    def stream_started(self, nbytes: int, *, cross_socket_fraction: float = 0.0) -> None:
-        """Register a memory-consuming segment beginning on this socket."""
-        self.active_streams += 1
-        stats = self.stats
-        stats.bytes_total += nbytes
-        if cross_socket_fraction:
-            stats.bytes_cross_socket += round(nbytes * cross_socket_fraction)
-        stats.segments += 1
 
-    def stream_finished(self) -> None:
-        """Register a memory-consuming segment ending."""
-        if self.active_streams <= 0:
-            raise RuntimeError("stream_finished without matching stream_started")
-        self.active_streams -= 1
-
-
-@dataclass
+@dataclass(slots=True)
 class HardwareCounters:
     """Monotonic per-core hardware event counts (the PAPI substrate)."""
 
@@ -118,7 +108,7 @@ class HardwareCounters:
         return (self.offcore_all_data_rd + self.offcore_demand_code_rd + self.offcore_demand_rfo)
 
 
-@dataclass
+@dataclass(slots=True)
 class Core:
     """One physical core."""
 
@@ -150,20 +140,11 @@ class SegmentTicket:
     Plain ``__slots__`` object (one per compute segment — hot path);
     treat instances as immutable."""
 
-    __slots__ = ("core_index", "socket", "duration_ns", "membytes_effective", "uses_memory")
+    __slots__ = ("socket", "duration_ns", "uses_memory")
 
-    def __init__(
-        self,
-        core_index: int,
-        socket: int,
-        duration_ns: int,
-        membytes_effective: int,
-        uses_memory: bool,
-    ) -> None:
-        self.core_index = core_index
+    def __init__(self, socket: int, duration_ns: int, uses_memory: bool) -> None:
         self.socket = socket
         self.duration_ns = duration_ns
-        self.membytes_effective = membytes_effective
         self.uses_memory = uses_memory
 
 
@@ -199,14 +180,6 @@ class ResourceModel:
 
     # -- queries ---------------------------------------------------------
 
-    def l3_pressure_factor(self, socket: int, extra_ws: int) -> float:
-        """Traffic inflation once concurrent working sets overflow the L3."""
-        ws = self.active_ws[socket] + extra_ws
-        overflow = ws / self._l3_bytes[socket] - 1.0
-        if overflow <= 0:
-            return 1.0
-        return min(self._l3_max, 1.0 + self._l3_alpha * overflow)
-
     def total_offcore_bytes(self) -> int:
         return sum(c.stats.bytes_total for c in self.controllers)
 
@@ -227,17 +200,29 @@ class ResourceModel:
         """
         socket = core.socket
         cpu_ns = work.cpu_ns
-        working_set = work.membytes if work.working_set is None else work.working_set
+        membytes = work.membytes
+        working_set = membytes if work.working_set is None else work.working_set
 
-        # l3_pressure_factor and, for socket-local traffic, the
-        # controller's service time run inline: one call per segment.
+        # The shared-L3 pressure, the controller's service time for
+        # socket-local traffic and its stream booking run inline: one
+        # call per segment.
         overflow = (self.active_ws[socket] + working_set) / self._l3_bytes[socket] - 1.0
         if overflow <= 0:
             pressure = 1.0
         else:
             pressure = min(self._l3_max, 1.0 + self._l3_alpha * overflow)
-        membytes = round(work.membytes * pressure)
-        duration = round(cpu_ns * speed_factor)
+        # Scaling an int by exactly 1.0 and rounding gives it back: skip
+        # the round trip then (Work does not coerce, so a float keeps it).
+        if pressure != 1.0 or membytes.__class__ is not int:
+            membytes = round(membytes * pressure)
+        if speed_factor == 1.0 and cpu_ns.__class__ is int:
+            duration = cpu_ns
+        else:
+            duration = round(cpu_ns * speed_factor)
+        # Hardware counter increments are booked at segment start; the
+        # simulated PAPI layer only ever observes them after the segment
+        # completes, so eager booking is unobservable and cheaper.
+        hw = core.hw
         if membytes > 0:
             controller = self.controllers[socket]
             if cross_socket_fraction == 0.0:
@@ -249,30 +234,32 @@ class ResourceModel:
                 duration += controller.service_time_ns(
                     membytes, cross_socket_fraction=cross_socket_fraction
                 )
-            controller.stream_started(membytes, cross_socket_fraction=cross_socket_fraction)
-        self.active_ws[socket] += working_set
-
-        # Hardware counter increments are booked at segment start; the
-        # simulated PAPI layer only ever observes them after the segment
-        # completes, so eager booking is unobservable and cheaper.
-        freq = self._freq_ghz[socket]
-        hw = core.hw
-        if membytes:
+            controller.active_streams += 1
+            stats = controller.stats
+            stats.bytes_total += membytes
+            if cross_socket_fraction:
+                stats.bytes_cross_socket += round(membytes * cross_socket_fraction)
+            stats.segments += 1
             lines_work = work if pressure == 1.0 else work.scaled_traffic(pressure)
             data_rd, code_rd, rfo = lines_work.offcore_requests()
             hw.offcore_all_data_rd += data_rd
             hw.offcore_demand_code_rd += code_rd
             hw.offcore_demand_rfo += rfo
+        self.active_ws[socket] += working_set
+        freq = self._freq_ghz[socket]
         hw.cycles += round(duration * freq)
         hw.instructions += round(cpu_ns * freq * self._ipc)
         core.busy_ns += duration
-        return SegmentTicket(core.index, socket, duration, membytes, membytes > 0)
+        return SegmentTicket(socket, duration, membytes > 0)
 
     def segment_end(self, ticket: SegmentTicket, work: Work) -> None:
         """Finish the segment identified by *ticket*."""
         socket = ticket.socket
         if ticket.uses_memory:
-            self.controllers[socket].stream_finished()
+            controller = self.controllers[socket]
+            if controller.active_streams <= 0:
+                raise RuntimeError("memory stream ended twice")
+            controller.active_streams -= 1
         active_ws = self.active_ws
         active_ws[socket] -= work.membytes if work.working_set is None else work.working_set
         if active_ws[socket] < 0:

@@ -123,8 +123,12 @@ class HpxRuntime(SchedulerBackend):
         # wakes nobody and the spawn and wake paths skip the kick.
         self._idle = len(self.workers)
         # Hyper-threading: number of workers currently computing per
-        # physical core (two sharing a core each run slower).
-        self._core_compute_count: dict[int, int] = {}
+        # physical core (two sharing a core each run slower).  Kept only
+        # when two workers share one; otherwise every segment runs at
+        # full speed.
+        self._core_compute_count: dict[int, int] | None = (
+            {} if len(set(cores)) < len(cores) else None
+        )
         self._build_victim_orders()
         # Coherence-channel state (see HpxParams.qpi_*_hold_ns).
         self._spans_sockets = len({w.socket for w in self.workers}) > 1
@@ -431,9 +435,13 @@ class HpxRuntime(SchedulerBackend):
             else 0.0
         )
         core = w.core_index
-        sharing = self._core_compute_count.get(core, 0)
-        speed = self.params.smt_slowdown if sharing else 1.0
-        self._core_compute_count[core] = sharing + 1
+        computing = self._core_compute_count
+        if computing is None:
+            speed = 1.0
+        else:
+            sharing = computing.get(core, 0)
+            speed = self.params.smt_slowdown if sharing else 1.0
+            computing[core] = sharing + 1
         ticket = self.machine.segment_begin(core, work, cross, speed)
         duration = ticket.duration_ns
         task.exec_ns += duration
@@ -443,7 +451,8 @@ class HpxRuntime(SchedulerBackend):
         self.engine.call_later(duration, self._finish_compute, w, task, ticket, work)
 
     def _finish_compute(self, w: _Worker, task: Task, ticket: Any, work: Work) -> None:
-        self._core_compute_count[w.core_index] -= 1
+        if self._core_compute_count is not None:
+            self._core_compute_count[w.core_index] -= 1
         self.machine.segment_end(ticket, work)
         self._step(w, task, None)
 

@@ -72,7 +72,7 @@ class Task:
         self.fn = fn
         self.args = args
         self.policy = policy
-        self.future = SimFuture(self)
+        self.future = SimFuture(self, tid)
         self.state = _DEFERRED if policy is _POLICY_DEFERRED else _PENDING
         self.parent_tid = parent_tid
         self.home_socket = home_socket

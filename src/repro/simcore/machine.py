@@ -38,10 +38,6 @@ class Machine:
 
     # -- queries ---------------------------------------------------------
 
-    def l3_pressure_factor(self, socket: int, extra_ws: int) -> float:
-        """Traffic inflation once concurrent working sets overflow the L3."""
-        return self.resources.l3_pressure_factor(socket, extra_ws)
-
     def total_offcore_bytes(self) -> int:
         return self.resources.total_offcore_bytes()
 

@@ -141,12 +141,16 @@ def test_sync_policy_inline():
 
 
 def test_runqueue_lock_serializes():
+    # Two threads dispatched at one instant onto two free cores: the
+    # second queues behind the first's hold on the scheduler lock.
     engine = Engine()
-    rt = StdRuntime(engine, Machine(), num_workers=1)
-    d1 = rt._lock_delay(100)
-    d2 = rt._lock_delay(100)
-    assert d1 == 100
-    assert d2 == 200  # queued behind the first hold
+    rt = StdRuntime(engine, Machine(), num_workers=2)
+    first, second = (rt._make_thread(lambda ctx: None, (), home_socket=0) for _ in range(2))
+    rt.run_queue.extend([first, second])
+    rt._dispatch()
+    switch, hold = rt.params.context_switch_ns, rt.params.runqueue_hold_ns
+    assert first.overhead_ns == switch + hold
+    assert second.overhead_ns == switch + 2 * hold  # queued behind the first hold
 
 
 def test_blocks_and_wakes_counted():

@@ -17,7 +17,7 @@ class _FakeRuntime:
 
 @pytest.fixture
 def ctx():
-    return TaskContext(_FakeRuntime(), task=None)
+    return TaskContext(_FakeRuntime())
 
 
 def test_async_builds_spawn(ctx):

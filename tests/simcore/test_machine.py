@@ -71,13 +71,18 @@ def test_hw_counters_incremented(machine):
 
 def test_l3_pressure_inflates_traffic(machine):
     big = 30 * 1024 * 1024  # exceeds the 25 MB L3 on its own
-    factor = machine.l3_pressure_factor(0, big)
+    work = Work(cpu_ns=0, membytes=64_000, working_set=big)
+    machine.segment_begin(0, work)
+    factor = machine.total_offcore_bytes() / work.membytes
     assert factor > 1.0
     assert factor <= machine.platform.l3_max_factor
+    assert machine.cores[0].hw.offcore_total() == round(work.membytes * factor) // 64
 
 
 def test_l3_no_pressure_small_ws(machine):
-    assert machine.l3_pressure_factor(0, 1024) == 1.0
+    work = Work(cpu_ns=0, membytes=1024)
+    machine.segment_begin(0, work)
+    assert machine.total_offcore_bytes() == work.membytes
 
 
 def test_working_set_accounting_balanced(machine):

@@ -1,10 +1,16 @@
-"""Memory-controller contention model."""
+"""Memory-controller contention model.
+
+The controller prices a stream; ``Machine.segment_begin``/``segment_end``
+book streams into it, so the booking is tested through the machine.
+"""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.model.work import Work
 from repro.platform.resource import MemoryController
+from repro.simcore.machine import Machine
 
 
 def make(peak=40e9, per_core=8e9, cross=1.6):
@@ -40,11 +46,12 @@ def test_service_time_zero_bytes():
 
 
 def test_service_time_under_contention():
-    mc = make()
-    for _ in range(9):
-        mc.stream_started(1000)
-    # 10th stream: bandwidth = 40e9/10 = 4 GB/s -> 2000 ns for 8000 B.
-    assert mc.service_time_ns(8000) == 2000
+    machine = Machine()  # ivybridge: 42 GB/s per socket, 7.5 GB/s per core
+    for core in range(9):
+        machine.segment_begin(core, Work(cpu_ns=0, membytes=1000))
+    # 10th stream: bandwidth = 42e9/10 = 4.2 GB/s -> 2000 ns for 8400 B.
+    assert machine.resources.controllers[0].service_time_ns(8400) == 2000
+    assert machine.segment_begin(9, Work(cpu_ns=0, membytes=8400)).duration_ns == 2000
 
 
 def test_cross_socket_penalty():
@@ -60,19 +67,26 @@ def test_cross_socket_fraction_validated():
 
 
 def test_stream_accounting():
-    mc = make()
-    mc.stream_started(1000, cross_socket_fraction=0.5)
+    machine = Machine()
+    work = Work(cpu_ns=0, membytes=1000)
+    ticket = machine.segment_begin(0, work, cross_socket_fraction=0.5)
+    mc = machine.resources.controllers[0]
     assert mc.active_streams == 1
     assert mc.stats.bytes_total == 1000
     assert mc.stats.bytes_cross_socket == 500
     assert mc.stats.segments == 1
-    mc.stream_finished()
+    machine.segment_end(ticket, work)
     assert mc.active_streams == 0
 
 
 def test_unbalanced_finish_rejected():
+    machine = Machine()
+    # No working set, so only the stream booking can see the second end.
+    work = Work(cpu_ns=0, membytes=1000, working_set=0)
+    ticket = machine.segment_begin(0, work)
+    machine.segment_end(ticket, work)
     with pytest.raises(RuntimeError):
-        make().stream_finished()
+        machine.segment_end(ticket, work)
 
 
 @given(st.integers(min_value=1, max_value=10**9))

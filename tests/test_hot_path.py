@@ -44,12 +44,12 @@ PROFILED_RUN = RunSpec(
 
 #: Calls into repro code during Engine.run, per golden run.
 BUDGETS = {
-    "fib_hpx": 161_303,
-    "uts_hpx": 23_479,
-    "health_hpx": 40_168,
-    "fib_std": 31_581,
-    "health_std": 11_438,
-    PROFILED: 359_352,
+    "fib_hpx": 153_322,
+    "uts_hpx": 21_878,
+    "health_hpx": 36_019,
+    "fib_std": 24_850,
+    "health_std": 8_748,
+    PROFILED: 343_389,
 }
 
 
